@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check vet apilint staticcheck govulncheck build test race race-short bench benchcheck fuzz serve-smoke cluster-smoke load-smoke
+.PHONY: check vet apilint ingestlint staticcheck govulncheck build test race race-short bench benchcheck fuzz serve-smoke cluster-smoke load-smoke
 
-## check: the full CI gate — vet, apilint, staticcheck + govulncheck
-## (when installed), build, and the test suite under the race detector
-check: vet apilint staticcheck govulncheck build race
+## check: the full CI gate — vet, apilint, ingestlint, staticcheck +
+## govulncheck (when installed), build, and the test suite under the race
+## detector
+check: vet apilint ingestlint staticcheck govulncheck build race
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +25,24 @@ apilint:
 		exit 1; \
 	fi; \
 	echo "apilint: ok"
+
+## ingestlint: what kind of source a path is gets decided in one place,
+## core.Open (internal/core/source.go). Anywhere else — the two format
+## packages aside, which check their own headers — a header sniff, a
+## .dgc/.dgar suffix test, or a comparison against a format magic is a
+## second dispatcher growing back, so non-test code under internal/ and
+## cmd/ may not contain one (code that is handed a path of a known kind
+## opens it; it does not choose)
+ingestlint:
+	@bad=$$(grep -rnE 'SniffFile\(|HasSuffix\([^)]*"\.(dgc|dgar)"|[!=]= *(logfmt\.(Archive)?Magic|colfmt\.Magic)|(logfmt\.(Archive)?Magic|colfmt\.Magic)(\[:\])? *[!=]=' \
+		internal cmd --include='*.go' --exclude='*_test.go' \
+		| grep -vE '^internal/(core/source\.go|darshan/(logfmt|colfmt)/)' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "ingestlint: source-kind dispatch outside core.Open (call core.Ingest/core.Convert with the path):"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi; \
+	echo "ingestlint: ok"
 
 ## staticcheck: runs only when the binary is on PATH, so environments
 ## without it (e.g. hermetic containers) still pass `make check`

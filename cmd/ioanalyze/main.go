@@ -26,12 +26,14 @@
 //	ioanalyze -dir /path/to/logs -format json [-section table2]
 //	ioanalyze -archive campaign.dgar -convert campaign.dgc
 //
-// -archive accepts both row-oriented campaign archives (.dgar) and columnar
-// campaign files (.dgc); the format is sniffed from the file header, and a
-// columnar source folds whole pre-aggregated segments instead of re-parsing
-// logs. -convert writes the columnar image of -dir or -archive to the given
-// path (atomically; the file appears only on success) and exits without
-// rendering a report.
+// -dir and -archive name the one source path; what it is — a directory of
+// logs, a single .darshan log, a row-oriented campaign archive (.dgar) or a
+// columnar campaign file (.dgc) — is decided by core.Open from the path
+// itself (directory, else file header), not by which flag carried it or how
+// it is named. A columnar source folds whole pre-aggregated segments instead
+// of re-parsing logs. -convert writes the columnar image of the source to
+// the given path (atomically; the file appears only on success) and exits
+// without rendering a report.
 //
 // With -format json the report is the versioned JSON document that ioserved
 // serves from /v1/report — stdout carries nothing but the document, so it
@@ -48,10 +50,8 @@ import (
 	"fmt"
 	"os"
 
-	"iolayers/internal/analysis"
 	"iolayers/internal/cli"
 	"iolayers/internal/core"
-	"iolayers/internal/darshan/colfmt"
 	"iolayers/internal/iosim/systems"
 	"iolayers/internal/report"
 )
@@ -60,7 +60,7 @@ func main() {
 	var (
 		system     = flag.String("system", "summit", "system the logs came from: summit or cori")
 		dir        = flag.String("dir", "", "directory of .darshan logs")
-		archive    = flag.String("archive", "", "campaign archive (.dgar) to analyze instead of a directory")
+		archive    = flag.String("archive", "", "campaign file to analyze instead of a directory: a .dgar archive, a .dgc columnar campaign, or a single .darshan log")
 		formatFlag = flag.String("format", "text", "report output format: text, json, or csv")
 		section    = flag.String("section", "", "render one section (table2..table6, figure3..figure11, users, predict, ...; default all)")
 		convert    = flag.String("convert", "", "convert the source to a columnar campaign file (.dgc) at this path and exit")
@@ -81,23 +81,18 @@ func main() {
 	defer act.Close()
 	metrics := act.Metrics
 
+	// -dir and -archive both just name the source.
+	source := *archive
+	if source == "" {
+		source = *dir
+	}
+
 	if *convert != "" {
 		if (*dir == "") == (*archive == "") {
 			fmt.Fprintln(os.Stderr, "ioanalyze: -convert needs exactly one of -dir or -archive")
 			os.Exit(2)
 		}
-		cvOpts := core.ConvertOptions{Metrics: metrics}
-		var (
-			res    core.ConvertResult
-			source string
-		)
-		if *archive != "" {
-			source = *archive
-			res, err = core.ConvertArchive(ctx, *archive, *convert, cvOpts)
-		} else {
-			source = *dir
-			res, err = core.ConvertDir(ctx, *dir, *convert, cvOpts)
-		}
+		res, err := core.Convert(ctx, source, *convert, core.ConvertOptions{Metrics: metrics})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ioanalyze:", err)
 			if cli.Interrupted(err) {
@@ -130,12 +125,7 @@ func main() {
 		opts.Resume = ck
 		// The checkpoint pins the source and system; flags must not
 		// silently redirect a resumed pass.
-		*system = ck.System
-		if ck.Mode == "archive" || ck.Mode == "columnar" {
-			*archive, *dir = ck.Source, ""
-		} else {
-			*dir, *archive = ck.Source, ""
-		}
+		*system, source = ck.System, ck.Source
 		if opts.CheckpointPath == "" {
 			opts.CheckpointPath = common.ResumePath
 		}
@@ -145,7 +135,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ioanalyze: resuming %s pass over %s (%d logs done)\n",
 			ck.Mode, ck.Source, ck.EntriesDone)
 	}
-	if *dir == "" && *archive == "" {
+	if source == "" {
 		fmt.Fprintln(os.Stderr, "ioanalyze: -dir, -archive, or -resume is required")
 		os.Exit(2)
 	}
@@ -155,28 +145,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var (
-		rep    *analysis.Report
-		res    core.IngestResult
-		source string
-	)
-	if *archive != "" {
-		source = *archive
-		// The header, not the filename, decides the format: a columnar
-		// campaign folds pre-aggregated segments, an archive re-parses logs.
-		if colfmt.SniffFile(*archive) {
-			rep, res, err = core.IngestColumnar(ctx, sys, *archive, opts)
-		} else {
-			rep, res, err = core.IngestArchive(ctx, sys, *archive, opts)
-		}
-	} else {
-		source = *dir
-		rep, res, err = core.IngestDir(ctx, sys, *dir, opts)
-		if err == nil && res.Parsed == 0 && res.Failed == 0 {
-			fmt.Fprintf(os.Stderr, "ioanalyze: no .darshan logs in %s\n", source)
-			os.Exit(1)
-		}
-	}
+	rep, res, err := core.Ingest(ctx, sys, source, opts)
 
 	for _, f := range res.Failures {
 		fmt.Fprintf(os.Stderr, "ioanalyze: skipping %s: %v\n", f.Source, f.Err)
@@ -198,8 +167,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ioanalyze: continuing with the %d logs before the damage\n", res.Parsed)
 	}
 	if res.Parsed == 0 && !interrupted {
-		fmt.Fprintf(os.Stderr, "ioanalyze: every log in %s was unreadable (%d failures)\n",
-			source, res.Failed)
+		if res.Failed == 0 {
+			fmt.Fprintf(os.Stderr, "ioanalyze: no .darshan logs in %s\n", source)
+		} else {
+			fmt.Fprintf(os.Stderr, "ioanalyze: every log in %s was unreadable (%d failures)\n",
+				source, res.Failed)
+		}
 		os.Exit(1)
 	}
 

@@ -49,8 +49,9 @@
 // render in time gets 503 and releases its concurrency slot instead of
 // wedging it.
 //
-// -ingest may repeat; each path (directory, .dgar archive, or single
-// .darshan log) folds into the -dataset dataset before the server reports
+// -ingest may repeat; each path (directory, .dgar archive, .dgc columnar
+// campaign, or single .darshan log — told apart by header, not by name)
+// folds into the -dataset dataset before the server reports
 // ready. -fixture name:logs[:seed] (repeatable) synthesizes a
 // deterministic corpus (serve.WriteFixture — a pure function of system,
 // count, and seed) and ingests it at boot: replicas started with the
@@ -105,7 +106,7 @@ func main() {
 		lakeDir     = flag.String("lake", "", "durable dataset lake directory: commit every ingest, recover datasets on boot")
 		compactEach = flag.Int("compact-every", serve.DefaultCompactEvery, "fold a dataset's lake segments into one after this many commits (<0 disables)")
 	)
-	flag.Func("ingest", "ingest this source (dir, .dgar, or .darshan; repeatable) before serving", func(v string) error {
+	flag.Func("ingest", "ingest this source (dir, .dgar, .dgc, or .darshan; repeatable) before serving", func(v string) error {
 		ingests = append(ingests, v)
 		return nil
 	})

@@ -16,10 +16,10 @@
 // archive while the study runs; -save-columnar streams the campaign into a
 // columnar file (.dgc) instead, which later re-renders order-of-magnitude
 // faster; -from skips synthesis entirely and re-renders the experiments
-// from an existing archive — row-oriented or columnar, sniffed from the
-// file header — via the parallel streaming ingester (same deterministic
-// worker-pool model as the study engine). All three take a single -system,
-// not "both".
+// from an existing campaign — a row-oriented archive, a columnar file, or a
+// directory of logs, as core.Open finds it — via the parallel streaming
+// ingester (same deterministic worker-pool model as the study engine). All
+// three take a single -system, not "both".
 //
 // Crash safety: SIGINT/SIGTERM stops the campaign at a job boundary and
 // still renders a valid partial report. With -checkpoint, progress persists
@@ -84,7 +84,7 @@ func main() {
 		format     = flag.String("format", "text", "output format: text, or csv (figure series for plotting)")
 		save       = flag.String("save", "", "stream every generated log into this campaign archive (.dgar); single -system only")
 		saveCol    = flag.String("save-columnar", "", "stream the campaign into this columnar file (.dgc); single -system only, not resumable")
-		from       = flag.String("from", "", "skip synthesis and analyze this campaign archive (.dgar or .dgc) instead; single -system only")
+		from       = flag.String("from", "", "skip synthesis and analyze this campaign (.dgar archive, .dgc columnar file, or directory of .darshan logs) instead; single -system only")
 	)
 	var common cli.CommonFlags
 	common.Register(flag.CommandLine, cli.FlagsAll)
@@ -525,7 +525,7 @@ type ingestCkptOptions struct {
 }
 
 // analyzeArchive is the -from path: parallel streaming ingestion of an
-// existing campaign archive, rendered like a freshly synthesized study.
+// existing campaign, rendered like a freshly synthesized study.
 func analyzeArchive(ctx context.Context, path, system string, workers int, experiment, format string, ck ingestCkptOptions,
 	metrics *obsv.Registry, metricsOut string) {
 	opts := core.IngestOptions{
@@ -541,17 +541,13 @@ func analyzeArchive(ctx context.Context, path, system string, workers int, exper
 			fmt.Fprintln(os.Stderr, "iostudy:", err)
 			os.Exit(2)
 		}
-		if ickpt.Mode != "archive" && ickpt.Mode != "columnar" {
-			fmt.Fprintf(os.Stderr, "iostudy: %s is a %q ingestion checkpoint; -from resumes archives\n", ck.resumePath, ickpt.Mode)
-			os.Exit(2)
-		}
 		opts.Resume = ickpt
 		system, path = ickpt.System, ickpt.Source
 		if opts.CheckpointPath == "" {
 			opts.CheckpointPath = ck.resumePath
 		}
-		fmt.Fprintf(os.Stderr, "iostudy: resuming ingestion of %s (%d entries done)\n",
-			ickpt.Source, ickpt.EntriesDone)
+		fmt.Fprintf(os.Stderr, "iostudy: resuming %s ingestion of %s (%d entries done)\n",
+			ickpt.Mode, ickpt.Source, ickpt.EntriesDone)
 	}
 	if strings.EqualFold(system, "both") {
 		fmt.Fprintln(os.Stderr, "iostudy: -from needs a single -system (an archive holds one system's campaign)")
@@ -562,11 +558,7 @@ func analyzeArchive(ctx context.Context, path, system string, workers int, exper
 		fmt.Fprintf(os.Stderr, "iostudy: unknown system %q\n", system)
 		os.Exit(2)
 	}
-	ingest := core.IngestArchive
-	if colfmt.SniffFile(path) {
-		ingest = core.IngestColumnar
-	}
-	rep, res, err := ingest(ctx, sys, path, opts)
+	rep, res, err := core.Ingest(ctx, sys, path, opts)
 	for _, f := range res.Failures {
 		fmt.Fprintf(os.Stderr, "iostudy: skipping %s: %v\n", f.Source, f.Err)
 	}

@@ -1,17 +1,14 @@
-// Columnar campaign storage: converting row-oriented logfmt archives into
-// colfmt files and folding/querying them at batch granularity.
+// Columnar campaign storage: converting row-oriented campaigns into colfmt
+// files and querying them at batch granularity.
 //
-// ConvertArchive/ConvertDir stream a campaign through a colfmt.Writer —
-// one log in memory at a time — and commit the output atomically (temp
-// file + rename). IngestColumnar is the vectorized sibling of
-// IngestArchive: the unit of work handed to the worker pool is a raw
-// segment (a few hundred pre-folded logs) instead of one zlib'd log, and
-// each worker folds decoded column batches straight into its private
-// aggregator via analysis.FoldBatch. Determinism carries over unchanged —
-// segment k goes to worker k mod workers and partials merge in worker
-// order — so the rendered report is byte-identical to the logfmt path at
-// any worker count, and the "columnar" checkpoint mode gives the same
-// kill/resume guarantees as the row path.
+// Convert streams a campaign — whatever row-oriented source Open finds at
+// the path — through a colfmt.Writer, one log in memory at a time, and
+// commits the output atomically (temp file + rename). Folding the result
+// back is plain Ingest: the unit of work handed to the worker pool is then
+// a raw segment (a few hundred pre-folded logs) instead of one zlib'd log,
+// and each worker folds decoded column batches straight into its private
+// aggregator via analysis.FoldBatch, so the rendered report is
+// byte-identical to the logfmt path at any worker count.
 //
 // QueryColumnarTotals is the narrow-query fast path: it decodes only the
 // per-file byte columns (flags, path, six counters) and, when a volume
@@ -28,12 +25,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
-	"iolayers/internal/analysis"
 	"iolayers/internal/darshan/colfmt"
 	"iolayers/internal/darshan/logfmt"
-	"iolayers/internal/iosim"
 	"iolayers/internal/obsv"
 	"iolayers/internal/units"
 )
@@ -61,14 +55,24 @@ type ConvertResult struct {
 	BytesOut int64
 }
 
-// convertInto runs feed against a fresh colfmt.Writer on a temp file and
-// commits dst atomically on success. Conversion is strict: any undecodable
-// log aborts it — a columnar file must be a faithful image of its source,
-// so damaged campaigns should be ingested with a QuarantineDir first and
-// the cleaned archive converted. On error (including cancellation) dst is
-// untouched.
-func convertInto(ctx context.Context, dst string, opts ConvertOptions,
-	feed func(w *colfmt.Writer) (int64, error)) (ConvertResult, error) {
+// convert walks the source at src into a fresh colfmt.Writer on a temp file
+// and commits dst atomically on success. Conversion is strict: any
+// undecodable log aborts it — a columnar file must be a faithful image of
+// its source, so damaged campaigns should be ingested with a QuarantineDir
+// first and the cleaned archive converted. On error (including
+// cancellation) dst is untouched.
+func convert(ctx context.Context, src, dst string, opts ConvertOptions, want string) (ConvertResult, error) {
+	in, err := openKind(src, opts.Limits, want)
+	if err != nil {
+		return ConvertResult{}, err
+	}
+	defer in.close()
+	if in.mode() == "columnar" {
+		return ConvertResult{}, fmt.Errorf("core: %s is already a columnar campaign", src)
+	}
+	if in.remaining() == 0 {
+		return ConvertResult{}, fmt.Errorf("core: no .darshan logs in %s", src)
+	}
 
 	span := opts.Metrics.Span("convert")
 	timer := span.Begin()
@@ -89,9 +93,31 @@ func convertInto(ctx context.Context, dst string, opts ConvertOptions,
 	if err != nil {
 		return ConvertResult{}, err
 	}
-	bytesIn, err := feed(w)
-	if err != nil {
-		return ConvertResult{}, err
+	var br bytes.Reader
+	var bytesIn int64
+	for {
+		if err := ctx.Err(); err != nil {
+			return ConvertResult{}, err
+		}
+		item, ok, err := in.next()
+		if err != nil {
+			return ConvertResult{}, err
+		}
+		if !ok {
+			break
+		}
+		log, err := decodeItem(&br, opts.Limits, item)
+		if err != nil {
+			return ConvertResult{}, fmt.Errorf("core: %s: %w", item.source(), err)
+		}
+		if err := w.Append(log); err != nil {
+			return ConvertResult{}, err
+		}
+		if item.path == "" {
+			bytesIn += int64(len(item.raw))
+		} else if fi, err := os.Stat(item.path); err == nil {
+			bytesIn += fi.Size()
+		}
 	}
 	if err := w.Close(); err != nil {
 		return ConvertResult{}, err
@@ -130,163 +156,16 @@ func convertInto(ctx context.Context, dst string, opts ConvertOptions,
 	return res, nil
 }
 
-// ConvertArchive converts the logfmt campaign archive at src into a
-// columnar file at dst, streaming entry by entry.
+// Convert writes the columnar image of the row-oriented campaign at src — a
+// directory of *.darshan logs (in the sorted order Ingest consumes them), a
+// single log, or a .dgar archive streamed entry by entry — to dst.
+func Convert(ctx context.Context, src, dst string, opts ConvertOptions) (ConvertResult, error) {
+	return convert(ctx, src, dst, opts, "")
+}
+
+// ConvertArchive is Convert for a src that must be a .dgar archive.
 func ConvertArchive(ctx context.Context, src, dst string, opts ConvertOptions) (ConvertResult, error) {
-	f, err := os.Open(src)
-	if err != nil {
-		return ConvertResult{}, fmt.Errorf("core: opening %s: %w", src, err)
-	}
-	defer f.Close()
-	ar, err := logfmt.NewArchiveReaderWithLimits(f, opts.Limits)
-	if err != nil {
-		return ConvertResult{}, fmt.Errorf("core: %s: %w", src, err)
-	}
-	return convertInto(ctx, dst, opts, func(w *colfmt.Writer) (int64, error) {
-		var br bytes.Reader
-		var bytesIn int64
-		for idx := 0; ; idx++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			raw, err := ar.NextRaw()
-			if errors.Is(err, io.EOF) {
-				return bytesIn, nil
-			}
-			if err != nil {
-				return 0, fmt.Errorf("core: %s entry %d: %w", src, idx, err)
-			}
-			br.Reset(raw)
-			log, err := logfmt.ReadWithLimits(&br, opts.Limits)
-			if err != nil {
-				return 0, fmt.Errorf("core: %s entry %d: %w", src, idx, err)
-			}
-			if err := w.Append(log); err != nil {
-				return 0, err
-			}
-			bytesIn += int64(len(raw))
-		}
-	})
-}
-
-// ConvertDir converts every *.darshan log under dir (in sorted order, the
-// same order IngestDir consumes them) into a columnar file at dst.
-func ConvertDir(ctx context.Context, dir, dst string, opts ConvertOptions) (ConvertResult, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.darshan"))
-	if err != nil {
-		return ConvertResult{}, fmt.Errorf("core: listing %s: %w", dir, err)
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return ConvertResult{}, fmt.Errorf("core: no .darshan logs in %s", dir)
-	}
-	return convertInto(ctx, dst, opts, func(w *colfmt.Writer) (int64, error) {
-		var bytesIn int64
-		for _, p := range paths {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			log, err := logfmt.ReadFileWithLimits(p, opts.Limits)
-			if err != nil {
-				return 0, fmt.Errorf("core: %s: %w", p, err)
-			}
-			if err := w.Append(log); err != nil {
-				return 0, err
-			}
-			if fi, err := os.Stat(p); err == nil {
-				bytesIn += fi.Size()
-			}
-		}
-		return bytesIn, nil
-	})
-}
-
-// IngestColumnar folds the columnar campaign file at path into an
-// aggregate report through the standard worker pool: raw segments are
-// dispatched segment k → worker k mod workers and each worker decodes and
-// batch-folds privately, so the report is byte-identical to the logfmt
-// path at any worker count. Parsed counts logs (not segments); a segment
-// that fails to decode or fold counts as one failure. Checkpointing,
-// resume, quarantine, and cancellation behave exactly as IngestArchive,
-// under checkpoint mode "columnar".
-func IngestColumnar(ctx context.Context, sys *iosim.System, path string, opts IngestOptions) (*analysis.Report, IngestResult, error) {
-	if sys == nil {
-		return nil, IngestResult{}, fmt.Errorf("core: nil system")
-	}
-	ic, err := newIngestCoordinator(sys, opts, "columnar", path)
-	if err != nil {
-		return nil, IngestResult{}, err
-	}
-	foldTimer := ic.span.Begin()
-	defer foldTimer.End()
-	ic.span.SetWorkers(ic.workers())
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, IngestResult{}, fmt.Errorf("core: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	cr, err := colfmt.NewReaderWithLimits(f, ic.lim)
-	if err != nil {
-		return nil, IngestResult{}, fmt.Errorf("core: %s: %w", path, err)
-	}
-	// Resume: skip the completed prefix with the cheap framing walk — no
-	// checksum is verified beyond the frame CRC, no column is decoded.
-	for skip := 0; skip < ic.entriesDone; skip++ {
-		if _, err := cr.NextRaw(); err != nil {
-			return nil, IngestResult{}, fmt.Errorf("core: %s: skipping to segment %d: %w", path, ic.entriesDone, err)
-		}
-	}
-
-	idx := ic.entriesDone
-	eof := false
-	nextSegment := func() (ingestItem, bool, error) {
-		raw, err := cr.NextRaw()
-		if errors.Is(err, io.EOF) {
-			eof = true
-			return ingestItem{}, false, nil
-		}
-		if err != nil {
-			return ingestItem{}, false, fmt.Errorf("core: %s segment %d: %w", path, idx, err)
-		}
-		// NextRaw's slice is scratch; hand the worker its own copy.
-		item := ingestItem{
-			index: idx, raw: append([]byte(nil), raw...),
-			source:   fmt.Sprintf("%s segment %d", path, idx),
-			columnar: true,
-		}
-		idx++
-		return item, true, nil
-	}
-
-	for !eof {
-		res := ic.runBatch(ctx, ic.batchSize(), nextSegment)
-		if res.cancelled {
-			return ic.cancel(ctx, &res)
-		}
-		if err := ic.fold(&res); err != nil {
-			return nil, IngestResult{}, err
-		}
-		if res.streamErr != nil {
-			// Framing damage: the processed prefix is complete and
-			// checkpointable, but nothing beyond it is reachable.
-			if err := ic.writeCheckpoint(); err != nil {
-				return nil, IngestResult{}, errors.Join(res.streamErr, err)
-			}
-			if ic.quar != nil {
-				ic.quar.close()
-			}
-			rep, ir := ic.result()
-			return rep, ir, res.streamErr
-		}
-		if !eof {
-			if err := ic.writeCheckpoint(); err != nil {
-				return nil, IngestResult{}, err
-			}
-		}
-	}
-	ic.finish()
-	rep, ir := ic.result()
-	return rep, ir, nil
+	return convert(ctx, src, dst, opts, "archive")
 }
 
 // ColumnarQuery selects what QueryColumnarTotals scans.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"iolayers/internal/analysis"
-	"iolayers/internal/darshan/colfmt"
 	"iolayers/internal/iosim/systems"
 	"iolayers/internal/obsv"
 	"iolayers/internal/report"
@@ -206,10 +205,11 @@ func TestQueryColumnarTotals(t *testing.T) {
 	}
 }
 
-// TestIngestColumnarRejectsWrongFile verifies the sniff-and-fail paths: a
-// logfmt archive handed to the columnar reader fails with a structured
-// bad-magic error, and a truncated columnar file fails rather than
-// silently shortening the campaign.
+// TestIngestColumnarRejectsWrongFile verifies the strict-kind entry points:
+// a logfmt archive handed to IngestColumnar (and a columnar file handed to
+// IngestArchive) is refused, and a truncated columnar file fails rather
+// than silently shortening the campaign. What Open makes of each kind of
+// path is TestOpenKinds.
 func TestIngestColumnarRejectsWrongFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign generation in -short mode")
@@ -220,11 +220,8 @@ func TestIngestColumnarRejectsWrongFile(t *testing.T) {
 	if _, _, err := IngestColumnar(context.Background(), sys, archive, IngestOptions{}); err == nil {
 		t.Error("columnar ingest of a logfmt archive succeeded")
 	}
-	if !colfmt.SniffFile(columnar) {
-		t.Error("SniffFile rejects a real columnar file")
-	}
-	if colfmt.SniffFile(archive) {
-		t.Error("SniffFile accepts a logfmt archive")
+	if _, _, err := IngestArchive(context.Background(), sys, columnar, IngestOptions{}); err == nil {
+		t.Error("archive ingest of a columnar file succeeded")
 	}
 
 	raw, err := os.ReadFile(columnar)

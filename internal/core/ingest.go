@@ -1,8 +1,10 @@
 // Parallel log ingestion: the darshan-util half of the pipeline at campaign
-// scale. IngestDir and IngestArchive fan logs out to a fixed worker pool in
-// which each worker owns a private analysis.Aggregator; the partials merge
-// via Aggregator.Merge — the same deterministic model Run uses for
-// synthesis (DESIGN.md §7).
+// scale. There is one path from a campaign on disk to an
+// analysis.Aggregator: Open decides what the path is and returns its
+// source, and one driver loop pulls batches from the source through a
+// fixed worker pool in which each worker owns a private
+// analysis.Aggregator; the partials merge via Aggregator.Merge — the same
+// deterministic model Run uses for synthesis (DESIGN.md §7).
 //
 // Determinism: within a batch, item k is assigned to worker k mod workers
 // (static sharding, one channel per worker), and partial aggregates merge
@@ -32,11 +34,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 
 	"iolayers/internal/analysis"
@@ -59,8 +61,9 @@ type IngestOptions struct {
 	// zero fields take logfmt.DefaultLimits.
 	Limits logfmt.DecodeLimits
 	// QuarantineDir, when non-empty, receives every undecodable log —
-	// moved aside in directory mode, extracted in archive mode — plus an
-	// appended MANIFEST.tsv line per log (see quarantine).
+	// moved aside when it is a file of its own, extracted when it is an
+	// archive entry or columnar segment — plus an appended MANIFEST.tsv
+	// line per log (see quarantine).
 	QuarantineDir string
 	// CheckpointPath enables checkpointing: progress is atomically
 	// persisted every CheckpointEvery entries, and the file is removed when
@@ -91,8 +94,8 @@ const defaultIngestBatch = 4096
 
 // IngestFailure records one log that could not be parsed.
 type IngestFailure struct {
-	// Source identifies the log: a file path (directory mode) or
-	// "entry N" (archive mode).
+	// Source identifies the log: a file path, or "<archive> entry N" /
+	// "<campaign> segment N" inside a campaign file.
 	Source string
 	Err    error
 }
@@ -123,10 +126,12 @@ type IngestFailureRecord struct {
 // none at or beyond it are.
 type IngestCheckpoint struct {
 	System string
-	// Mode is "dir" or "archive".
-	Mode   string
+	// Mode names the kind of source the pass walked: "dir" (a list of log
+	// files — a directory's, or one single log), "archive" or "columnar".
+	Mode string
+	// Source is the path the pass was given; Ingest(Source) resumes it.
 	Source string
-	// Paths freezes directory mode's sorted input list: quarantined files
+	// Paths freezes "dir" mode's sorted input list: quarantined files
 	// are gone from the directory, so resume must not re-glob.
 	Paths         []string
 	EntriesDone   int
@@ -142,7 +147,7 @@ type IngestCheckpoint struct {
 }
 
 // LoadIngestCheckpoint reads an ingestion checkpoint written by a prior
-// IngestDir or IngestArchive pass.
+// Ingest pass.
 func LoadIngestCheckpoint(path string) (*IngestCheckpoint, error) {
 	var ck IngestCheckpoint
 	if err := checkpoint.Load(path, &ck); err != nil {
@@ -154,15 +159,23 @@ func LoadIngestCheckpoint(path string) (*IngestCheckpoint, error) {
 	return &ck, nil
 }
 
-// ingestItem is one unit of work: a path to open (directory mode), a raw
-// undecoded archive entry (archive mode), or a raw undecoded columnar
-// segment (columnar mode).
+// ingestItem is one unit of work: a log file to open (path), a raw
+// undecoded archive entry, or a raw undecoded columnar segment.
 type ingestItem struct {
 	index    int
 	path     string
 	raw      []byte
-	source   string
+	in       string // for raw items, the campaign file and unit: "<path> entry "
 	columnar bool
+}
+
+// source names the item in failure reports and the quarantine manifest; it
+// is built on demand so the healthy path formats nothing per item.
+func (it ingestItem) source() string {
+	if it.path != "" {
+		return it.path
+	}
+	return it.in + strconv.Itoa(it.index)
 }
 
 // indexedFailure keeps input order across workers for deterministic
@@ -203,9 +216,9 @@ func errKind(err error) string {
 	return "error"
 }
 
-// add quarantines one failed item: directory-mode items are moved (their
-// path leaves the input directory), archive-mode items are extracted from
-// the raw entry bytes.
+// add quarantines one failed item: a log file is moved (its path leaves
+// the input directory), an archive entry or columnar segment is extracted
+// from its raw bytes.
 func (q *quarantine) add(fail indexedFailure) error {
 	var dst string
 	if fail.item.path != "" {
@@ -238,7 +251,21 @@ func (q *quarantine) add(fail indexedFailure) error {
 // pass never re-quarantines an already-manifested log.
 func (q *quarantine) sync() error { return q.manifest.Sync() }
 
-func (q *quarantine) close() { q.manifest.Close() }
+func (q *quarantine) close() {
+	if q != nil {
+		q.manifest.Close()
+	}
+}
+
+// decodeItem decodes one row-oriented item under lim: the log file at its
+// path, or the raw archive entry it carries.
+func decodeItem(br *bytes.Reader, lim logfmt.DecodeLimits, item ingestItem) (*darshan.Log, error) {
+	if item.path != "" {
+		return logfmt.ReadFileWithLimits(item.path, lim)
+	}
+	br.Reset(item.raw)
+	return logfmt.ReadWithLimits(br, lim)
+}
 
 // consumeItem parses one item under lim and folds it into agg. Unlike
 // synthesis, ingestion consumes external files, so invariant panics from
@@ -247,8 +274,8 @@ func (q *quarantine) close() { q.manifest.Close() }
 // demoted to per-log errors rather than crashing the pass. A log that fails
 // partway through AddLog may leave a partial contribution in agg; callers
 // already treat a report with failures as best-effort, and the common
-// wrong-system case fails every log, which IngestDir/IngestArchive callers
-// reject outright (Parsed == 0).
+// wrong-system case fails every log, which every caller rejects outright
+// (Parsed == 0).
 // It returns how many logs the item contributed (1 for a log, the segment's
 // log count for a columnar segment) plus the columns the segment's stats
 // block let the decoder skip.
@@ -269,13 +296,7 @@ func consumeItem(br *bytes.Reader, agg *analysis.Aggregator, lim logfmt.DecodeLi
 		}
 		return batch.NumLogs, batch.ColumnsPruned, nil
 	}
-	var log *darshan.Log
-	if item.path != "" {
-		log, err = logfmt.ReadFileWithLimits(item.path, lim)
-	} else {
-		br.Reset(item.raw)
-		log, err = logfmt.ReadWithLimits(br, lim)
-	}
+	log, err := decodeItem(br, lim, item)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -319,9 +340,8 @@ type ingestCoordinator struct {
 	opts IngestOptions
 	lim  logfmt.DecodeLimits
 
-	mode   string
-	source string
-	paths  []string // dir mode only
+	src  source
+	path string // what the caller asked for; the checkpoint's Source
 
 	total       *analysis.Aggregator
 	parsed      int
@@ -330,26 +350,21 @@ type ingestCoordinator struct {
 	failures    []IngestFailure
 	entriesDone int
 	quar        *quarantine
-	span        *obsv.Span // "ingest" stage span; nil when metrics are off
+	span        *obsv.Span // stage span; nil when metrics are off
 }
 
-func newIngestCoordinator(sys *iosim.System, opts IngestOptions, mode, source string) (*ingestCoordinator, error) {
-	spanName := "ingest"
-	if mode == "columnar" {
-		spanName = "fold" // the columnar pass is a pure batch fold, no inflate/decode of logs
-	}
-	ic := &ingestCoordinator{
-		sys: sys, opts: opts, lim: opts.Limits,
-		mode: mode, source: source,
-		total: analysis.NewAggregator(sys),
-		span:  opts.Metrics.Span(spanName),
-	}
+// begin validates the options against the opened source, restores a
+// resumed pass's state (positioning the source past its completed prefix),
+// and opens the quarantine.
+func (ic *ingestCoordinator) begin() error {
+	sys, opts := ic.sys, ic.opts
+	ic.total = analysis.NewAggregator(sys)
 	if opts.Into != nil {
 		if opts.Resume != nil {
-			return nil, fmt.Errorf("core: IngestOptions.Into cannot be combined with Resume")
+			return fmt.Errorf("core: IngestOptions.Into cannot be combined with Resume")
 		}
 		if opts.Into.SystemName() != sys.Name {
-			return nil, fmt.Errorf("core: Into aggregator is for system %q, pass is %q",
+			return fmt.Errorf("core: Into aggregator is for system %q, pass is %q",
 				opts.Into.SystemName(), sys.Name)
 		}
 		ic.total = opts.Into
@@ -359,12 +374,14 @@ func newIngestCoordinator(sys *iosim.System, opts IngestOptions, mode, source st
 	}
 	if ck := opts.Resume; ck != nil {
 		if ck.System != sys.Name {
-			return nil, fmt.Errorf("core: checkpoint is for system %q, pass is %q", ck.System, sys.Name)
+			return fmt.Errorf("core: checkpoint is for system %q, pass is %q", ck.System, sys.Name)
 		}
-		if ck.Mode != mode {
-			return nil, fmt.Errorf("core: checkpoint is a %q pass, not %q", ck.Mode, mode)
+		if ck.Mode != ic.src.mode() {
+			return fmt.Errorf("core: checkpoint is a %q pass, %s is a %q source", ck.Mode, ic.path, ic.src.mode())
 		}
-		ic.paths = ck.Paths
+		if err := ic.src.resume(ck); err != nil {
+			return err
+		}
 		ic.entriesDone = ck.EntriesDone
 		ic.parsed = ck.Parsed
 		ic.failed = ck.Failed
@@ -375,7 +392,7 @@ func newIngestCoordinator(sys *iosim.System, opts IngestOptions, mode, source st
 		if ck.Agg != nil {
 			var err error
 			if ic.total, err = analysis.NewAggregatorFromState(sys, ck.Agg); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		opts.Metrics.RestoreState(ck.Metrics)
@@ -383,10 +400,17 @@ func newIngestCoordinator(sys *iosim.System, opts IngestOptions, mode, source st
 	if opts.QuarantineDir != "" {
 		var err error
 		if ic.quar, err = newQuarantine(opts.QuarantineDir); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return ic, nil
+	return nil
+}
+
+// close releases what the pass holds open: the source's file and the
+// quarantine manifest.
+func (ic *ingestCoordinator) close() {
+	ic.src.close()
+	ic.quar.close()
 }
 
 func (ic *ingestCoordinator) workers() int {
@@ -419,8 +443,8 @@ func (ic *ingestCoordinator) writeCheckpoint() error {
 		}
 	}
 	ck := &IngestCheckpoint{
-		System: ic.sys.Name, Mode: ic.mode, Source: ic.source,
-		Paths: ic.paths, EntriesDone: ic.entriesDone,
+		System: ic.sys.Name, Mode: ic.src.mode(), Source: ic.path,
+		Paths: ic.src.listing(), EntriesDone: ic.entriesDone,
 		Parsed: ic.parsed, Failed: ic.failed, Quarantined: ic.quarantined,
 		LargeJobProcs: ic.opts.LargeJobProcs,
 		Agg:           ic.total.State(),
@@ -498,7 +522,7 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 					if keepAll || len(failsW[wi]) < MaxRecordedFailures {
 						failsW[wi] = append(failsW[wi], indexedFailure{
 							index: item.index,
-							f:     IngestFailure{Source: item.source, Err: err},
+							f:     IngestFailure{Source: item.source(), Err: err},
 							item:  item,
 						})
 					}
@@ -562,10 +586,25 @@ dispatch:
 	return res
 }
 
-// fold merges a completed (non-cancelled) batch into the running state:
-// aggregates, counts, recorded failures, quarantine actions, and metrics.
-// The cancelled path deliberately skips the metric fold (see cancel): the
-// checkpoint keeps pre-batch metrics, so resume reproduces them exactly.
+// absorb merges what a batch analyzed — aggregates, counts, recorded
+// failures — into the running state.
+func (ic *ingestCoordinator) absorb(res *batchResult) {
+	for _, a := range res.aggs {
+		ic.total.Merge(a)
+	}
+	ic.parsed += res.parsed
+	ic.failed += res.failed
+	for _, fail := range res.failures {
+		if len(ic.failures) < MaxRecordedFailures {
+			ic.failures = append(ic.failures, fail.f)
+		}
+	}
+}
+
+// fold accounts a completed (non-cancelled) batch as done: metrics, what it
+// analyzed (absorb), quarantine actions, and the prefix position. A
+// cancelled batch is absorbed but never folded (see run): the checkpoint
+// keeps pre-batch metrics, so resume reproduces them exactly.
 func (ic *ingestCoordinator) fold(res *batchResult) error {
 	if m := ic.opts.Metrics; m != nil {
 		m.Counter("ingest.logs_parsed").Add(int64(res.parsed))
@@ -588,7 +627,7 @@ func (ic *ingestCoordinator) fold(res *batchResult) error {
 		ic.span.AddOps(int64(res.count))
 		ic.span.AddBytes(res.rawBytes)
 		logfmt.PublishMetrics(m) // refresh the (volatile) codec-pool gauges
-		if ic.mode == "columnar" {
+		if ic.src.mode() == "columnar" {
 			m.Counter("colfmt.columns_pruned").Add(res.colsPruned)
 			// Registered even when zero so /metrics always carries the
 			// pruning counters for a columnar dataset.
@@ -596,16 +635,9 @@ func (ic *ingestCoordinator) fold(res *batchResult) error {
 			colfmt.PublishMetrics(m)
 		}
 	}
-	for _, a := range res.aggs {
-		ic.total.Merge(a)
-	}
-	ic.parsed += res.parsed
-	ic.failed += res.failed
-	for _, fail := range res.failures {
-		if len(ic.failures) < MaxRecordedFailures {
-			ic.failures = append(ic.failures, fail.f)
-		}
-		if ic.quar != nil {
+	ic.absorb(res)
+	if ic.quar != nil {
+		for _, fail := range res.failures {
 			if err := ic.quar.add(fail); err != nil {
 				return err
 			}
@@ -625,159 +657,38 @@ func (ic *ingestCoordinator) result() (*analysis.Report, IngestResult) {
 	}
 }
 
-// cancel handles a batch interrupted by context cancellation: the
-// checkpoint keeps the pre-batch state (the partial batch re-processes on
-// resume — nothing from it is quarantined or counted as done), while the
-// returned report folds the partial batch in so the shutdown still flushes
-// everything that was actually analyzed.
-func (ic *ingestCoordinator) cancel(ctx context.Context, res *batchResult) (*analysis.Report, IngestResult, error) {
-	if err := ic.writeCheckpoint(); err != nil {
-		return nil, IngestResult{}, errors.Join(ctx.Err(), err)
-	}
-	for _, a := range res.aggs {
-		ic.total.Merge(a)
-	}
-	ic.parsed += res.parsed
-	ic.failed += res.failed
-	for _, fail := range res.failures {
-		if len(ic.failures) < MaxRecordedFailures {
-			ic.failures = append(ic.failures, fail.f)
+// run is the one driver loop: batch → cancelled? → fold → framing damage?
+// → checkpoint, until the source is exhausted.
+func (ic *ingestCoordinator) run(ctx context.Context) (*analysis.Report, IngestResult, error) {
+	// A worker outlives the source's next call, so it gets its own copy of
+	// the scratch bytes the source hands out.
+	next := func() (ingestItem, bool, error) {
+		item, ok, err := ic.src.next()
+		if item.raw != nil {
+			item.raw = append([]byte(nil), item.raw...)
 		}
+		return item, ok, err
 	}
-	rep, ir := ic.result()
-	return rep, ir, ctx.Err()
-}
-
-// finish completes a pass: final fold already done, remove the checkpoint
-// (nothing left to resume) and close the quarantine.
-func (ic *ingestCoordinator) finish() {
-	if ic.opts.CheckpointPath != "" {
-		removeCheckpoint(ic.opts.CheckpointPath)
-	}
-	if ic.quar != nil {
-		ic.quar.close()
-	}
-}
-
-// IngestDir parses every *.darshan log under dir in parallel and returns
-// the aggregate report. Unparseable logs are counted, reported in the
-// result, and (with QuarantineDir) moved aside — not fatal. A directory
-// with no matching logs yields a zero result and no error; callers decide
-// whether that is fatal. Cancellation returns the partial report alongside
-// ctx's error; with CheckpointPath set the pass is resumable.
-func IngestDir(ctx context.Context, sys *iosim.System, dir string, opts IngestOptions) (*analysis.Report, IngestResult, error) {
-	if sys == nil {
-		return nil, IngestResult{}, fmt.Errorf("core: nil system")
-	}
-	ic, err := newIngestCoordinator(sys, opts, "dir", dir)
-	if err != nil {
-		return nil, IngestResult{}, err
-	}
-	ingestTimer := ic.span.Begin()
-	defer ingestTimer.End()
-	ic.span.SetWorkers(ic.workers())
-	if ic.paths == nil { // fresh pass (resume freezes the list in the checkpoint)
-		paths, err := filepath.Glob(filepath.Join(dir, "*.darshan"))
-		if err != nil {
-			return nil, IngestResult{}, fmt.Errorf("core: listing %s: %w", dir, err)
-		}
-		sort.Strings(paths) // Glob sorts, but the determinism contract should not rest on that
-		ic.paths = paths
-	}
-
-	for ic.entriesDone < len(ic.paths) {
-		pos := ic.entriesDone
+	for ic.src.remaining() != 0 {
+		// A source that knows its length caps the batch, and through it the
+		// pool: a one-log ingest runs one worker, not GOMAXPROCS of them.
 		max := ic.batchSize()
-		if rem := len(ic.paths) - pos; max <= 0 || max > rem {
+		if rem := ic.src.remaining(); rem > 0 && (max <= 0 || max > rem) {
 			max = rem
 		}
-		res := ic.runBatch(ctx, max, func() (ingestItem, bool, error) {
-			if pos >= len(ic.paths) {
-				return ingestItem{}, false, nil
-			}
-			p := ic.paths[pos]
-			item := ingestItem{index: pos, path: p, source: p}
-			pos++
-			return item, true, nil
-		})
+		res := ic.runBatch(ctx, max, next)
 		if res.cancelled {
-			return ic.cancel(ctx, &res)
-		}
-		if err := ic.fold(&res); err != nil {
-			return nil, IngestResult{}, err
-		}
-		if ic.entriesDone < len(ic.paths) {
+			// The checkpoint keeps the pre-batch state (the partial batch
+			// re-processes on resume — nothing from it is quarantined or
+			// counted as done), while the returned report absorbs the
+			// partial batch so the shutdown still flushes everything that
+			// was actually analyzed.
 			if err := ic.writeCheckpoint(); err != nil {
-				return nil, IngestResult{}, err
+				return nil, IngestResult{}, errors.Join(ctx.Err(), err)
 			}
-		}
-	}
-	ic.finish()
-	rep, ir := ic.result()
-	return rep, ir, nil
-}
-
-// IngestArchive streams the campaign archive at path through the worker
-// pool and returns the aggregate report. Entries that fail to parse are
-// counted, reported in the result, and (with QuarantineDir) extracted
-// aside; ingestion continues with the next entry (archive framing is
-// independent of entry contents). A framing-level error — truncation, a
-// corrupt entry length — ends the stream: everything ingested up to that
-// point is still reported, alongside the non-nil error. Cancellation
-// returns the partial report alongside ctx's error; with CheckpointPath
-// set the pass is resumable.
-func IngestArchive(ctx context.Context, sys *iosim.System, path string, opts IngestOptions) (*analysis.Report, IngestResult, error) {
-	if sys == nil {
-		return nil, IngestResult{}, fmt.Errorf("core: nil system")
-	}
-	ic, err := newIngestCoordinator(sys, opts, "archive", path)
-	if err != nil {
-		return nil, IngestResult{}, err
-	}
-	ingestTimer := ic.span.Begin()
-	defer ingestTimer.End()
-	ic.span.SetWorkers(ic.workers())
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, IngestResult{}, fmt.Errorf("core: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	ar, err := logfmt.NewArchiveReaderWithLimits(f, ic.lim)
-	if err != nil {
-		return nil, IngestResult{}, fmt.Errorf("core: %s: %w", path, err)
-	}
-	// Resume: skip the completed prefix with the cheap framing walk — no
-	// inflation, no decoding.
-	for skip := 0; skip < ic.entriesDone; skip++ {
-		if _, err := ar.NextRaw(); err != nil {
-			return nil, IngestResult{}, fmt.Errorf("core: %s: skipping to entry %d: %w", path, ic.entriesDone, err)
-		}
-	}
-
-	idx := ic.entriesDone
-	eof := false
-	nextEntry := func() (ingestItem, bool, error) {
-		raw, err := ar.NextRaw()
-		if errors.Is(err, io.EOF) {
-			eof = true
-			return ingestItem{}, false, nil
-		}
-		if err != nil {
-			return ingestItem{}, false, fmt.Errorf("core: %s entry %d: %w", path, idx, err)
-		}
-		// NextRaw's slice is scratch; hand the worker its own copy.
-		item := ingestItem{
-			index: idx, raw: append([]byte(nil), raw...),
-			source: fmt.Sprintf("%s entry %d", path, idx),
-		}
-		idx++
-		return item, true, nil
-	}
-
-	for !eof {
-		res := ic.runBatch(ctx, ic.batchSize(), nextEntry)
-		if res.cancelled {
-			return ic.cancel(ctx, &res)
+			ic.absorb(&res)
+			rep, ir := ic.result()
+			return rep, ir, ctx.Err()
 		}
 		if err := ic.fold(&res); err != nil {
 			return nil, IngestResult{}, err
@@ -788,19 +699,100 @@ func IngestArchive(ctx context.Context, sys *iosim.System, path string, opts Ing
 			if err := ic.writeCheckpoint(); err != nil {
 				return nil, IngestResult{}, errors.Join(res.streamErr, err)
 			}
-			if ic.quar != nil {
-				ic.quar.close()
-			}
 			rep, ir := ic.result()
 			return rep, ir, res.streamErr
 		}
-		if !eof {
+		if ic.src.remaining() != 0 {
 			if err := ic.writeCheckpoint(); err != nil {
 				return nil, IngestResult{}, err
 			}
 		}
 	}
-	ic.finish()
+	if ic.opts.CheckpointPath != "" {
+		removeCheckpoint(ic.opts.CheckpointPath) // nothing left to resume
+	}
 	rep, ir := ic.result()
 	return rep, ir, nil
+}
+
+// openKind is Open for the entry points that insist on one kind of source:
+// want names the only mode accepted, "" accepts whatever Open finds.
+func openKind(path string, lim logfmt.DecodeLimits, want string) (source, error) {
+	src, err := Open(path, lim)
+	if err != nil {
+		return nil, err
+	}
+	if want != "" && src.mode() != want {
+		src.close()
+		return nil, fmt.Errorf("core: %s is a %q source, not %q", path, src.mode(), want)
+	}
+	return src, nil
+}
+
+// ingest opens path (as openKind does for want), runs the driver over it,
+// and on every exit closes what the pass opened: source and manifest.
+func ingest(ctx context.Context, sys *iosim.System, path string, opts IngestOptions, want string) (*analysis.Report, IngestResult, error) {
+	if sys == nil {
+		return nil, IngestResult{}, fmt.Errorf("core: nil system")
+	}
+	src, err := openKind(path, opts.Limits, want)
+	if err != nil {
+		if k, ok := logfmt.KindOf(err); ok {
+			opts.Metrics.Counter("ingest.decode_errors." + k.String()).Add(1)
+		}
+		return nil, IngestResult{}, err
+	}
+	spanName := "ingest"
+	if src.mode() == "columnar" {
+		spanName = "fold" // the columnar pass is a pure batch fold, no inflate/decode of logs
+	}
+	ic := &ingestCoordinator{
+		sys: sys, opts: opts, lim: opts.Limits, src: src, path: path,
+		span: opts.Metrics.Span(spanName),
+	}
+	defer ic.close()
+	if err := ic.begin(); err != nil {
+		return nil, IngestResult{}, err
+	}
+	timer := ic.span.Begin()
+	defer timer.End()
+	ic.span.SetWorkers(ic.workers())
+	return ic.run(ctx)
+}
+
+// Ingest folds the campaign at path — a directory of *.darshan logs, a
+// single .darshan log, a .dgar archive or a .dgc columnar campaign, as Open
+// finds it — through the worker pool and returns the aggregate report.
+//
+// Logs (or archive entries, or columnar segments) that fail to decode are
+// counted, reported in the result, and (with QuarantineDir) moved or
+// extracted aside — not fatal; ingestion continues with the next one, since
+// framing is independent of contents. Parsed counts logs, not segments; a
+// segment that fails to decode or fold counts as one failure. A source with
+// nothing in it yields a zero result and no error; callers decide whether
+// that is fatal. A framing-level error — truncation, a corrupt entry
+// length — ends the stream: everything ingested up to that point is still
+// reported, alongside the non-nil error. Cancellation returns the partial
+// report alongside ctx's error; with CheckpointPath set the pass is
+// resumable, by calling Ingest again on the checkpoint's Source with the
+// checkpoint as opts.Resume.
+//
+// Determinism is the same for every kind: item k of a batch goes to worker
+// k mod workers and partials merge in worker order, so the same campaign
+// offered as a directory, an archive or a columnar file renders the same
+// bytes at any worker count.
+func Ingest(ctx context.Context, sys *iosim.System, path string, opts IngestOptions) (*analysis.Report, IngestResult, error) {
+	return ingest(ctx, sys, path, opts, "")
+}
+
+// IngestArchive is Ingest for a path that must be a .dgar archive: any
+// other kind of source is an error.
+func IngestArchive(ctx context.Context, sys *iosim.System, path string, opts IngestOptions) (*analysis.Report, IngestResult, error) {
+	return ingest(ctx, sys, path, opts, "archive")
+}
+
+// IngestColumnar is Ingest for a path that must be a .dgc columnar
+// campaign: any other kind of source is an error.
+func IngestColumnar(ctx context.Context, sys *iosim.System, path string, opts IngestOptions) (*analysis.Report, IngestResult, error) {
+	return ingest(ctx, sys, path, opts, "columnar")
 }

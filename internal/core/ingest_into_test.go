@@ -16,7 +16,7 @@ func TestIngestIntoAccumulates(t *testing.T) {
 	sys := systems.NewSummit()
 
 	// One plain pass, for the baseline counts.
-	rep1, res1, err := IngestDir(context.Background(), sys, dir, IngestOptions{})
+	rep1, res1, err := Ingest(context.Background(), sys, dir, IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +26,10 @@ func TestIngestIntoAccumulates(t *testing.T) {
 
 	// Two passes folding into the same aggregator.
 	agg := analysis.NewAggregator(sys)
-	if _, _, err := IngestDir(context.Background(), sys, dir, IngestOptions{Into: agg}); err != nil {
+	if _, _, err := Ingest(context.Background(), sys, dir, IngestOptions{Into: agg}); err != nil {
 		t.Fatal(err)
 	}
-	rep2, _, err := IngestDir(context.Background(), sys, dir, IngestOptions{Into: agg})
+	rep2, _, err := Ingest(context.Background(), sys, dir, IngestOptions{Into: agg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,12 @@ func TestIngestIntoCloneLeavesSourceFrozen(t *testing.T) {
 	sys := systems.NewSummit()
 
 	base := analysis.NewAggregator(sys)
-	if _, _, err := IngestDir(context.Background(), sys, dir, IngestOptions{Into: base}); err != nil {
+	if _, _, err := Ingest(context.Background(), sys, dir, IngestOptions{Into: base}); err != nil {
 		t.Fatal(err)
 	}
 	before := base.Logs()
 	clone := base.Clone()
-	if _, _, err := IngestDir(context.Background(), sys, dir, IngestOptions{Into: clone}); err != nil {
+	if _, _, err := Ingest(context.Background(), sys, dir, IngestOptions{Into: clone}); err != nil {
 		t.Fatal(err)
 	}
 	if base.Logs() != before {
@@ -74,13 +74,13 @@ func TestIngestIntoRejectsMisuse(t *testing.T) {
 	cori := systems.NewCori()
 
 	wrong := analysis.NewAggregator(cori)
-	if _, _, err := IngestDir(context.Background(), summit, dir, IngestOptions{Into: wrong}); err == nil {
+	if _, _, err := Ingest(context.Background(), summit, dir, IngestOptions{Into: wrong}); err == nil {
 		t.Error("system-mismatched Into aggregator was accepted")
 	}
 
 	agg := analysis.NewAggregator(summit)
 	opts := IngestOptions{Into: agg, Resume: &IngestCheckpoint{System: "Summit", Mode: "dir", Source: dir}}
-	if _, _, err := IngestDir(context.Background(), summit, dir, opts); err == nil {
+	if _, _, err := Ingest(context.Background(), summit, dir, opts); err == nil {
 		t.Error("Into combined with Resume was accepted")
 	}
 }

@@ -76,19 +76,19 @@ func TestIngestDeterministicAcrossWorkerCounts(t *testing.T) {
 
 	var baseDir, baseArchive string
 	for _, workers := range []int{1, 2, 8} {
-		rep, res, err := IngestDir(context.Background(), sys, dir, IngestOptions{Workers: workers})
+		rep, res, err := Ingest(context.Background(), sys, dir, IngestOptions{Workers: workers})
 		if err != nil {
-			t.Fatalf("IngestDir workers=%d: %v", workers, err)
+			t.Fatalf("Ingest(dir) workers=%d: %v", workers, err)
 		}
 		if res.Parsed != count || res.Failed != 0 {
-			t.Fatalf("IngestDir workers=%d: parsed %d failed %d, want %d/0",
+			t.Fatalf("Ingest(dir) workers=%d: parsed %d failed %d, want %d/0",
 				workers, res.Parsed, res.Failed, count)
 		}
 		out := report.Everything(rep)
 		if baseDir == "" {
 			baseDir = out
 		} else if out != baseDir {
-			t.Errorf("IngestDir workers=%d: report differs from workers=1", workers)
+			t.Errorf("Ingest(dir) workers=%d: report differs from workers=1", workers)
 		}
 
 		rep, res, err = IngestArchive(context.Background(), sys, archive, IngestOptions{Workers: workers})
@@ -122,7 +122,7 @@ func TestIngestDirReportsFailures(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a darshan log at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, res, err := IngestDir(context.Background(), systems.NewSummit(), dir, IngestOptions{Workers: 4})
+	rep, res, err := Ingest(context.Background(), systems.NewSummit(), dir, IngestOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestIngestWrongSystemFailsPerLogInsteadOfPanicking(t *testing.T) {
 		t.Skip("campaign generation in -short mode")
 	}
 	dir, _, count := buildCorpus(t)
-	_, res, err := IngestDir(context.Background(), systems.NewCori(), dir, IngestOptions{Workers: 4})
+	_, res, err := Ingest(context.Background(), systems.NewCori(), dir, IngestOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,12 +12,16 @@ import (
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/iosim/systems"
+	"iolayers/internal/report"
 	"iolayers/internal/workload"
 )
 
 // The persistence detour must be lossless: a campaign streamed into an
 // archive, read back, and re-analyzed produces the same report as the
-// campaign analyzed in memory.
+// campaign analyzed in memory — and it must not matter which detour was
+// taken: the same campaign offered to Ingest as a directory, a .dgar, a
+// .dgc or (for a one-log corpus) a single file renders byte-identical JSON
+// at any worker count.
 func TestArchiveDetourMatchesDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign generation in -short mode")
@@ -26,6 +32,7 @@ func TestArchiveDetourMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	path := filepath.Join(t.TempDir(), "campaign.dgar")
 	f, err := os.Create(path)
 	if err != nil {
@@ -39,6 +46,9 @@ func TestArchiveDetourMatchesDirect(t *testing.T) {
 	direct, err := campaign.Run(func(jobIdx, logIdx int, log *darshan.Log) error {
 		mu.Lock()
 		defer mu.Unlock()
+		if err := logfmt.WriteFile(filepath.Join(dir, fmt.Sprintf("job%05d_%05d.darshan", jobIdx, logIdx)), log); err != nil {
+			return err
+		}
 		return aw.Append(log)
 	})
 	if err != nil {
@@ -86,5 +96,58 @@ func TestArchiveDetourMatchesDirect(t *testing.T) {
 	}
 	if direct.MonthlyLogs != detour.MonthlyLogs {
 		t.Errorf("monthly series differ")
+	}
+
+	// Every kind of source, through the one entry point. The columnar image
+	// is taken from the directory, so Convert walks a path list here and an
+	// archive in the one-log corpus below.
+	sys := systems.NewSummit()
+	columnar := filepath.Join(t.TempDir(), "campaign.dgc")
+	if _, err := Convert(context.Background(), dir, columnar, ConvertOptions{SegmentLogs: 8}); err != nil {
+		t.Fatal(err)
+	}
+	oneDir := t.TempDir()
+	oneLog := filepath.Join(oneDir, "only.darshan")
+	if err := logfmt.WriteFile(oneLog, logs[0]); err != nil {
+		t.Fatal(err)
+	}
+	oneArchive := filepath.Join(t.TempDir(), "one.dgar")
+	if err := logfmt.WriteArchiveFile(oneArchive, logs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	oneColumnar := filepath.Join(t.TempDir(), "one.dgc")
+	if _, err := Convert(context.Background(), oneArchive, oneColumnar, ConvertOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, corpus := range []struct {
+		logs    int
+		sources []string
+	}{
+		{len(logs), []string{dir, path, columnar}},
+		{1, []string{oneLog, oneDir, oneArchive, oneColumnar}},
+	} {
+		want := ""
+		for _, src := range corpus.sources {
+			for _, workers := range []int{1, 4} {
+				rep, res, err := Ingest(context.Background(), sys, src, IngestOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("Ingest(%s, workers=%d): %v", src, workers, err)
+				}
+				if res.Parsed != corpus.logs || res.Failed != 0 {
+					t.Fatalf("Ingest(%s, workers=%d): parsed %d failed %d, want %d/0",
+						src, workers, res.Parsed, res.Failed, corpus.logs)
+				}
+				got, err := report.RenderString(rep, report.Options{Format: report.FormatJSON})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Errorf("Ingest(%s, workers=%d) renders different JSON than Ingest(%s, workers=1)",
+						src, workers, corpus.sources[0])
+				}
+			}
+		}
 	}
 }

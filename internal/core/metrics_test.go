@@ -243,7 +243,7 @@ func TestIngestMetricsKillAndResume(t *testing.T) {
 					CheckpointPath: ckPath, CheckpointEvery: 3, Resume: resume}
 				var err error
 				if mode == "dir" {
-					_, _, err = IngestDir(ctx, sys, dir, opts)
+					_, _, err = Ingest(ctx, sys, dir, opts)
 				} else {
 					_, _, err = IngestArchive(ctx, sys, archive, opts)
 				}

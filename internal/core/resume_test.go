@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"iolayers/internal/analysis"
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/iosim/systems"
@@ -297,40 +296,57 @@ func cancelOnCheckpoint(ckPath string, cancel context.CancelFunc, stop <-chan st
 }
 
 // TestIngestKillAndResume is the ingestion half of the crash-safety
-// property: an ingestion pass (directory and archive mode) cancelled
-// mid-run and resumed from its checkpoint renders the identical report,
-// across differing worker counts.
+// property: an ingestion pass over every kind of source, cancelled mid-run
+// and resumed from its checkpoint — through Ingest on nothing but the
+// checkpoint's own Source — renders the identical report, across differing
+// worker counts.
 func TestIngestKillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign generation in -short mode")
 	}
 	dir, archive, count := buildCorpus(t)
 	sys := systems.NewSummit()
-
-	baseRep, baseRes, err := IngestDir(context.Background(), sys, dir, IngestOptions{Workers: 2})
-	if err != nil {
+	columnar := filepath.Join(t.TempDir(), "campaign.dgc")
+	if _, err := ConvertArchive(context.Background(), archive, columnar, ConvertOptions{SegmentLogs: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if baseRes.Parsed != count {
-		t.Fatalf("baseline parsed %d of %d", baseRes.Parsed, count)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.darshan"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("corpus listing: %v (%d)", err, len(paths))
 	}
-	baseline := report.Everything(baseRep)
 
-	for _, mode := range []string{"dir", "archive"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, row := range []struct {
+		name, mode, source string
+		logs               int
+		// A one-item source has no batch boundary to be caught at: its only
+		// checkpoint is the one a cancelled first batch leaves behind.
+		cancelFirst bool
+	}{
+		{name: "dir", mode: "dir", source: dir, logs: count},
+		{name: "archive", mode: "archive", source: archive, logs: count},
+		{name: "columnar", mode: "columnar", source: columnar, logs: count},
+		{name: "single-log", mode: "dir", source: paths[0], logs: 1, cancelFirst: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			baseRep, baseRes, err := Ingest(context.Background(), sys, row.source, IngestOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if baseRes.Parsed != row.logs {
+				t.Fatalf("baseline parsed %d of %d", baseRes.Parsed, row.logs)
+			}
+			baseline := report.Everything(baseRep)
+
 			ckPath := filepath.Join(t.TempDir(), "ingest.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			stop := make(chan struct{})
-			go cancelOnCheckpoint(ckPath, cancel, stop)
-			ingest := func(ctx context.Context, resume *IngestCheckpoint, workers int) (*analysis.Report, IngestResult, error) {
-				opts := IngestOptions{Workers: workers, CheckpointPath: ckPath, CheckpointEvery: 3, Resume: resume}
-				if mode == "dir" {
-					return IngestDir(ctx, sys, dir, opts)
-				}
-				return IngestArchive(ctx, sys, archive, opts)
+			if row.cancelFirst {
+				cancel()
+			} else {
+				go cancelOnCheckpoint(ckPath, cancel, stop)
 			}
-			_, _, err := ingest(ctx, nil, 4)
+			_, _, err = Ingest(ctx, sys, row.source, IngestOptions{Workers: 4, CheckpointPath: ckPath, CheckpointEvery: 3})
 			close(stop)
 			if err == nil {
 				// Pass finished before the watcher saw a checkpoint (tiny
@@ -344,15 +360,19 @@ func TestIngestKillAndResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("loading ingest checkpoint: %v", err)
 			}
-			if ck.EntriesDone == 0 && mode == "dir" && len(ck.Paths) != count {
-				t.Fatalf("checkpoint froze %d paths, want %d", len(ck.Paths), count)
+			if ck.Mode != row.mode || ck.Source != row.source {
+				t.Fatalf("checkpoint is a %q pass over %s, want %q over %s", ck.Mode, ck.Source, row.mode, row.source)
 			}
-			rep, res, err := ingest(context.Background(), ck, 1)
+			if row.mode == "dir" && len(ck.Paths) != row.logs {
+				t.Fatalf("checkpoint froze %d paths, want %d", len(ck.Paths), row.logs)
+			}
+			rep, res, err := Ingest(context.Background(), sys, ck.Source,
+				IngestOptions{Workers: 1, CheckpointPath: ckPath, CheckpointEvery: 3, Resume: ck})
 			if err != nil {
 				t.Fatalf("resumed ingest: %v", err)
 			}
-			if res.Parsed != count || res.Failed != 0 {
-				t.Fatalf("resumed: parsed %d failed %d, want %d/0", res.Parsed, res.Failed, count)
+			if res.Parsed != row.logs || res.Failed != 0 {
+				t.Fatalf("resumed: parsed %d failed %d, want %d/0", res.Parsed, res.Failed, row.logs)
 			}
 			if report.Everything(rep) != baseline {
 				t.Error("resumed ingest report differs from uninterrupted baseline")
@@ -374,7 +394,7 @@ func TestIngestDirQuarantine(t *testing.T) {
 	}
 	dir, _, count := buildCorpus(t)
 	sys := systems.NewSummit()
-	baseRep, _, err := IngestDir(context.Background(), sys, dir, IngestOptions{Workers: 2})
+	baseRep, _, err := Ingest(context.Background(), sys, dir, IngestOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +423,7 @@ func TestIngestDirQuarantine(t *testing.T) {
 	}
 
 	qdir := filepath.Join(t.TempDir(), "quarantine")
-	rep, res, err := IngestDir(context.Background(), sys, dir, IngestOptions{
+	rep, res, err := Ingest(context.Background(), sys, dir, IngestOptions{
 		Workers: 4, QuarantineDir: qdir,
 	})
 	if err != nil {
@@ -440,7 +460,7 @@ func TestIngestDirQuarantine(t *testing.T) {
 		t.Errorf("manifest line 1 = %q, want limit-exceeded aab_bomb entry", lines[1])
 	}
 	// A second pass over the cleaned corpus is failure-free.
-	_, res2, err := IngestDir(context.Background(), sys, dir, IngestOptions{Workers: 2})
+	_, res2, err := Ingest(context.Background(), sys, dir, IngestOptions{Workers: 2})
 	if err != nil || res2.Failed != 0 || res2.Parsed != count {
 		t.Fatalf("post-quarantine pass: parsed %d failed %d err %v", res2.Parsed, res2.Failed, err)
 	}

@@ -523,22 +523,6 @@ func decodeStrings(src []byte, lim logfmt.DecodeLimits) ([]string, error) {
 	return out, nil
 }
 
-// SniffFile reports whether path starts with the colfmt magic — the
-// cheap dispatch test CLI and service layers use to route a source to
-// the columnar or row-oriented reader.
-func SniffFile(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var hdr [4]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return false
-	}
-	return string(hdr[:]) == Magic
-}
-
 // ScanFile walks every segment of the file at path sequentially, decoding
 // under proj and calling fn with each batch. fn returning logfmt.ErrStop
 // ends the scan early with a nil error.

@@ -59,7 +59,7 @@ func Run(ctx context.Context, dir string) (*Outcome, error) {
 	if err := serve.WriteFixture(logs, sys, FixtureLogs, FixtureSeed); err != nil {
 		return nil, err
 	}
-	report, _, err := core.IngestDir(ctx, sys, logs, core.IngestOptions{})
+	report, _, err := core.Ingest(ctx, sys, logs, core.IngestOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func Run(ctx context.Context, dir string) (*Outcome, error) {
 	out.Profile = predict.FromReport(report).WithReplay(sys, report)
 
 	dgc := filepath.Join(dir, "fixture.dgc")
-	if _, err := core.ConvertDir(ctx, logs, dgc, core.ConvertOptions{SegmentLogs: SegmentLogs}); err != nil {
+	if _, err := core.Convert(ctx, logs, dgc, core.ConvertOptions{SegmentLogs: SegmentLogs}); err != nil {
 		return nil, err
 	}
 	if out.Scan, err = predict.ScanColumnar(ctx, dgc, predict.ScanOptions{}); err != nil {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"iolayers/internal/core"
 	"iolayers/internal/darshan"
@@ -19,7 +18,7 @@ import (
 )
 
 // corpusArchive writes n small Summit logs into a campaign archive and
-// returns its path (inside a fresh temp dir, so tests can plant siblings).
+// returns its path.
 func corpusArchive(t *testing.T, dir string, n int) string {
 	t.Helper()
 	sys := systems.NewSummit()
@@ -54,14 +53,27 @@ func corpusArchive(t *testing.T, dir string, n int) string {
 	return path
 }
 
-// TestStoreIngestColumnar checks a .dgc source routes through the columnar
-// fold and publishes a report byte-identical to the row-oriented archive.
+// TestStoreIngestColumnar checks a columnar source routes through the
+// columnar fold and publishes a report byte-identical to the row-oriented
+// archive — whatever the files are called: the service goes by the header
+// core.Open reads, so a campaign uploaded as campaign.bin ingests exactly
+// as ioanalyze -archive campaign.bin does.
 func TestStoreIngestColumnar(t *testing.T) {
 	dir := t.TempDir()
 	archive := corpusArchive(t, dir, 4)
 	columnar := filepath.Join(dir, "other.dgc")
 	if _, err := core.ConvertArchive(context.Background(), archive, columnar, core.ConvertOptions{}); err != nil {
 		t.Fatal(err)
+	}
+	neutral := map[string]string{archive: filepath.Join(dir, "row.bin"), columnar: filepath.Join(dir, "col.bin")}
+	for from, to := range neutral {
+		raw, err := os.ReadFile(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(to, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sys := systems.NewSummit()
 	st := NewStore()
@@ -70,77 +82,20 @@ func TestStoreIngestColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, colRes, err := st.Ingest(context.Background(), "col", sys, columnar, core.IngestOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if rowRes.Parsed != 4 {
+		t.Fatalf("parsed %d of the archive's logs, want 4", rowRes.Parsed)
 	}
-	if rowRes.Parsed != 4 || colRes.Parsed != 4 {
-		t.Fatalf("parsed row=%d col=%d, want 4", rowRes.Parsed, colRes.Parsed)
-	}
-	if report.Everything(row.Report) != report.Everything(col.Report) {
-		t.Error("columnar ingest rendered a different report than the archive")
-	}
-}
-
-// TestStoreArchivePrefersColumnarSibling checks the sibling rule: an
-// archive with an up-to-date .dgc twin ingests through the twin, while a
-// stale twin (older than the archive) is ignored.
-func TestStoreArchivePrefersColumnarSibling(t *testing.T) {
-	dir := t.TempDir()
-	archive := corpusArchive(t, dir, 3)
-	// The sibling deliberately holds fewer logs than the archive so the
-	// published Summary.Logs reveals which file was actually read.
-	shortDir := t.TempDir()
-	short := corpusArchive(t, shortDir, 1)
-	sibling := filepath.Join(dir, "campaign.dgc")
-	if _, err := core.ConvertArchive(context.Background(), short, sibling, core.ConvertOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	sys := systems.NewSummit()
-
-	fresh := time.Now().Add(time.Hour)
-	if err := os.Chtimes(sibling, fresh, fresh); err != nil {
-		t.Fatal(err)
-	}
-	st := NewStore()
-	snap, _, err := st.Ingest(context.Background(), "ds", sys, archive, core.IngestOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Report.Summary.Logs != 1 {
-		t.Errorf("fresh sibling ignored: %d logs folded, want the sibling's 1", snap.Report.Summary.Logs)
-	}
-
-	stale := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(sibling, stale, stale); err != nil {
-		t.Fatal(err)
-	}
-	st = NewStore()
-	snap, _, err = st.Ingest(context.Background(), "ds", sys, archive, core.IngestOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Report.Summary.Logs != 3 {
-		t.Errorf("stale sibling used: %d logs folded, want the archive's 3", snap.Report.Summary.Logs)
-	}
-
-	// Regression: equal mtimes mean doubt, and doubt means the archive.
-	// On a coarse-mtime filesystem a regenerated archive can land in the
-	// same second as its outdated .dgc twin; an at-least-as-new rule would
-	// silently serve the stale conversion.
-	afi, err := os.Stat(archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chtimes(sibling, afi.ModTime(), afi.ModTime()); err != nil {
-		t.Fatal(err)
-	}
-	st = NewStore()
-	snap, _, err = st.Ingest(context.Background(), "ds", sys, archive, core.IngestOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Report.Summary.Logs != 3 {
-		t.Errorf("equal-mtime sibling shadowed the archive: %d logs folded, want 3", snap.Report.Summary.Logs)
+	want := report.Everything(row.Report)
+	for i, src := range []string{columnar, neutral[columnar], neutral[archive]} {
+		snap, res, err := st.Ingest(context.Background(), fmt.Sprintf("ds%d", i), sys, src, core.IngestOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if res.Parsed != 4 {
+			t.Errorf("%s: parsed %d, want 4", src, res.Parsed)
+		}
+		if report.Everything(snap.Report) != want {
+			t.Errorf("%s rendered a different report than the archive", src)
+		}
 	}
 }

@@ -449,8 +449,9 @@ type ingestRequest struct {
 	// System is the system profile ("summit" or "cori"); required when
 	// the dataset does not exist yet, must match when it does.
 	System string `json:"system"`
-	// Source is a directory of .darshan logs, a .dgar archive, or a
-	// single .darshan file on the server's filesystem.
+	// Source is a directory of .darshan logs, a .dgar archive, a .dgc
+	// columnar campaign, or a single .darshan file on the server's
+	// filesystem; core.Open tells them apart by header, not by name.
 	Source string `json:"source"`
 }
 

@@ -56,7 +56,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 func TestReportMatchesDirectRendering(t *testing.T) {
 	ts, _, dir := newTestServer(t, Config{})
 
-	rep, _, err := core.IngestDir(context.Background(), systems.NewSummit(), dir, core.IngestOptions{})
+	rep, _, err := core.Ingest(context.Background(), systems.NewSummit(), dir, core.IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

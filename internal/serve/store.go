@@ -15,16 +15,13 @@ package serve
 import (
 	"context"
 	"fmt"
-	"os"
 	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"iolayers/internal/analysis"
 	"iolayers/internal/core"
-	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/iosim"
 )
 
@@ -203,12 +200,14 @@ func (s *Store) gcIfEmpty(name string, e *entry) {
 }
 
 // Ingest folds the logs at source (a directory of .darshan logs, a .dgar
-// archive, a .dgc columnar campaign, or a single .darshan file) into the
-// named dataset and publishes the result as its next generation.
-// Concurrent ingests into the same dataset serialize; concurrent readers
-// keep rendering from the previous generation until the new one is
-// published. On error nothing is published (and nothing is committed to
-// the lake) and the dataset keeps its current generation.
+// archive, a .dgc columnar campaign, or a single .darshan file — core.Open
+// tells them apart by header, never by file name) into the named dataset
+// and publishes the result as its next generation. Concurrent ingests into
+// the same dataset serialize; concurrent readers keep rendering from the
+// previous generation until the new one is published. On error — and an
+// ingest that parsed nothing is an error, whatever kind of source it was —
+// nothing is published (and nothing is committed to the lake) and the
+// dataset keeps its current generation.
 //
 // The source always folds into a fresh aggregator — the ingest's *delta* —
 // which then merges into a clone of the current generation. Merging
@@ -241,7 +240,13 @@ func (s *Store) Ingest(ctx context.Context, name string, sys *iosim.System, sour
 	opts.Into = delta
 	opts.Resume = nil
 
-	_, res, err := ingestSource(ctx, sys, source, opts)
+	_, res, err := core.Ingest(ctx, sys, source, opts)
+	if err == nil && res.Parsed == 0 {
+		err = fmt.Errorf("serve: nothing parsed from %s (%d logs failed to decode)", source, res.Failed)
+		if len(res.Failures) > 0 {
+			err = fmt.Errorf("%v, first %s: %w", err, res.Failures[0].Source, res.Failures[0].Err)
+		}
+	}
 	if err != nil {
 		s.gcIfEmpty(name, e)
 		return nil, res, err
@@ -278,63 +283,4 @@ func genAfter(cur *Snapshot) uint64 {
 		return 1
 	}
 	return cur.Gen + 1
-}
-
-// ingestSource dispatches on what the path is: directory, columnar
-// campaign, campaign archive, or a single log file. An archive with an
-// up-to-date columnar sibling (same path with .dgc for .dgar, at least as
-// new) is ingested through the sibling instead — the reports are
-// byte-identical, and the columnar fold is an order of magnitude faster.
-func ingestSource(ctx context.Context, sys *iosim.System, source string, opts core.IngestOptions) (*analysis.Report, core.IngestResult, error) {
-	fi, err := os.Stat(source)
-	if err != nil {
-		return nil, core.IngestResult{}, fmt.Errorf("serve: %w", err)
-	}
-	switch {
-	case fi.IsDir():
-		rep, res, err := core.IngestDir(ctx, sys, source, opts)
-		if err == nil && res.Parsed == 0 && res.Failed == 0 {
-			return nil, res, fmt.Errorf("serve: no .darshan logs in %s", source)
-		}
-		return rep, res, err
-	case strings.HasSuffix(source, ".dgc"):
-		return core.IngestColumnar(ctx, sys, source, opts)
-	case strings.HasSuffix(source, ".dgar"):
-		if sib := columnarSibling(source, fi); sib != "" {
-			return core.IngestColumnar(ctx, sys, sib, opts)
-		}
-		return core.IngestArchive(ctx, sys, source, opts)
-	default:
-		// A single log: decode it under the same limits the pool would use
-		// and fold it straight into the Into aggregator. The pooled paths
-		// honor cancellation at batch boundaries; this path must honor it
-		// too — a drained server must not keep decoding and folding.
-		if err := ctx.Err(); err != nil {
-			return nil, core.IngestResult{}, err
-		}
-		log, err := logfmt.ReadFileWithLimits(source, opts.Limits)
-		if err != nil {
-			return nil, core.IngestResult{Failed: 1}, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, core.IngestResult{}, err
-		}
-		opts.Into.AddLog(log)
-		return opts.Into.Report(), core.IngestResult{Parsed: 1}, nil
-	}
-}
-
-// columnarSibling returns the path of an archive's columnar twin when one
-// exists and is strictly newer than the archive itself; any doubt falls
-// back to the archive. Strictly newer matters: filesystems with coarse
-// mtime granularity can stamp a regenerated archive with the *same*
-// second as its stale .dgc twin, and an equal-mtime rule would silently
-// shadow the new archive with the outdated conversion.
-func columnarSibling(archive string, fi os.FileInfo) string {
-	sib := strings.TrimSuffix(archive, ".dgar") + ".dgc"
-	sfi, err := os.Stat(sib)
-	if err != nil || sfi.IsDir() || !sfi.ModTime().After(fi.ModTime()) {
-		return ""
-	}
-	return sib
 }

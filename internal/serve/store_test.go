@@ -2,15 +2,23 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
+	"net/http"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"iolayers/internal/checkpoint"
 	"iolayers/internal/core"
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
+	"iolayers/internal/httpapi"
 	"iolayers/internal/iosim"
 	"iolayers/internal/iosim/systems"
 	"iolayers/internal/units"
@@ -139,6 +147,119 @@ func TestStoreFailedFirstIngestLeavesNoPhantom(t *testing.T) {
 	// And the garbage-collected name is fully reusable.
 	if snap, _, err := st.Ingest(context.Background(), "bad0", sys, dir, core.IngestOptions{}); err != nil || snap.Gen != 1 {
 		t.Errorf("reusing a GC'd name: gen=%v err=%v", snap, err)
+	}
+}
+
+// TestIngestThatParsesNothingPublishesNothing pins the one rule the one
+// ingest path has: Parsed == 0 is an error, whatever the source is. It used
+// to hold for a single garbage file only — a directory or archive in which
+// every log was undecodable (Parsed 0, Failed n) published: a fresh name
+// became an empty dataset at generation 1, an existing dataset bumped its
+// generation over identical data and committed an empty delta to the lake.
+func TestIngestThatParsesNothingPublishesNothing(t *testing.T) {
+	garbage := []byte("this is not a darshan log at all")
+	scratch := t.TempDir()
+
+	garbageDir := filepath.Join(scratch, "garbage-dir")
+	emptyDir := filepath.Join(scratch, "empty-dir")
+	for _, d := range []string{garbageDir, emptyDir} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"a.darshan", "b.darshan"} {
+		if err := os.WriteFile(filepath.Join(garbageDir, name), garbage, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	garbageFile := filepath.Join(scratch, "garbage.darshan")
+	if err := os.WriteFile(garbageFile, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// An archive whose framing is intact and whose every entry is garbage:
+	// an empty archive with two well-framed entries spliced in front of its
+	// terminator.
+	raw, err := os.ReadFile(corpusArchive(t, scratch, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame [4]byte
+	binary.LittleEndian.PutUint32(frame[:], uint32(len(garbage)))
+	corrupt := append([]byte(nil), raw[:len(raw)-4]...)
+	for i := 0; i < 2; i++ {
+		corrupt = append(append(corrupt, frame[:]...), garbage...)
+	}
+	corrupt = append(corrupt, raw[len(raw)-4:]...)
+	corruptArchive := filepath.Join(scratch, "corrupt.dgar")
+	if err := os.WriteFile(corruptArchive, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sources := []struct {
+		name, path string
+		wantInMsg  string // the failure count, or what Open found
+	}{
+		{"garbage-dir", garbageDir, "2 logs failed"},
+		{"corrupt-archive", corruptArchive, "2 logs failed"},
+		{"garbage-file", garbageFile, "bad-magic"},
+		{"empty-dir", emptyDir, "0 logs failed"},
+	}
+	for _, src := range sources {
+		for _, dataset := range []string{"fresh", "prod"} {
+			t.Run(src.name+"/"+dataset, func(t *testing.T) {
+				lakeDir := filepath.Join(t.TempDir(), "lake")
+				st := lakeStore(t, openLake(t, lakeDir, 0))
+				ts, _, _ := newTestServer(t, Config{Store: st}) // publishes "prod" at generation 1
+				journalLen := func() int {
+					n := 0
+					err := checkpoint.ReplayJournal(filepath.Join(lakeDir, lakeJournalName), func(*gob.Decoder) error {
+						n++
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return n
+				}
+				if n := journalLen(); n != 1 {
+					t.Fatalf("journal holds %d records after the set-up ingest, want 1", n)
+				}
+
+				resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(
+					fmt.Sprintf(`{"dataset":%q,"system":"summit","source":%q}`, dataset, src.path)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusUnprocessableEntity {
+					t.Errorf("status %d, want 422 (%s)", resp.StatusCode, body)
+				}
+				env, ok := httpapi.DecodeError(body)
+				if !ok || env.Error.Code != httpapi.CodeIngestFailed {
+					t.Errorf("body is not an ingest_failed envelope: %s", body)
+				}
+				if !strings.Contains(env.Error.Message, src.wantInMsg) {
+					t.Errorf("message %q does not say %q", env.Error.Message, src.wantInMsg)
+				}
+
+				if snap, ok := st.Get("prod"); !ok || snap.Gen != 1 {
+					t.Errorf("prod is at %+v after the rejected ingest, want generation 1", snap)
+				}
+				if _, ok := st.Get("fresh"); ok {
+					t.Error("a dataset was created from an ingest that parsed nothing")
+				}
+				st.mu.RLock()
+				cells := len(st.datasets)
+				st.mu.RUnlock()
+				if cells != 1 {
+					t.Errorf("Store.datasets holds %d cells, want 1 (prod)", cells)
+				}
+				if n := journalLen(); n != 1 {
+					t.Errorf("journal holds %d records, want 1: the rejected ingest committed to the lake", n)
+				}
+			})
+		}
 	}
 }
 
