@@ -14,13 +14,16 @@ vet:
 ## internal/httpapi envelope — ad-hoc http.Error calls and raw
 ## fmt.Fprint*(w, ...) writes in the serve and cluster handlers are how
 ## the error contract rots, so they are banned outright (test files may
-## still fake misbehaving upstreams however they like)
+## still fake misbehaving upstreams however they like). A route likewise
+## exists only as a row of the service's httpapi.Table: a hand-registered
+## mux.HandleFunc/Handle beside the table would be missing from GET /v1,
+## unchecked and uncounted, so those calls are banned there too.
 apilint:
-	@bad=$$(grep -rnE 'http\.Error\(|fmt\.Fprint(f|ln)?\(w[,)]' \
+	@bad=$$(grep -rnE 'http\.Error\(|fmt\.Fprint(f|ln)?\(w[,)]|\.HandleFunc\(|\.Handle\(' \
 		internal/serve internal/cluster --include='*.go' \
 		--exclude='*_test.go' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "apilint: ad-hoc HTTP error/body writes (use internal/httpapi):"; \
+		echo "apilint: ad-hoc HTTP error/body writes or hand-registered routes (use internal/httpapi):"; \
 		echo "$$bad"; \
 		exit 1; \
 	fi; \

@@ -38,8 +38,10 @@
 //
 // Every non-200 carries the structured error envelope
 // {"error":{"code","message","retry_after_ms"}} with a stable code from
-// the closed taxonomy in docs/api.md; unknown query parameters are
-// rejected (400 bad_param) rather than ignored.
+// the closed taxonomy in docs/api.md (/readyz's plain-text 503 aside):
+// unknown query parameters are rejected (400 bad_param) rather than
+// ignored, and an unknown path or a wrong method is a not_found / 405
+// bad_request envelope, not net/http's plain text.
 //
 // Rendered reports are cached (LRU, byte-bounded) keyed by dataset
 // generation, so repeated queries cost a map lookup and re-ingestion

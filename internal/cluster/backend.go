@@ -100,6 +100,10 @@ func (b *Backend) reportOutcome(class outcomeClass) {
 		// 429 from the replica's own load shedding: the replica is alive
 		// and answering — not a breaker failure, just "go elsewhere".
 		b.breaker.Success()
+	case outcomeAbandoned:
+		// The caller hung up mid-attempt: no verdict on the replica, but
+		// a half-open trial the attempt claimed must be handed back.
+		b.breaker.Release()
 	}
 }
 
@@ -111,6 +115,7 @@ const (
 	outcomeNetErr
 	outcomeServerErr
 	outcomeBusy
+	outcomeAbandoned
 )
 
 func classifyStatus(status int) outcomeClass {

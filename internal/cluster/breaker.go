@@ -160,6 +160,15 @@ func (b *Breaker) Failure() {
 	}
 }
 
+// Release hands back a trial slot claimed by Allow without a verdict: the
+// request was abandoned before the backend could answer, so the next
+// Allow may claim the trial afresh.
+func (b *Breaker) Release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
+}
+
 // trip opens the breaker for a jittered interval in [d/2, d), where d
 // doubles with each consecutive open up to OpenMax. Called with mu held.
 func (b *Breaker) trip() {

@@ -174,3 +174,26 @@ func TestBreakerConcurrentFlaps(t *testing.T) {
 		t.Fatal("breaker unusable after concurrent flaps")
 	}
 }
+
+// An abandoned trial (the caller hung up before the backend answered) is
+// handed back with no verdict: the breaker stays half-open and the next
+// Allow claims the trial afresh instead of waiting on a report that will
+// never come.
+func TestBreakerReleaseHandsBackTheTrial(t *testing.T) {
+	clock := newFakeClock()
+	b := testBreaker(clock)
+	for i := 0; i < 3; i++ {
+		b.Failure()
+	}
+	clock.advance(time.Second)
+	if !b.Allow() || b.Allow() {
+		t.Fatal("want exactly one half-open trial claimed")
+	}
+	b.Release()
+	if b.State() != BreakerHalfOpen {
+		t.Fatalf("state after Release = %v, want half-open (no verdict)", b.State())
+	}
+	if !b.Allow() {
+		t.Fatal("released trial slot was not claimable again")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"iolayers/internal/core"
 	"iolayers/internal/httpapi"
 	"iolayers/internal/iosim/systems"
+	"iolayers/internal/obsv"
 	"iolayers/internal/serve"
 )
 
@@ -77,6 +79,37 @@ func TestRouterErrorEnvelopes(t *testing.T) {
 	env = decodeEnvelope(t, "all busy", body)
 	if env.Error.Code != httpapi.CodeOverCapacity || env.Error.RetryAfterMS != 7000 {
 		t.Errorf("all-busy envelope = %+v, want over_capacity honoring the upstream's 7s hint", env.Error)
+	}
+
+	// Compare's row fetch is the same owner walk, so it sheds the same way.
+	resp, body = routerGet(t, r, "/v1/compare/alpha/beta", nil)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "7" {
+		t.Fatalf("all-busy compare = %d, Retry-After %q; want 429 and the upstream's 7",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	env = decodeEnvelope(t, "all-busy compare", body)
+	if env.Error.Code != httpapi.CodeOverCapacity || env.Error.RetryAfterMS != 7000 {
+		t.Errorf("all-busy compare envelope = %+v, want over_capacity honoring the upstream's 7s hint", env.Error)
+	}
+
+	// Nothing the mux itself refuses escapes the envelope either.
+	for _, c := range []struct {
+		method, path string
+		status       int
+		code         httpapi.Code
+		allow        string
+	}{
+		{"GET", "/v1/nosuch", 404, httpapi.CodeNotFound, ""},
+		{"DELETE", "/v1/report/x", 405, httpapi.CodeBadRequest, "GET, HEAD"},
+		{"GET", "/v1/ingest", 405, httpapi.CodeBadRequest, "POST"},
+	} {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		env := decodeEnvelope(t, c.method+" "+c.path, rec.Body.String())
+		if rec.Code != c.status || env.Error.Code != c.code || rec.Header().Get("Allow") != c.allow {
+			t.Errorf("%s %s = %d %q Allow %q, want %d %q Allow %q", c.method, c.path,
+				rec.Code, env.Error.Code, rec.Header().Get("Allow"), c.status, c.code, c.allow)
+		}
 	}
 
 	for _, f := range reps {
@@ -152,46 +185,104 @@ func TestUpstreamEnvelopeRelayedVerbatim(t *testing.T) {
 	}
 }
 
-// TestRouterIndex pins GET /v1 on the router: the ioserved surface plus
-// the cluster-status route.
-func TestRouterIndex(t *testing.T) {
-	r, _ := testCluster(t, 2, Config{})
-	resp, body := routerGet(t, r, "/v1", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
+// fetchIndex reads a service's GET /v1 document.
+func fetchIndex(t *testing.T, h http.Handler) httpapi.IndexDoc {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, httpapi.IndexPath, nil))
 	var doc httpapi.IndexDoc
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatal(err)
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &doc) != nil {
+		t.Fatalf("GET /v1 = %d: %s", rec.Code, rec.Body)
 	}
-	if doc.Service != "iorouter" || doc.SchemaVersion != httpapi.IndexSchemaVersion {
-		t.Errorf("index header = v%d %q", doc.SchemaVersion, doc.Service)
-	}
-	seen := map[string]bool{}
-	for _, rt := range doc.Routes {
-		seen[rt.Path] = true
-	}
-	for _, want := range []string{"/v1/cluster", "/v1/predict/{dataset}", "/v1/report/{dataset}"} {
-		if !seen[want] {
-			t.Errorf("index missing %s (got %v)", want, doc.Routes)
+	return doc
+}
+
+// TestRouterIndex pins GET /v1 on the router and that the index and the
+// mux cannot disagree: every advertised row is mounted (the answer is not
+// the catch-all's 404/405), and what is not advertised is not mounted —
+// with the metrics pair present only when there is a registry.
+func TestRouterIndex(t *testing.T) {
+	for _, metrics := range []*obsv.Registry{nil, obsv.New()} {
+		r, _ := testCluster(t, 2, Config{Metrics: metrics})
+		doc := fetchIndex(t, r.Handler())
+		if doc.Service != "iorouter" || doc.SchemaVersion != httpapi.IndexSchemaVersion {
+			t.Errorf("index header = v%d %q", doc.SchemaVersion, doc.Service)
+		}
+		unrouted := func(method, path string) bool {
+			rec := httptest.NewRecorder()
+			r.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+			env, ok := httpapi.DecodeError(rec.Body.Bytes())
+			return rec.Code == http.StatusMethodNotAllowed ||
+				rec.Code == http.StatusNotFound && (!ok || strings.HasPrefix(env.Error.Message, "no route"))
+		}
+		listed := map[string]bool{}
+		for _, rt := range doc.Routes {
+			listed[rt.Path] = true
+			path := rt.Path
+			for _, wildcard := range []string{"{dataset}", "{a}", "{b}"} {
+				path = strings.ReplaceAll(path, wildcard, "alpha")
+			}
+			for _, method := range rt.Methods {
+				if unrouted(method, path) {
+					t.Errorf("metrics=%v: index advertises %s %s but the mux does not route it", metrics != nil, method, rt.Path)
+				}
+			}
+		}
+		if !listed["/v1/cluster"] || listed["/metrics"] != (metrics != nil) || listed["/metrics.json"] != (metrics != nil) {
+			t.Errorf("metrics=%v: index lists %v", metrics != nil, listed)
+		}
+		for _, path := range []string{"/v1/nosuch", "/metrics", "/metrics.json"} {
+			if !listed[path] && !unrouted(http.MethodGet, path) {
+				t.Errorf("metrics=%v: %s is routed but not in the index", metrics != nil, path)
+			}
 		}
 	}
 }
 
-// TestAPIDocCoversSurface is the doc-drift gate: every route the
-// cluster mounts (the full ioserved surface plus the router's own) and
-// every error code in the taxonomy must appear in docs/api.md. Adding
-// an endpoint or a code without documenting it fails the build.
+// TestAPIDocCoversSurface is the doc-drift gate: every row of both
+// services' route tables must have a row in docs/api.md's endpoint table
+// with the same methods and the same query parameters, the doc may list
+// no route neither service mounts, and every error code in the taxonomy
+// must appear. Adding or changing an endpoint or a code without
+// documenting it fails the build.
 func TestAPIDocCoversSurface(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "api.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := string(doc)
-	r, _ := testCluster(t, 1, Config{})
-	for _, rt := range r.Routes() {
-		if !strings.Contains(text, "`"+rt.Path+"`") {
-			t.Errorf("docs/api.md does not document route %s", rt.Path)
+	// "| `/v1/report/{dataset}` | GET | `format`, `section` | ... |"
+	documented := map[string][2]string{}
+	for _, line := range strings.Split(text, "\n") {
+		cols := strings.Split(line, "|")
+		if len(cols) < 5 || !strings.HasPrefix(strings.TrimSpace(cols[1]), "`/") {
+			continue
+		}
+		params := strings.NewReplacer("`", "", " ", "", "—", "").Replace(cols[3])
+		documented[strings.Trim(strings.TrimSpace(cols[1]), "`")] = [2]string{strings.ReplaceAll(cols[2], " ", ""), params}
+	}
+	r, _ := testCluster(t, 1, Config{Metrics: obsv.New()})
+	mounted := map[string]httpapi.Route{}
+	for _, h := range []http.Handler{r.Handler(), serve.New(serve.Config{Metrics: obsv.New()}).Handler()} {
+		for _, rt := range fetchIndex(t, h).Routes {
+			// The router fronts the replica's API: a path both mount is
+			// declared identically in both tables.
+			if prev, ok := mounted[rt.Path]; ok && !reflect.DeepEqual(prev, rt) {
+				t.Errorf("the two services declare %s differently: %+v vs %+v", rt.Path, prev, rt)
+			}
+			mounted[rt.Path] = rt
+			want := [2]string{strings.Join(rt.Methods, ","), strings.Join(rt.Params, ",")}
+			if got, ok := documented[rt.Path]; !ok {
+				t.Errorf("docs/api.md does not document route %s", rt.Path)
+			} else if got != want {
+				t.Errorf("docs/api.md row for %s says methods %q params %q, the table says %q %q",
+					rt.Path, got[0], got[1], want[0], want[1])
+			}
+		}
+	}
+	for path := range documented {
+		if _, ok := mounted[path]; !ok {
+			t.Errorf("docs/api.md documents %s, which neither service mounts", path)
 		}
 	}
 	for _, code := range httpapi.Codes() {

@@ -16,6 +16,7 @@ import (
 
 	"iolayers/internal/httpapi"
 	"iolayers/internal/obsv"
+	"iolayers/internal/predict"
 	"iolayers/internal/report"
 	"iolayers/internal/serve"
 )
@@ -100,9 +101,8 @@ type Router struct {
 	backoffBase time.Duration
 	jitter      func() float64
 	keyring     *Keyring
-	metrics     *obsv.Registry
 	prober      *prober
-	mux         *http.ServeMux
+	handler     http.Handler
 	startOnce   sync.Once
 	closeOnce   sync.Once
 	started     bool
@@ -174,7 +174,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		backoffBase:  backoff,
 		jitter:       jitter,
 		keyring:      keyring,
-		metrics:      cfg.Metrics,
 		cFailover:    cfg.Metrics.Counter("cluster.failovers"),
 		cExhausted:   cfg.Metrics.Counter("cluster.owners_exhausted"),
 		cSkipDark:    cfg.Metrics.Counter("cluster.skip.unhealthy"),
@@ -188,34 +187,34 @@ func NewRouter(cfg Config) (*Router, error) {
 		fail: cfg.Metrics.Counter("cluster.probe.fail"),
 	})
 
-	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
-	r.mux.HandleFunc("GET /readyz", r.handleReady)
-	r.mux.HandleFunc("GET /v1", r.authed(r.instrumented("index", r.handleIndex)))
-	r.mux.HandleFunc("GET /v1/cluster", r.authed(r.instrumented("cluster", r.handleCluster)))
-	r.mux.HandleFunc("GET /v1/datasets", r.authed(r.instrumented("datasets", r.handleDatasets)))
-	r.mux.HandleFunc("GET /v1/report/{dataset}", r.authed(r.instrumented("report", r.handleReport)))
-	r.mux.HandleFunc("GET /v1/compare/{a}/{b}", r.authed(r.instrumented("compare", r.handleCompare)))
-	r.mux.HandleFunc("GET /v1/predict/{dataset}", r.authed(r.instrumented("predict", r.handlePredict)))
-	r.mux.HandleFunc("POST /v1/ingest", r.authed(r.instrumented("ingest", r.handleIngest)))
-	if cfg.Metrics != nil {
-		r.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			io.WriteString(w, cfg.Metrics.Snapshot().Text())
-		})
-		r.mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(cfg.Metrics.Snapshot().JSON())
-		})
+	routes := []httpapi.Route{
+		{Name: "index", Path: httpapi.IndexPath, SchemaVersion: httpapi.IndexSchemaVersion},
+		{Name: "cluster", Path: "/v1/cluster", Params: []string{"dataset"},
+			SchemaVersion: report.SchemaVersion, Handler: r.handleCluster},
+		{Name: "datasets", Path: "/v1/datasets", SchemaVersion: report.SchemaVersion, Handler: r.handleDatasets},
+		{Name: "report", Path: "/v1/report/{dataset}", Params: []string{"format", "section"},
+			SchemaVersion: report.SchemaVersion, Handler: r.handleRelay},
+		{Name: "compare", Path: "/v1/compare/{a}/{b}", SchemaVersion: report.SchemaVersion, Handler: r.handleCompare},
+		{Name: "predict", Path: "/v1/predict/{dataset}", SchemaVersion: predict.SchemaVersion, Handler: r.handleRelay},
+		{Name: "ingest", Path: "/v1/ingest", Methods: []string{http.MethodPost},
+			SchemaVersion: report.SchemaVersion, Handler: r.handleIngest},
 	}
+	for i := range routes {
+		routes[i].Admit = r.authed // the whole API sits behind the key edge; probes and metrics stay open
+	}
+	r.handler = httpapi.Mount(httpapi.Table{
+		Service:      "iorouter",
+		Metrics:      cfg.Metrics,
+		MetricPrefix: "cluster",
+		ValidDataset: serve.ValidDatasetName,
+		Ready:        r.handleReady,
+		Routes:       routes,
+	})
 	return r, nil
 }
 
 // Handler returns the router's root handler.
-func (r *Router) Handler() http.Handler { return r.mux }
+func (r *Router) Handler() http.Handler { return r.handler }
 
 // Start launches the active health prober.
 func (r *Router) Start() {
@@ -263,31 +262,6 @@ func (r *Router) handleReady(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, fmt.Sprintf("ready (%d/%d replicas healthy)\n", healthy, len(r.backends)))
 }
 
-// Routes is the router's machine-readable route index: everything a
-// single ioserved advertises (the router fronts the same API), plus the
-// cluster-status route only the router has.
-func (r *Router) Routes() []httpapi.Route {
-	routes := serve.Routes()
-	routes = append(routes, httpapi.Route{
-		Path: "/v1/cluster", Methods: []string{"GET"}, Params: []string{"dataset"}, SchemaVersion: report.SchemaVersion,
-	})
-	return routes
-}
-
-func (r *Router) handleIndex(w http.ResponseWriter, req *http.Request) {
-	if _, err := httpapi.Query(req); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
-		return
-	}
-	data, err := serve.MarshalDoc(httpapi.BuildIndex("iorouter", r.Routes()))
-	if err != nil {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
 // authed enforces the API-key + token-bucket edge when a keyring is
 // configured; with no keyring the cluster is open, like a bare ioserved.
 func (r *Router) authed(fn http.HandlerFunc) http.HandlerFunc {
@@ -320,16 +294,6 @@ func (r *Router) authed(fn http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		fn(w, req)
-	}
-}
-
-// instrumented records per-endpoint request counts and wall latency.
-func (r *Router) instrumented(name string, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		start := time.Now()
-		fn(w, req)
-		r.metrics.Counter("cluster." + name + ".requests").Add(1)
-		r.metrics.TimeHistogram("cluster." + name + ".latency_us").Observe(time.Since(start).Microseconds())
 	}
 }
 
@@ -373,7 +337,10 @@ var (
 
 // attempt sends one request to one backend and classifies the outcome.
 // A nil error means the answer is definitive and should be relayed (2xx
-// and deterministic 4xx alike); an *attemptError means fail over.
+// and deterministic 4xx alike); an *attemptError means fail over. Every
+// sent request feeds the backend's breaker and health bit — except one
+// that failed because the caller's own ctx was done, which is no verdict
+// on the replica.
 func (r *Router) attempt(ctx context.Context, be *Backend, method, pathQ string, body []byte, timeout time.Duration) (*upstream, *attemptError) {
 	if !be.Healthy() {
 		r.cSkipDark.Add(1)
@@ -407,18 +374,26 @@ func (r *Router) attempt(ctx context.Context, be *Backend, method, pathQ string,
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := r.client.Do(req)
-	if err != nil {
-		be.reportOutcome(outcomeNetErr)
-		return nil, &attemptError{err: fmt.Errorf("replica %s: %w", be.Name, err)}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBody+1))
-	if err != nil || len(data) > maxRelayBody {
-		be.reportOutcome(outcomeNetErr)
-		if err == nil {
+	var data []byte
+	if err == nil {
+		defer resp.Body.Close()
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxRelayBody+1))
+		if err == nil && len(data) > maxRelayBody {
 			err = fmt.Errorf("response exceeds %d bytes", int64(maxRelayBody))
 		}
-		return nil, &attemptError{err: fmt.Errorf("replica %s: reading response: %w", be.Name, err)}
+		if err != nil {
+			err = fmt.Errorf("reading response: %w", err)
+		}
+	}
+	if err != nil {
+		class := outcomeNetErr
+		if ctx.Err() != nil {
+			// ctx is the caller's (an attempt-timeout expiry is actx's alone):
+			// they hung up, which says nothing about the replica.
+			class = outcomeAbandoned
+		}
+		be.reportOutcome(class)
+		return nil, &attemptError{err: fmt.Errorf("replica %s: %w", be.Name, err)}
 	}
 	up := &upstream{backend: be.Name, status: resp.StatusCode, header: resp.Header, body: data}
 	switch classifyStatus(resp.StatusCode) {
@@ -465,32 +440,63 @@ func relay(w http.ResponseWriter, up *upstream, attempts int) {
 	w.Write(up.body)
 }
 
-// queryOwners walks a dataset's owners, failing over until one produces
-// a definitive answer. A 404 is deferred rather than relayed immediately:
-// an owner that lost its copy (restarted without its lake) must not mask
-// a sibling that still has the dataset. Exhausting every owner
-// synthesizes 503 — or 429 when every answering owner was shedding load —
-// with a Retry-After honoring the largest upstream hint.
-func (r *Router) queryOwners(req *http.Request, w http.ResponseWriter, dataset, pathQ string) {
+// walkEnd is how an any-of owner walk ended.
+type walkEnd int
+
+const (
+	// answered: an owner's answer passed accept.
+	answered walkEnd = iota
+	// missing: owners answered, none acceptably — the dataset is not there.
+	missing
+	// exhausted: no owner answered; walk already wrote the failure envelope.
+	exhausted
+)
+
+// walkResult carries the answer that ended the walk — the accepted one
+// when answered, the last refused one when missing — and the attempt
+// count relay stamps on it.
+type walkResult struct {
+	end      walkEnd
+	up       *upstream
+	attempts int
+}
+
+// walk is the router's one any-of failover policy: try a dataset's owners
+// in ring order, pausing a jittered backoff between them, until one gives
+// an answer accept takes. An answer accept refuses (a 404, a listing
+// without the row) is deferred rather than final: an owner that lost its
+// copy (restarted without its lake) must not mask a sibling that still
+// has the dataset. Exhausting every owner synthesizes 503 — or 429 when
+// every answering owner was shedding load — with a Retry-After honoring
+// the largest upstream hint. The walk stops the moment the caller's
+// context is done.
+func (r *Router) walk(w http.ResponseWriter, req *http.Request, dataset, pathQ string, accept func(*upstream) bool) walkResult {
+	ctx := req.Context()
 	owners := r.Owners(dataset)
-	var notFound *upstream
+	var refused *upstream
 	sawAnswer, allBusy := false, true
 	retryAfter := 1
 	for i, be := range owners {
 		if i > 0 {
-			r.backoffBeforeRetry(req.Context(), i)
+			r.backoffBeforeRetry(ctx, i)
 		}
-		up, aerr := r.attempt(req.Context(), be, http.MethodGet, pathQ, nil, r.attemptTO)
+		up, aerr := r.attempt(ctx, be, http.MethodGet, pathQ, nil, r.attemptTO)
 		if aerr == nil {
-			if up.status == http.StatusNotFound {
-				notFound = up
+			if !accept(up) {
+				refused = up
 				continue
 			}
 			if i > 0 {
 				r.cFailover.Add(1)
 			}
-			relay(w, up, i+1)
-			return
+			return walkResult{answered, up, i + 1}
+		}
+		if ctx.Err() != nil {
+			// Nobody is left to answer, and a walk cut short is not an
+			// exhausted one: the remaining owners were never asked.
+			httpapi.WriteErrorRetry(w, http.StatusServiceUnavailable, httpapi.CodeUnavailable,
+				"request cancelled before an owner answered", time.Second)
+			return walkResult{end: exhausted}
 		}
 		if !aerr.gated {
 			sawAnswer = true
@@ -502,9 +508,8 @@ func (r *Router) queryOwners(req *http.Request, w http.ResponseWriter, dataset, 
 			}
 		}
 	}
-	if notFound != nil {
-		relay(w, notFound, len(owners))
-		return
+	if refused != nil {
+		return walkResult{missing, refused, len(owners)}
 	}
 	r.cExhausted.Add(1)
 	status, code := http.StatusServiceUnavailable, httpapi.CodeUnavailable
@@ -514,116 +519,53 @@ func (r *Router) queryOwners(req *http.Request, w http.ResponseWriter, dataset, 
 	httpapi.WriteErrorRetry(w, status, code,
 		fmt.Sprintf("all %d owners of dataset %q are unavailable, retry shortly", len(owners), dataset),
 		time.Duration(retryAfter)*time.Second)
+	return walkResult{end: exhausted}
 }
 
-func (r *Router) handleReport(w http.ResponseWriter, req *http.Request) {
-	dataset := req.PathValue("dataset")
-	if !serve.ValidDatasetName(dataset) {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("invalid dataset name %q", dataset))
-		return
+// handleRelay answers /v1/report and /v1/predict alike: the request's own
+// path and query go to whichever owner of the dataset answers, and that
+// answer comes back byte for byte. A parameter value only the replica can
+// judge (?format=yaml) is thus rejected in the replica's own envelope, and
+// a unanimous 404 is the last owner's 404 — the router never rewrites
+// upstream bodies.
+func (r *Router) handleRelay(w http.ResponseWriter, req *http.Request) {
+	res := r.walk(w, req, req.PathValue("dataset"), req.URL.RequestURI(),
+		func(up *upstream) bool { return up.status != http.StatusNotFound })
+	if res.end != exhausted {
+		relay(w, res.up, res.attempts)
 	}
-	pathQ := "/v1/report/" + dataset
-	if q := req.URL.RawQuery; q != "" {
-		pathQ += "?" + q
-	}
-	r.queryOwners(req, w, dataset, pathQ)
-}
-
-// handlePredict relays the predictive-analytics document from whichever
-// owner of the dataset answers. The query string is forwarded untouched so
-// an upstream parameter rejection comes back as that replica's envelope,
-// byte-identical — the router never rewrites upstream error bodies.
-func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
-	dataset := req.PathValue("dataset")
-	if !serve.ValidDatasetName(dataset) {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("invalid dataset name %q", dataset))
-		return
-	}
-	pathQ := "/v1/predict/" + dataset
-	if q := req.URL.RawQuery; q != "" {
-		pathQ += "?" + q
-	}
-	r.queryOwners(req, w, dataset, pathQ)
-}
-
-// fetchRow gathers one dataset's listing row from its owners (for the
-// scatter/gather compare). Returns the row, or an HTTP status to report.
-func (r *Router) fetchRow(req *http.Request, dataset string) (serve.DatasetRow, int, error) {
-	owners := r.Owners(dataset)
-	found := false
-	for i, be := range owners {
-		if i > 0 {
-			r.backoffBeforeRetry(req.Context(), i)
-		}
-		up, aerr := r.attempt(req.Context(), be, http.MethodGet, "/v1/datasets", nil, r.attemptTO)
-		if aerr != nil {
-			continue
-		}
-		if up.status != http.StatusOK {
-			continue
-		}
-		var doc serve.DatasetsDoc
-		if err := json.Unmarshal(up.body, &doc); err != nil {
-			continue
-		}
-		found = true
-		for _, row := range doc.Datasets {
-			if row.Name == dataset {
-				if i > 0 {
-					r.cFailover.Add(1)
-				}
-				return row, http.StatusOK, nil
-			}
-		}
-	}
-	if found {
-		return serve.DatasetRow{}, http.StatusNotFound, fmt.Errorf("no dataset %q", dataset)
-	}
-	r.cExhausted.Add(1)
-	return serve.DatasetRow{}, http.StatusServiceUnavailable,
-		fmt.Errorf("all owners of dataset %q are unavailable, retry shortly", dataset)
-}
-
-// writeFetchError maps a fetchRow failure onto the envelope: a confirmed
-// missing dataset is not_found, exhausted owners are unavailable with a
-// retry hint.
-func writeFetchError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusServiceUnavailable {
-		httpapi.WriteErrorRetry(w, status, httpapi.CodeUnavailable, err.Error(), time.Second)
-		return
-	}
-	httpapi.WriteError(w, status, httpapi.CodeNotFound, err.Error())
 }
 
 // handleCompare scatter/gathers: each side's summary row comes from the
-// shard owning that dataset, and the comparison document is assembled by
-// the same serve code a single node renders with — byte-identical output
-// even when a and b live on disjoint replicas.
+// shard owning that dataset — the same walk, accepting the first listing
+// that has the row — and the comparison document is assembled by the same
+// serve code a single node renders with: byte-identical output even when
+// a and b live on disjoint replicas.
 func (r *Router) handleCompare(w http.ResponseWriter, req *http.Request) {
-	nameA, nameB := req.PathValue("a"), req.PathValue("b")
-	for _, n := range []string{nameA, nameB} {
-		if !serve.ValidDatasetName(n) {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("invalid dataset name %q", n))
+	var rows [2]serve.DatasetRow
+	for i, name := range []string{req.PathValue("a"), req.PathValue("b")} {
+		res := r.walk(w, req, name, "/v1/datasets", func(up *upstream) bool {
+			var doc serve.DatasetsDoc
+			if up.status != http.StatusOK || json.Unmarshal(up.body, &doc) != nil {
+				return false
+			}
+			for _, row := range doc.Datasets {
+				if row.Name == name {
+					rows[i] = row
+					return true
+				}
+			}
+			return false
+		})
+		switch res.end {
+		case missing:
+			httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, fmt.Sprintf("no dataset %q", name))
+			return
+		case exhausted:
 			return
 		}
 	}
-	rowA, status, err := r.fetchRow(req, nameA)
-	if err != nil {
-		writeFetchError(w, status, err)
-		return
-	}
-	rowB, status, err := r.fetchRow(req, nameB)
-	if err != nil {
-		writeFetchError(w, status, err)
-		return
-	}
-	data, err := serve.CompareDocument(rowA, rowB)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	httpapi.WriteDoc(w, serve.Compare(rows[0], rows[1]))
 }
 
 // handleDatasets scatters to every backend and gathers the union of
@@ -676,13 +618,7 @@ func (r *Router) handleDatasets(w http.ResponseWriter, req *http.Request) {
 	for _, name := range names {
 		doc.Datasets = append(doc.Datasets, rows[name])
 	}
-	data, err := serve.MarshalDoc(doc)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	httpapi.WriteDoc(w, doc)
 }
 
 // ingestReplicaResult is one owner's slice of a fanned-out ingest.
@@ -754,13 +690,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 			Replica: be.Name, Generation: res.Generation, Parsed: res.Parsed, Failed: res.Failed,
 		})
 	}
-	data, err := serve.MarshalDoc(doc)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	httpapi.WriteDoc(w, doc)
 }
 
 // clusterReplicaDoc is one replica's row in the /v1/cluster status view.
@@ -781,18 +711,13 @@ type clusterDoc struct {
 }
 
 func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
-	params, err := httpapi.Query(req, "dataset")
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
-		return
-	}
 	doc := clusterDoc{SchemaVersion: report.SchemaVersion, Replication: r.rf}
 	for _, be := range r.backends {
 		doc.Replicas = append(doc.Replicas, clusterReplicaDoc{
 			Name: be.Name, Healthy: be.Healthy(), Breaker: be.BreakerState().String(),
 		})
 	}
-	if ds := params["dataset"]; ds != "" {
+	if ds := req.FormValue("dataset"); ds != "" {
 		if !serve.ValidDatasetName(ds) {
 			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("invalid dataset name %q", ds))
 			return
@@ -802,11 +727,5 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 			doc.Owners = append(doc.Owners, be.Name)
 		}
 	}
-	data, err := serve.MarshalDoc(doc)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	httpapi.WriteDoc(w, doc)
 }

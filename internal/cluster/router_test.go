@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"iolayers/internal/httpapi"
+	"iolayers/internal/obsv"
 	"iolayers/internal/serve"
 )
 
@@ -70,6 +72,10 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 		}
 	})
 	mux.HandleFunc("GET /v1/datasets", func(w http.ResponseWriter, _ *http.Request) {
+		if f.mode.Load().(string) == "busy" {
+			httpapi.WriteErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverCapacity, "shedding", 7*time.Second)
+			return
+		}
 		doc := serve.DatasetsDoc{SchemaVersion: 1, Datasets: []serve.DatasetRow{
 			{Name: "alpha", System: "summit", Generation: 3,
 				Summary: serve.SummaryDoc{System: "summit", Logs: 10, Jobs: 5, Files: 100, NodeHours: 7}},
@@ -243,6 +249,42 @@ func TestNotFoundDefersToSiblings(t *testing.T) {
 	resp, _ = routerGet(t, r, "/v1/report/alpha", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unanimous 404 relayed as %d", resp.StatusCode)
+	}
+}
+
+// A caller that hangs up mid-walk is the caller's business, not the
+// replicas': the walk stops at once (the sibling is never dialed on the
+// dead context), no owner is benched or charged a breaker failure for the
+// aborted attempt, and the request is not booked as owners-exhausted.
+func TestCallerHangupBenchesNobody(t *testing.T) {
+	metrics := obsv.New()
+	r, reps := testCluster(t, 2, Config{Replication: 2, Metrics: metrics, AttemptTimeout: 5 * time.Second})
+	owners := r.Owners("alpha")
+	primary, secondary := replicaByName(reps, owners[0].Name), replicaByName(reps, owners[1].Name)
+	primary.stall = make(chan struct{})
+	defer close(primary.stall)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for primary.hits.Load() == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		cancel() // the request is parked on the stalled primary: hang up
+	}()
+	req := httptest.NewRequest(http.MethodGet, "/v1/report/alpha", nil).WithContext(ctx)
+	r.Handler().ServeHTTP(httptest.NewRecorder(), req)
+
+	for _, be := range owners {
+		if !be.Healthy() || be.BreakerState() != BreakerClosed {
+			t.Errorf("owner %s after a caller hang-up: healthy=%v breaker=%v", be.Name, be.Healthy(), be.BreakerState())
+		}
+	}
+	if n := secondary.hits.Load(); n != 0 {
+		t.Errorf("sibling owner dialed %d times on a dead context", n)
+	}
+	if n := metrics.Counter("cluster.owners_exhausted").Value(); n != 0 {
+		t.Errorf("owners_exhausted = %d after a caller hang-up", n)
 	}
 }
 

@@ -1,16 +1,21 @@
 // Package httpapi is the HTTP contract shared by ioserved and the
 // iorouter cluster: the structured JSON error envelope every non-200
 // carries, the query-parameter taxonomy (unknown parameters are
-// rejected, not ignored), and the machine-readable route index served at
-// GET /v1. Keeping the contract in one package means a client that can
-// parse one service's errors can parse the other's — including the
-// router itself, which classifies upstream envelopes when failing over.
+// rejected, not ignored), the document framing, and the route table
+// (mount.go): a service declares each route once, as a Route row, and
+// Mount derives the mux, the machine-readable index served at GET /v1,
+// the per-row checks and the per-row metrics from it. Keeping the contract
+// in one package means a client that can parse one service's errors can
+// parse the other's — including the router itself, which classifies
+// upstream envelopes when failing over.
 package httpapi
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,11 +31,13 @@ type Code string
 // exactly one of these.
 const (
 	// CodeBadRequest: the request itself is malformed — bad dataset name,
-	// undecodable body, missing required field.
+	// undecodable body, missing required field, or (405) a method the
+	// path does not take.
 	CodeBadRequest Code = "bad_request"
 	// CodeBadParam: a query parameter is unknown or has an invalid value.
 	CodeBadParam Code = "bad_param"
-	// CodeNotFound: the named dataset does not exist.
+	// CodeNotFound: the named dataset does not exist, or no route matches
+	// the path.
 	CodeNotFound Code = "not_found"
 	// CodeUnauthorized: missing or unknown API key.
 	CodeUnauthorized Code = "unauthorized"
@@ -130,26 +137,8 @@ func DecodeError(body []byte) (ErrorEnvelope, bool) {
 // allowed to ship.
 func Query(r *http.Request, allowed ...string) (map[string]string, error) {
 	q := r.URL.Query()
-	var unknown []string
-	for k := range q {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		allowedDesc := "none"
-		if len(allowed) > 0 {
-			allowedDesc = strings.Join(allowed, ", ")
-		}
-		return nil, fmt.Errorf("unknown query parameter %q (allowed: %s)", unknown[0], allowedDesc)
+	if err := checkParams(q, allowed); err != nil {
+		return nil, err
 	}
 	out := make(map[string]string, len(q))
 	for k, vs := range q {
@@ -160,38 +149,44 @@ func Query(r *http.Request, allowed ...string) (map[string]string, error) {
 	return out, nil
 }
 
-// Route describes one endpoint in the GET /v1 index.
-type Route struct {
-	Path    string   `json:"path"`
-	Methods []string `json:"methods"`
-	// Params lists the accepted query parameters; anything else is
-	// rejected with a bad_param envelope.
-	Params []string `json:"params,omitempty"`
-	// SchemaVersion is the schema of the endpoint's JSON document; zero
-	// for plain-text endpoints.
-	SchemaVersion int `json:"schema_version,omitempty"`
-}
-
-// IndexDoc is the GET /v1 response: the service's discoverable surface.
-type IndexDoc struct {
-	SchemaVersion int     `json:"schema_version"`
-	Service       string  `json:"service"`
-	Routes        []Route `json:"routes"`
-}
-
-// IndexSchemaVersion stamps the route-index document itself.
-const IndexSchemaVersion = 1
-
-// BuildIndex assembles the route index with routes sorted by path (then
-// first method), so the document is deterministic regardless of
-// registration order.
-func BuildIndex(service string, routes []Route) IndexDoc {
-	sorted := append([]Route(nil), routes...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Path != sorted[j].Path {
-			return sorted[i].Path < sorted[j].Path
+// checkParams is the taxonomy check itself: the first (sorted) parameter
+// of q outside allowed is the error.
+func checkParams(q url.Values, allowed []string) error {
+	var unknown []string
+	for k := range q {
+		if !slices.Contains(allowed, k) {
+			unknown = append(unknown, k)
 		}
-		return sorted[i].Methods[0] < sorted[j].Methods[0]
-	})
-	return IndexDoc{SchemaVersion: IndexSchemaVersion, Service: service, Routes: sorted}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	allowedDesc := "none"
+	if len(allowed) > 0 {
+		allowedDesc = strings.Join(allowed, ", ")
+	}
+	return fmt.Errorf("unknown query parameter %q (allowed: %s)", unknown[0], allowedDesc)
+}
+
+// MarshalDoc frames a wire document exactly as both services write it:
+// two-space indented JSON plus a trailing newline.
+func MarshalDoc(v any) ([]byte, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+// WriteDoc answers 200 with v framed by MarshalDoc, or with the 500
+// internal envelope when v cannot be marshaled.
+func WriteDoc(w http.ResponseWriter, v any) {
+	data, err := MarshalDoc(v)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(data)
 }

@@ -1,10 +1,14 @@
 package httpapi
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"iolayers/internal/obsv"
 )
 
 func TestWriteErrorEnvelope(t *testing.T) {
@@ -85,6 +89,85 @@ func TestBuildIndexSorts(t *testing.T) {
 	want := "/v1/a:GET,/v1/a:POST,/v1/z:GET"
 	if strings.Join(got, ",") != want {
 		t.Errorf("sorted %v, want %s", got, want)
+	}
+}
+
+// TestMountPipeline pins what Mount derives from a row: the order of the
+// checks (path values, then parameters), the parsed query handed to the
+// handler, metrics resolved under the row's name, Admit outside all of
+// it, and the envelope catch-all.
+func TestMountPipeline(t *testing.T) {
+	reg := obsv.New()
+	admit := true
+	h := Mount(Table{
+		Service: "svc", Metrics: reg, MetricPrefix: "svc",
+		ValidDataset: func(name string) bool { return name != "bad" },
+		Ready:        func(w http.ResponseWriter, _ *http.Request) {},
+		Routes: []Route{
+			{Name: "index", Path: IndexPath, SchemaVersion: IndexSchemaVersion},
+			{Name: "thing", Path: "/v1/thing/{dataset}", Params: []string{"format"},
+				Admit: func(next http.HandlerFunc) http.HandlerFunc {
+					return func(w http.ResponseWriter, r *http.Request) {
+						if !admit {
+							WriteError(w, 401, CodeUnauthorized, "no")
+							return
+						}
+						next(w, r)
+					}
+				},
+				Handler: func(w http.ResponseWriter, r *http.Request) {
+					io.WriteString(w, r.PathValue("dataset")+":"+r.FormValue("format"))
+				}},
+		},
+	})
+	do := func(method, target string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+		return rec
+	}
+	code := func(rec *httptest.ResponseRecorder) Code {
+		env, _ := DecodeError(rec.Body.Bytes())
+		return env.Error.Code
+	}
+
+	if rec := do("GET", "/v1/thing/x?format=json"); rec.Code != 200 || rec.Body.String() != "x:json" {
+		t.Errorf("handler saw %d %q", rec.Code, rec.Body)
+	}
+	if rec := do("GET", "/v1/thing/bad?frmt=1"); rec.Code != 400 || code(rec) != CodeBadRequest {
+		t.Errorf("bad name + bad param = %d %q, want the name judged first", rec.Code, code(rec))
+	}
+	if rec := do("GET", "/v1/thing/x?frmt=1"); rec.Code != 400 || code(rec) != CodeBadParam {
+		t.Errorf("bad param = %d %q", rec.Code, code(rec))
+	}
+	admit = false
+	if rec := do("GET", "/v1/thing/x"); rec.Code != 401 {
+		t.Errorf("Admit bypassed: %d", rec.Code)
+	}
+	if n := reg.Counter("svc.thing.requests").Value(); n != 3 {
+		t.Errorf("svc.thing.requests = %d, want 3 (the turned-away request is not counted)", n)
+	}
+	if n := reg.TimeHistogram("svc.thing.latency_us").Count(); n != 3 {
+		t.Errorf("svc.thing.latency_us count = %d, want 3", n)
+	}
+
+	// Operational endpoints are bare: no parameter check, no counting.
+	if rec := do("GET", "/healthz?probe=1"); rec.Code != 200 || rec.Body.String() != "ok\n" {
+		t.Errorf("healthz = %d %q", rec.Code, rec.Body)
+	}
+	if rec := do("GET", "/metrics"); rec.Code != 200 || !strings.Contains(rec.Body.String(), "svc.thing.requests") {
+		t.Errorf("metrics = %d %q", rec.Code, rec.Body)
+	}
+
+	if rec := do("GET", "/v1/other"); rec.Code != 404 || code(rec) != CodeNotFound {
+		t.Errorf("unknown route = %d %q", rec.Code, code(rec))
+	}
+	rec := do("POST", "/v1/thing/x")
+	if rec.Code != 405 || code(rec) != CodeBadRequest || rec.Header().Get("Allow") != "GET, HEAD" {
+		t.Errorf("wrong method = %d %q Allow %q", rec.Code, code(rec), rec.Header().Get("Allow"))
+	}
+	admit = true
+	if rec := do("HEAD", "/v1/thing/x"); rec.Code != 200 {
+		t.Errorf("HEAD on a GET row = %d", rec.Code)
 	}
 }
 

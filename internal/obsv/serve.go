@@ -3,6 +3,7 @@ package obsv
 import (
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -35,6 +36,20 @@ func publishExpvar(name string, r *Registry) {
 	expvarPublished[name] = r
 }
 
+// ServeText answers with the registry's snapshot as the text table — the
+// /metrics view of the debug server and of both HTTP services. Like every
+// Registry method it is nil-safe (an empty snapshot).
+func (r *Registry) ServeText(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, r.Snapshot().Text())
+}
+
+// ServeJSON is ServeText's /metrics.json twin.
+func (r *Registry) ServeJSON(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(r.Snapshot().JSON())
+}
+
 // Serve starts the opt-in debug HTTP server behind every binary's
 // -debug-addr flag: net/http/pprof under /debug/pprof/, expvar under
 // /debug/vars (with the registry published as the named var), the
@@ -57,14 +72,8 @@ func Serve(name, addr string, r *Registry) (string, func(), error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, r.Snapshot().Text())
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(r.Snapshot().JSON())
-	})
+	mux.HandleFunc("/metrics", r.ServeText)
+	mux.HandleFunc("/metrics.json", r.ServeJSON)
 
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	done := make(chan struct{})

@@ -12,43 +12,83 @@ import (
 	"iolayers/internal/core"
 	"iolayers/internal/httpapi"
 	"iolayers/internal/iosim/systems"
+	"iolayers/internal/obsv"
 	"iolayers/internal/predict"
 )
 
-// TestRouteIndex pins the GET /v1 contract: a versioned, sorted,
-// machine-readable index of everything the service mounts.
+// TestRouteIndex pins the GET /v1 contract — a versioned, sorted,
+// machine-readable index — and that the index and the mux cannot
+// disagree: every advertised row is mounted (the answer is not the
+// catch-all's 404/405), and what is not advertised is not mounted, with
+// the metrics pair present only when there is a registry.
 func TestRouteIndex(t *testing.T) {
-	ts, _, _ := newTestServer(t, Config{})
-	resp, body := get(t, ts.URL+"/v1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var doc httpapi.IndexDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.SchemaVersion != httpapi.IndexSchemaVersion || doc.Service != "ioserved" {
-		t.Errorf("index header = v%d %q", doc.SchemaVersion, doc.Service)
-	}
-	paths := map[string]httpapi.Route{}
-	for i, r := range doc.Routes {
-		paths[r.Path] = r
-		if i > 0 && doc.Routes[i-1].Path > r.Path {
-			t.Errorf("routes not sorted: %q after %q", r.Path, doc.Routes[i-1].Path)
+	for _, metrics := range []*obsv.Registry{nil, obsv.New()} {
+		ts, _, _ := newTestServer(t, Config{Metrics: metrics})
+		resp, body := get(t, ts.URL+"/v1")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
-	}
-	pr, ok := paths["/v1/predict/{dataset}"]
-	if !ok || pr.SchemaVersion != predict.SchemaVersion {
-		t.Errorf("predict route = %+v, ok=%v", pr, ok)
-	}
-	rr, ok := paths["/v1/report/{dataset}"]
-	if !ok || strings.Join(rr.Params, ",") != "format,section" {
-		t.Errorf("report route params = %v", rr.Params)
-	}
-	// The index is itself parameter-free.
-	resp, body = get(t, ts.URL+"/v1?verbose=1")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("index with unknown param: %d %s", resp.StatusCode, body)
+		var doc httpapi.IndexDoc
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.SchemaVersion != httpapi.IndexSchemaVersion || doc.Service != "ioserved" {
+			t.Errorf("index header = v%d %q", doc.SchemaVersion, doc.Service)
+		}
+		unrouted := func(method, path string) bool {
+			req, err := http.NewRequest(method, ts.URL+path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			env, ok := httpapi.DecodeError(data)
+			return resp.StatusCode == http.StatusMethodNotAllowed ||
+				resp.StatusCode == http.StatusNotFound && (!ok || strings.HasPrefix(env.Error.Message, "no route"))
+		}
+		paths := map[string]httpapi.Route{}
+		for i, r := range doc.Routes {
+			paths[r.Path] = r
+			if i > 0 && doc.Routes[i-1].Path > r.Path {
+				t.Errorf("routes not sorted: %q after %q", r.Path, doc.Routes[i-1].Path)
+			}
+			path := r.Path
+			for _, wildcard := range []string{"{dataset}", "{a}", "{b}"} {
+				path = strings.ReplaceAll(path, wildcard, "prod")
+			}
+			for _, method := range r.Methods {
+				if unrouted(method, path) {
+					t.Errorf("metrics=%v: index advertises %s %s but the mux does not route it", metrics != nil, method, r.Path)
+				}
+			}
+		}
+		for _, path := range []string{"/metrics", "/metrics.json"} {
+			if _, listed := paths[path]; listed != (metrics != nil) {
+				t.Errorf("metrics=%v: %s listed=%v", metrics != nil, path, listed)
+			}
+		}
+		for _, path := range []string{"/v1/nosuch", "/v1/cluster", "/metrics", "/metrics.json"} {
+			if _, listed := paths[path]; !listed && !unrouted(http.MethodGet, path) {
+				t.Errorf("metrics=%v: %s is routed but not in the index", metrics != nil, path)
+			}
+		}
+		pr, ok := paths["/v1/predict/{dataset}"]
+		if !ok || pr.SchemaVersion != predict.SchemaVersion {
+			t.Errorf("predict route = %+v, ok=%v", pr, ok)
+		}
+		rr, ok := paths["/v1/report/{dataset}"]
+		if !ok || strings.Join(rr.Params, ",") != "format,section" {
+			t.Errorf("report route params = %v", rr.Params)
+		}
+		// The index is itself parameter-free.
+		resp, body = get(t, ts.URL+"/v1?verbose=1")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("index with unknown param: %d %s", resp.StatusCode, body)
+		}
 	}
 }
 
@@ -101,6 +141,10 @@ func TestErrorsAreEnvelopes(t *testing.T) {
 		{"POST", "/v1/ingest", `not json`, 400, httpapi.CodeBadRequest},
 		{"POST", "/v1/ingest", `{"dataset":"ok","source":"/nope","system":"mars"}`, 400, httpapi.CodeBadRequest},
 		{"POST", "/v1/ingest", `{"dataset":"ok","source":"/definitely/not/here","system":"summit"}`, 422, httpapi.CodeIngestFailed},
+		// What the mux itself refuses speaks the envelope too.
+		{"GET", "/v1/nosuch", "", 404, httpapi.CodeNotFound},
+		{"DELETE", "/v1/report/prod", "", 405, httpapi.CodeBadRequest},
+		{"GET", "/v1/ingest", "", 405, httpapi.CodeBadRequest},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.url, strings.NewReader(c.body))
@@ -127,6 +171,9 @@ func TestErrorsAreEnvelopes(t *testing.T) {
 		}
 		if env.Error.Code != c.code {
 			t.Errorf("%s %s: code %q, want %q", c.method, c.url, env.Error.Code, c.code)
+		}
+		if (c.status == http.StatusMethodNotAllowed) != (resp.Header.Get("Allow") != "") {
+			t.Errorf("%s %s: status %d with Allow %q", c.method, c.url, c.status, resp.Header.Get("Allow"))
 		}
 	}
 }

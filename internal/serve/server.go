@@ -68,11 +68,13 @@ type Server struct {
 	ingestWorkers int
 	queryTimeout  time.Duration
 	ready         atomic.Bool
-	mux           *http.ServeMux
+	handler       http.Handler
+	cacheHits     *obsv.Counter
+	cacheMisses   *obsv.Counter
 
 	// testStall, when set by tests, runs inside the deadline-bounded
-	// goroutine before the handler — the hook for simulating a wedged
-	// render.
+	// goroutine before the handler (it is handed the request path) — the
+	// hook for simulating a wedged render.
 	testStall func(endpoint string, r *http.Request)
 }
 
@@ -97,35 +99,35 @@ func New(cfg Config) *Server {
 		metrics:       cfg.Metrics,
 		ingestWorkers: cfg.IngestWorkers,
 		queryTimeout:  timeout,
+		cacheHits:     cfg.Metrics.Counter("serve.cache.hits"),
+		cacheMisses:   cfg.Metrics.Counter("serve.cache.misses"),
 	}
 	s.ready.Store(true)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
+	s.handler = httpapi.Mount(httpapi.Table{
+		Service:      "ioserved",
+		Metrics:      cfg.Metrics,
+		MetricPrefix: "serve",
+		ValidDataset: ValidDatasetName,
+		Ready:        s.handleReady,
+		Routes: []httpapi.Route{
+			{Name: "index", Path: httpapi.IndexPath, SchemaVersion: httpapi.IndexSchemaVersion},
+			{Name: "datasets", Path: "/v1/datasets", SchemaVersion: report.SchemaVersion,
+				Admit: s.bounded, Handler: s.handleDatasets},
+			{Name: "report", Path: "/v1/report/{dataset}", Params: []string{"format", "section"},
+				SchemaVersion: report.SchemaVersion, Admit: s.bounded, Handler: s.handleReport},
+			{Name: "compare", Path: "/v1/compare/{a}/{b}", SchemaVersion: report.SchemaVersion,
+				Admit: s.bounded, Handler: s.handleCompare},
+			{Name: "predict", Path: "/v1/predict/{dataset}", SchemaVersion: predict.SchemaVersion,
+				Admit: s.bounded, Handler: s.handlePredict},
+			{Name: "ingest", Path: "/v1/ingest", Methods: []string{http.MethodPost},
+				SchemaVersion: report.SchemaVersion, Handler: s.handleIngest},
+		},
 	})
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("GET /v1", s.instrumented("index", s.handleIndex))
-	s.mux.HandleFunc("GET /v1/datasets", s.bounded("datasets", s.handleDatasets))
-	s.mux.HandleFunc("GET /v1/report/{dataset}", s.bounded("report", s.handleReport))
-	s.mux.HandleFunc("GET /v1/compare/{a}/{b}", s.bounded("compare", s.handleCompare))
-	s.mux.HandleFunc("GET /v1/predict/{dataset}", s.bounded("predict", s.handlePredict))
-	s.mux.HandleFunc("POST /v1/ingest", s.instrumented("ingest", s.handleIngest))
-	if cfg.Metrics != nil {
-		s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			io.WriteString(w, cfg.Metrics.Snapshot().Text())
-		})
-		s.mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(cfg.Metrics.Snapshot().JSON())
-		})
-	}
 	return s
 }
 
 // Handler returns the service's root handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // SetReady flips the readiness gate /readyz reports. It does not affect
 // query handling — a not-ready server still answers whatever it has —
@@ -152,13 +154,12 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// bounded wraps a query handler with the concurrency gate: acquire a slot
-// or reject immediately with 429 + Retry-After (load-shedding beats
-// queueing for a service whose responses are cheap once cached), then
-// record latency and in-flight depth. Inside the slot the handler runs
-// under the query deadline.
-func (s *Server) bounded(name string, fn http.HandlerFunc) http.HandlerFunc {
-	timed := s.deadlined(name, fn)
+// bounded is the query routes' admission: acquire a concurrency slot or
+// reject immediately with 429 + Retry-After (load-shedding beats queueing
+// for a service whose responses are cheap once cached), track in-flight
+// depth, and run what is admitted under the query deadline.
+func (s *Server) bounded(fn http.HandlerFunc) http.HandlerFunc {
+	timed := s.deadlined(fn)
 	return func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
@@ -173,7 +174,7 @@ func (s *Server) bounded(name string, fn http.HandlerFunc) http.HandlerFunc {
 			<-s.sem
 			s.metrics.Gauge("serve.inflight").Set(float64(len(s.sem)))
 		}()
-		s.instrumented(name, timed)(w, r)
+		timed(w, r)
 	}
 }
 
@@ -183,8 +184,11 @@ func (s *Server) bounded(name string, fn http.HandlerFunc) http.HandlerFunc {
 // if not the caller gets 503 + Retry-After while the stuck goroutine is
 // abandoned to finish against the buffer — crucially *after* the
 // concurrency slot is released, so a wedged render costs one goroutine,
-// not a semaphore slot forever.
-func (s *Server) deadlined(name string, fn http.HandlerFunc) http.HandlerFunc {
+// not a semaphore slot forever. The deadline sits outside the route's
+// counting (httpapi.Route.Admit), so a query that outlives it enters
+// serve.<route>.latency_us when its render finishes, at its true
+// duration; serve.query_timeouts counts the 503s.
+func (s *Server) deadlined(fn http.HandlerFunc) http.HandlerFunc {
 	if s.queryTimeout <= 0 {
 		return fn
 	}
@@ -197,7 +201,7 @@ func (s *Server) deadlined(name string, fn http.HandlerFunc) http.HandlerFunc {
 		go func() {
 			defer close(done)
 			if s.testStall != nil {
-				s.testStall(name, r)
+				s.testStall(r.URL.Path, r)
 			}
 			fn(buf, r)
 		}()
@@ -235,64 +239,12 @@ func (b *bufferedResponse) flush(w http.ResponseWriter) {
 	w.Write(b.body.Bytes())
 }
 
-// instrumented records per-endpoint request counts and wall latency.
-func (s *Server) instrumented(name string, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		fn(w, r)
-		s.metrics.Counter("serve." + name + ".requests").Add(1)
-		s.metrics.TimeHistogram("serve." + name + ".latency_us").Observe(time.Since(start).Microseconds())
-	}
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	data, err := MarshalDoc(v)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
-// Routes is the machine-readable index of every route ioserved mounts,
-// served at GET /v1 and reused by iorouter (which adds its own cluster
-// routes). Kept here, next to the mux registrations, so the two cannot
-// drift apart silently — the doc-sync test cross-checks docs/api.md
-// against this list.
-func Routes() []httpapi.Route {
-	return []httpapi.Route{
-		{Path: "/healthz", Methods: []string{"GET"}},
-		{Path: "/readyz", Methods: []string{"GET"}},
-		{Path: "/v1", Methods: []string{"GET"}, SchemaVersion: httpapi.IndexSchemaVersion},
-		{Path: "/v1/datasets", Methods: []string{"GET"}, SchemaVersion: report.SchemaVersion},
-		{Path: "/v1/report/{dataset}", Methods: []string{"GET"}, Params: []string{"format", "section"}, SchemaVersion: report.SchemaVersion},
-		{Path: "/v1/compare/{a}/{b}", Methods: []string{"GET"}, SchemaVersion: report.SchemaVersion},
-		{Path: "/v1/predict/{dataset}", Methods: []string{"GET"}, SchemaVersion: predict.SchemaVersion},
-		{Path: "/v1/ingest", Methods: []string{"POST"}, SchemaVersion: report.SchemaVersion},
-		{Path: "/metrics", Methods: []string{"GET"}},
-		{Path: "/metrics.json", Methods: []string{"GET"}},
-	}
-}
-
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if _, err := httpapi.Query(r); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
-		return
-	}
-	s.writeJSON(w, httpapi.BuildIndex("ioserved", Routes()))
-}
-
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	if _, err := httpapi.Query(r); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
-		return
-	}
+func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	resp := DatasetsDoc{SchemaVersion: report.SchemaVersion, Datasets: []DatasetRow{}}
 	for _, snap := range s.store.List() {
 		resp.Datasets = append(resp.Datasets, RowOf(snap))
 	}
-	s.writeJSON(w, resp)
+	httpapi.WriteDoc(w, resp)
 }
 
 func contentTypeFor(f report.Format) string {
@@ -306,49 +258,60 @@ func contentTypeFor(f report.Format) string {
 	}
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("dataset")
-	if !ValidDatasetName(name) {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("invalid dataset name %q", name))
-		return
-	}
-	params, err := httpapi.Query(r, "format", "section")
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
-		return
-	}
-	format, err := report.ParseFormat(params["format"])
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
-		return
-	}
-	section := report.CanonicalSection(params["section"])
+// snapshot loads a dataset's current generation, or answers 404.
+func (s *Server) snapshot(w http.ResponseWriter, name string) (*Snapshot, bool) {
 	snap, ok := s.store.Get(name)
 	if !ok {
 		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, fmt.Sprintf("no dataset %q", name))
-		return
 	}
+	return snap, ok
+}
 
-	key := fmt.Sprintf("report|%s|%d|%s|%s", snap.Name, snap.Gen, section, format)
-	w.Header().Set("X-Dataset-Generation", fmt.Sprint(snap.Gen))
-	if body, ctype, ok := s.cache.Get(key); ok {
-		s.metrics.Counter("serve.cache.hits").Add(1)
-		w.Header().Set("Content-Type", ctype)
-		w.Header().Set("X-Cache", "hit")
-		w.Write(body)
-		return
+// cached answers key from the render cache, or renders, stores and
+// answers — the one X-Cache path report, predict and compare share. A
+// render error is returned with nothing written: only the caller knows
+// whether it is the client's parameters or a bug.
+func (s *Server) cached(w http.ResponseWriter, key, ctype string, render func() ([]byte, error)) error {
+	xcache := "hit"
+	body, hitType, ok := s.cache.Get(key)
+	if ok {
+		s.cacheHits.Add(1)
+		ctype = hitType
+	} else {
+		s.cacheMisses.Add(1)
+		var err error
+		if body, err = render(); err != nil {
+			return err
+		}
+		s.cache.Put(key, ctype, body)
+		xcache = "miss"
 	}
-	s.metrics.Counter("serve.cache.misses").Add(1)
-	body, err := report.RenderString(snap.Report, report.Options{Format: format, Section: section})
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("X-Cache", xcache)
+	w.Write(body)
+	return nil
+}
+
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	format, err := report.ParseFormat(r.FormValue("format"))
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
 		return
 	}
-	ctype := contentTypeFor(format)
-	s.cache.Put(key, ctype, []byte(body))
-	w.Header().Set("Content-Type", ctype)
-	w.Header().Set("X-Cache", "miss")
-	io.WriteString(w, body)
+	section := report.CanonicalSection(r.FormValue("section"))
+	snap, ok := s.snapshot(w, r.PathValue("dataset"))
+	if !ok {
+		return
+	}
+	w.Header().Set("X-Dataset-Generation", fmt.Sprint(snap.Gen))
+	key := fmt.Sprintf("report|%s|%d|%s|%s", snap.Name, snap.Gen, section, format)
+	err = s.cached(w, key, contentTypeFor(format), func() ([]byte, error) {
+		body, err := report.RenderString(snap.Report, report.Options{Format: format, Section: section})
+		return []byte(body), err
+	})
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
+	}
 }
 
 // handlePredict serves the predictive-analytics document for one dataset:
@@ -359,87 +322,40 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // generation key exactly like reports and is byte-identical from any
 // replica at any ingest worker count.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("dataset")
-	if !ValidDatasetName(name) {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("invalid dataset name %q", name))
-		return
-	}
-	if _, err := httpapi.Query(r); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
-		return
-	}
-	snap, ok := s.store.Get(name)
+	snap, ok := s.snapshot(w, r.PathValue("dataset"))
 	if !ok {
-		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, fmt.Sprintf("no dataset %q", name))
 		return
 	}
-
-	key := fmt.Sprintf("predict|%s|%d", snap.Name, snap.Gen)
 	w.Header().Set("X-Dataset-Generation", fmt.Sprint(snap.Gen))
-	if body, ctype, ok := s.cache.Get(key); ok {
-		s.metrics.Counter("serve.cache.hits").Add(1)
-		w.Header().Set("Content-Type", ctype)
-		w.Header().Set("X-Cache", "hit")
-		w.Write(body)
-		return
-	}
-	s.metrics.Counter("serve.cache.misses").Add(1)
-	p := predict.FromReport(snap.Report)
-	if sys := systems.ByName(snap.System); sys != nil {
-		p = p.WithReplay(sys, snap.Report)
-	}
-	data, err := MarshalDoc(predict.NewDocument(snap.Name, snap.Gen, p))
+	key := fmt.Sprintf("predict|%s|%d", snap.Name, snap.Gen)
+	err := s.cached(w, key, "application/json", func() ([]byte, error) {
+		p := predict.FromReport(snap.Report)
+		if sys := systems.ByName(snap.System); sys != nil {
+			p = p.WithReplay(sys, snap.Report)
+		}
+		return MarshalDoc(predict.NewDocument(snap.Name, snap.Gen, p))
+	})
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		return
 	}
-	s.cache.Put(key, "application/json", data)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "miss")
-	w.Write(data)
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	nameA, nameB := r.PathValue("a"), r.PathValue("b")
-	for _, n := range []string{nameA, nameB} {
-		if !ValidDatasetName(n) {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("invalid dataset name %q", n))
-			return
-		}
-	}
-	if _, err := httpapi.Query(r); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadParam, err.Error())
+	snapA, ok := s.snapshot(w, r.PathValue("a"))
+	if !ok {
 		return
 	}
-	snapA, okA := s.store.Get(nameA)
-	snapB, okB := s.store.Get(nameB)
-	if !okA || !okB {
-		missing := nameA
-		if okA {
-			missing = nameB
-		}
-		httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, fmt.Sprintf("no dataset %q", missing))
+	snapB, ok := s.snapshot(w, r.PathValue("b"))
+	if !ok {
 		return
 	}
-
 	key := fmt.Sprintf("compare|%s|%d|%s|%d", snapA.Name, snapA.Gen, snapB.Name, snapB.Gen)
-	if body, ctype, ok := s.cache.Get(key); ok {
-		s.metrics.Counter("serve.cache.hits").Add(1)
-		w.Header().Set("Content-Type", ctype)
-		w.Header().Set("X-Cache", "hit")
-		w.Write(body)
-		return
-	}
-	s.metrics.Counter("serve.cache.misses").Add(1)
-	data, err := CompareDocument(RowOf(snapA), RowOf(snapB))
+	err := s.cached(w, key, "application/json", func() ([]byte, error) {
+		return CompareDocument(RowOf(snapA), RowOf(snapB))
+	})
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, err.Error())
-		return
 	}
-	s.cache.Put(key, "application/json", data)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "miss")
-	w.Write(data)
 }
 
 // ingestRequest is the POST /v1/ingest body.
@@ -504,7 +420,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.Counter("serve.ingest.published").Add(1)
-	s.writeJSON(w, ingestResponse{
+	httpapi.WriteDoc(w, ingestResponse{
 		SchemaVersion: report.SchemaVersion,
 		Dataset:       snap.Name,
 		System:        snap.System,

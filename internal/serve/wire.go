@@ -6,8 +6,7 @@ package serve
 // shape: field order, tags, and the MarshalDoc framing are the contract.
 
 import (
-	"encoding/json"
-
+	"iolayers/internal/httpapi"
 	"iolayers/internal/report"
 )
 
@@ -82,21 +81,16 @@ func RowOf(snap *Snapshot) DatasetRow {
 }
 
 // MarshalDoc frames a wire document exactly as the service writes it:
-// two-space indented JSON plus a trailing newline.
-func MarshalDoc(v any) ([]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
+// the framing both services share, httpapi.MarshalDoc, under the name
+// the wire vocabulary's users (the benchmark's oracle, tests) know.
+func MarshalDoc(v any) ([]byte, error) { return httpapi.MarshalDoc(v) }
 
-// CompareDocument builds the /v1/compare body for two dataset rows —
-// the single function both the single-node handler and the cluster
-// router's scatter/gather path render through, so a gathered compare is
-// byte-identical to a single-node one.
-func CompareDocument(a, b DatasetRow) ([]byte, error) {
-	return MarshalDoc(CompareDoc{
+// Compare sets two dataset rows side by side as the /v1/compare
+// document — the single constructor both the single-node handler and the
+// cluster router's scatter/gather path build from, so a gathered compare
+// is byte-identical to a single-node one.
+func Compare(a, b DatasetRow) CompareDoc {
+	return CompareDoc{
 		SchemaVersion: report.SchemaVersion,
 		A:             CompareSideDoc{Name: a.Name, System: a.System, Generation: a.Generation, Summary: a.Summary},
 		B:             CompareSideDoc{Name: b.Name, System: b.System, Generation: b.Generation, Summary: b.Summary},
@@ -104,5 +98,8 @@ func CompareDocument(a, b DatasetRow) ([]byte, error) {
 			Logs: b.Summary.Logs - a.Summary.Logs, Jobs: b.Summary.Jobs - a.Summary.Jobs,
 			Files: b.Summary.Files - a.Summary.Files, NodeHours: b.Summary.NodeHours - a.Summary.NodeHours,
 		},
-	})
+	}
 }
+
+// CompareDocument is the /v1/compare body for two dataset rows.
+func CompareDocument(a, b DatasetRow) ([]byte, error) { return MarshalDoc(Compare(a, b)) }
