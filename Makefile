@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet apilint ingestlint staticcheck govulncheck build test race race-short bench benchcheck fuzz serve-smoke cluster-smoke load-smoke
+.PHONY: check vet apilint ingestlint durablelint staticcheck govulncheck build test race race-short bench benchcheck fuzz serve-smoke cluster-smoke load-smoke
 
-## check: the full CI gate — vet, apilint, ingestlint, staticcheck +
-## govulncheck (when installed), build, and the test suite under the race
-## detector
-check: vet apilint ingestlint staticcheck govulncheck build race
+## check: the full CI gate — vet, apilint, ingestlint, durablelint,
+## staticcheck + govulncheck (when installed), build, and the test suite
+## under the race detector
+check: vet apilint ingestlint durablelint staticcheck govulncheck build race
 
 vet:
 	$(GO) vet ./...
@@ -46,6 +46,25 @@ ingestlint:
 		exit 1; \
 	fi; \
 	echo "ingestlint: ok"
+
+## durablelint: there is one durable file format and one atomic file
+## replacement, both in internal/checkpoint. A second gob envelope or a
+## fifth hand-rolled temp → fsync → rename is how "flip one bit, lose the
+## lake" grew the first time, so non-test code anywhere else may not import
+## encoding/gob or call os.CreateTemp (use checkpoint.Save/Journal and
+## checkpoint.CreateAtomic), and os.Rename is allowed only there and for the
+## quarantine move in internal/core/ingest.go, which moves a file aside
+## rather than committing one
+durablelint:
+	@bad=$$(grep -rnE '"encoding/gob"|os\.CreateTemp\(|os\.Rename\(' \
+		internal cmd bench examples --include='*.go' --exclude='*_test.go' \
+		| grep -vE '^internal/checkpoint/|^internal/core/ingest\.go:[0-9]+:.*os\.Rename\(' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "durablelint: durable encoding or atomic replace outside internal/checkpoint:"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi; \
+	echo "durablelint: ok"
 
 ## staticcheck: runs only when the binary is on PATH, so environments
 ## without it (e.g. hermetic containers) still pass `make check`
@@ -111,9 +130,11 @@ cluster-smoke:
 load-smoke:
 	scripts/load_smoke.sh
 
-## fuzz: short fuzzing smoke over the untrusted-input decoders; -fuzz must
-## match exactly one target, hence two invocations
+## fuzz: short fuzzing smoke over the untrusted-input decoders and the
+## durable record log's reader; -fuzz must match exactly one target, hence
+## one invocation each
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzColumnRead -fuzztime=20s ./internal/darshan/colfmt
+	$(GO) test -fuzz=FuzzRecordLog -fuzztime=20s ./internal/checkpoint

@@ -62,16 +62,18 @@
 // is written to the given path once the server is ready — for scripts
 // that start the service on ":0".
 //
-// With -lake the datasets are durable: every ingest commits an immutable
-// segment plus an fsync'd journal record under the lake directory before
-// it becomes visible, and a restart with the same -lake replays the
-// journal and republishes every dataset at its last committed generation
-// — byte-identical reports, no re-ingest, even after a kill -9. The
-// listener binds before the replay: /healthz answers immediately while
-// /readyz holds 503 until recovery completes, so supervisors can tell
-// "starting" from "dead". -compact-every bounds recovery cost by folding
-// a dataset's segments into one once that many accumulate (negative
-// disables compaction).
+// With -lake the datasets are durable: every ingest appends one fsync'd,
+// CRC-framed record to the dataset's log under the lake directory
+// (<lake>/datasets/<name>/log) before it becomes visible, and a restart
+// with the same -lake replays the logs and republishes every dataset at
+// its last committed generation — byte-identical reports, no re-ingest,
+// even after a kill -9. A log damaged mid-file fails the boot naming the
+// dataset; nothing is truncated or deleted. The listener binds before the
+// replay: /healthz answers immediately while /readyz holds 503 until
+// recovery completes, so supervisors can tell "starting" from "dead".
+// -compact-every bounds recovery cost by replacing a dataset's log with
+// the single record of its current state once that many accumulate
+// (negative disables compaction).
 //
 // On SIGINT/SIGTERM the service flips /readyz to not-ready, stops
 // accepting connections, drains in-flight requests (up to
@@ -106,7 +108,7 @@ func main() {
 		queryTO     = flag.Duration("query-timeout", serve.DefaultQueryTimeout, "server-side deadline per query; late queries get 503 (<0 disables)")
 		drain       = flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
 		lakeDir     = flag.String("lake", "", "durable dataset lake directory: commit every ingest, recover datasets on boot")
-		compactEach = flag.Int("compact-every", serve.DefaultCompactEvery, "fold a dataset's lake segments into one after this many commits (<0 disables)")
+		compactEach = flag.Int("compact-every", serve.DefaultCompactEvery, "fold a dataset's lake records into one after this many commits (<0 disables)")
 	)
 	flag.Func("ingest", "ingest this source (dir, .dgar, .dgc, or .darshan; repeatable) before serving", func(v string) error {
 		ingests = append(ingests, v)

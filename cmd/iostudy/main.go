@@ -53,11 +53,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
 	"iolayers/internal/analysis"
+	"iolayers/internal/checkpoint"
 	"iolayers/internal/cli"
 	"iolayers/internal/core"
 	"iolayers/internal/darshan"
@@ -444,33 +444,31 @@ func (s *archiveSink) abandon() {
 }
 
 // columnarSink streams generated logs straight into a columnar campaign
-// file. The writer accumulates a segment at a time onto a temp file that
-// is fsynced and renamed into place only on a clean close, so the target
-// path never holds a half-written campaign — which is also why a columnar
-// save is not resumable (there is no durable mid-run offset to truncate
-// back to).
+// file. The writer accumulates a segment at a time onto a
+// checkpoint.AtomicFile that is renamed into place only on a clean close,
+// so the target path never holds a half-written campaign — which is also
+// why a columnar save is not resumable (there is no durable mid-run offset
+// to truncate back to).
 type columnarSink struct {
 	mu       sync.Mutex
-	f        *os.File
+	f        *checkpoint.AtomicFile
 	cw       *colfmt.Writer
-	dst      string
 	segments int
 }
 
 func newColumnarSink(path string) *columnarSink {
-	f, err := os.CreateTemp(filepath.Dir(path), ".iostudy-colsave-*")
+	f, err := checkpoint.CreateAtomic(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iostudy:", err)
 		os.Exit(1)
 	}
 	cw, err := colfmt.NewWriter(f, 0)
 	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
+		f.Abort()
 		fmt.Fprintln(os.Stderr, "iostudy:", err)
 		os.Exit(1)
 	}
-	return &columnarSink{f: f, cw: cw, dst: path}
+	return &columnarSink{f: f, cw: cw}
 }
 
 func (s *columnarSink) sink(jobIdx, logIdx int, log *darshan.Log) error {
@@ -484,27 +482,12 @@ func (s *columnarSink) sink(jobIdx, logIdx int, log *darshan.Log) error {
 func (s *columnarSink) close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.f.Abort()
 	if err := s.cw.Close(); err != nil {
-		s.f.Close()
-		os.Remove(s.f.Name())
 		return err
 	}
 	s.segments = s.cw.Segments()
-	if err := s.f.Chmod(0o644); err != nil {
-		s.f.Close()
-		os.Remove(s.f.Name())
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
-		s.f.Close()
-		os.Remove(s.f.Name())
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		os.Remove(s.f.Name())
-		return err
-	}
-	return os.Rename(s.f.Name(), s.dst)
+	return s.f.Commit()
 }
 
 // abandon discards the temp file of an interrupted columnar save; the
@@ -512,8 +495,7 @@ func (s *columnarSink) close() error {
 func (s *columnarSink) abandon() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.f.Close()
-	os.Remove(s.f.Name())
+	s.f.Abort()
 }
 
 // ingestCkptOptions carries the robustness flags into the -from path.

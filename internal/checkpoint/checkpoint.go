@@ -1,40 +1,34 @@
-// Package checkpoint provides atomic, typed snapshot files for long-running
-// pipeline stages. A checkpoint is a gob-encoded value written with the
-// write-temp + fsync + rename discipline, so a crash at any instant leaves
-// either the previous complete checkpoint or the new complete checkpoint on
-// disk — never a torn file. gob is chosen over JSON deliberately: it
+// Package checkpoint owns the repository's one durable file format — the
+// CRC-framed record log of journal.go — and the one way a file is replaced
+// on disk. Everything that must survive a crash goes through it: a
+// checkpoint is a log of exactly one record (Save/Load), a serve-lake
+// dataset is a log that grows by one record per ingest (Journal), and the
+// columnar writers borrow the atomic replace (AtomicFile) for formats of
+// their own. Record payloads are gob, chosen over JSON deliberately: it
 // round-trips float64 bit-exactly, which the resume-byte-identity guarantee
-// depends on.
+// depends on. No other package encodes gob or renames a temp file into
+// place (`make durablelint`).
 package checkpoint
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 )
 
-// magic identifies a checkpoint file and versions its envelope.
-var magic = [8]byte{'D', 'G', 'C', 'K', 'P', 'T', 0, 1}
-
-// ErrNotCheckpoint marks a file without the checkpoint magic.
-var ErrNotCheckpoint = errors.New("checkpoint: not a checkpoint file")
-
 // staleTempAge is how old an abandoned temp file must be before Save
-// sweeps it. A crash between CreateTemp and the rename orphans the temp;
+// sweeps it. A crash between CreateAtomic and the rename orphans the temp;
 // age-gating the sweep keeps Save from deleting a temp another in-flight
 // writer of the same path created moments ago.
 const staleTempAge = time.Hour
 
-// SweepTemps removes abandoned checkpoint/journal temp files — the
-// `<base>.tmp<random>` residue of a crash between CreateTemp and the
-// rename — from dir, keeping only those younger than olderThan. An empty
-// base sweeps temps of every base name in dir (recovery-time cleanup);
-// olderThan 0 sweeps regardless of age. Returns how many were removed.
+// SweepTemps removes abandoned temp files — the `<base>.tmp<random>`
+// residue of a crash between CreateAtomic and the rename — from dir,
+// keeping only those younger than olderThan. An empty base sweeps temps of
+// every base name in dir (recovery-time cleanup); olderThan 0 sweeps
+// regardless of age. Returns how many were removed.
 func SweepTemps(dir, base string, olderThan time.Duration) int {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -67,66 +61,100 @@ func SweepTemps(dir, base string, olderThan time.Duration) int {
 	return removed
 }
 
-// Save atomically writes v (gob-encoded) to path. The temp file lives in
-// path's directory so the rename cannot cross filesystems; it is fsynced
-// before the rename, and the directory is fsynced after, so a crash
-// immediately after Save returns still finds the new checkpoint. Stale
-// temps a crashed predecessor left behind for the same path are swept
-// first, so orphaned `<base>.tmp*` files cannot accumulate forever.
-func Save(path string, v any) (err error) {
-	dir := filepath.Dir(path)
-	SweepTemps(dir, filepath.Base(path), staleTempAge)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// AtomicFile is a file under construction beside the path it will replace.
+// Write through the embedded handle, then Commit; a crash at any instant
+// leaves either the previous complete file at the path or the new complete
+// one, never a torn mix. Abort — safe to defer, a no-op once the rename
+// has happened — discards the temp instead.
+type AtomicFile struct {
+	*os.File
+	path    string
+	renamed bool
+}
+
+// CreateAtomic starts an atomic replacement of path. The temp file is
+// `<base>.tmp<random>` in path's own directory, so the rename cannot cross
+// filesystems and SweepTemps can find what a crash leaves behind.
+func CreateAtomic(path string) (*AtomicFile, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp file: %w", err)
+		return nil, fmt.Errorf("checkpoint: creating temp file: %w", err)
 	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err = tmp.Write(magic[:]); err != nil {
-		return fmt.Errorf("checkpoint: writing header: %w", err)
+	return &AtomicFile{File: f, path: path}, nil
+}
+
+// replace is the one temp → fsync → chmod 0644 (CreateTemp opens 0600) →
+// rename → directory fsync sequence. The handle stays open and now names
+// the file at path.
+func (a *AtomicFile) replace() error {
+	if err := a.Sync(); err != nil {
+		return fmt.Errorf("checkpoint: syncing %s: %w", a.Name(), err)
 	}
-	if err = gob.NewEncoder(tmp).Encode(v); err != nil {
-		return fmt.Errorf("checkpoint: encoding: %w", err)
+	if err := a.Chmod(0o644); err != nil {
+		return fmt.Errorf("checkpoint: chmod %s: %w", a.Name(), err)
 	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: syncing %s: %w", tmp.Name(), err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing %s: %w", tmp.Name(), err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(a.Name(), a.path); err != nil {
 		return fmt.Errorf("checkpoint: renaming into place: %w", err)
 	}
-	// Make the rename itself durable. Some filesystems don't support
-	// fsync on directories; failure to sync is not failure to save.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
+	a.renamed = true
+	SyncDir(filepath.Dir(a.path))
 	return nil
 }
 
-// Load reads the checkpoint at path into v (a pointer to the same type
-// Save was given).
+// Commit makes what was written durable at the destination path and
+// closes the handle. On error before the rename the destination is
+// untouched (and a deferred Abort removes the temp).
+func (a *AtomicFile) Commit() error {
+	if err := a.replace(); err != nil {
+		return err
+	}
+	return a.Close()
+}
+
+// Abort closes and removes the temp file of a replacement that will not
+// be committed. After the rename it does nothing.
+func (a *AtomicFile) Abort() {
+	if a.renamed {
+		return
+	}
+	a.Close()
+	os.Remove(a.Name())
+}
+
+// SyncDir makes a rename, file creation or mkdir in dir itself durable.
+// Some filesystems don't support fsync on directories; failure to sync is
+// not failure to save.
+func SyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+}
+
+// Save atomically replaces path with a log whose one record is v. Stale
+// temps a crashed predecessor left behind for the same path are swept
+// first, so orphaned `<base>.tmp*` files cannot accumulate forever.
+func Save(path string, v any) error {
+	SweepTemps(filepath.Dir(path), filepath.Base(path), staleTempAge)
+	j, err := RewriteJournal(path, v)
+	if err != nil {
+		return err
+	}
+	return j.Close()
+}
+
+// Load reads the one record of the checkpoint at path into v (a pointer to
+// the same type Save was given). Anything but exactly one intact record —
+// a missing or torn file, a failed CRC, a foreign header — is an error.
 func Load(path string, v any) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("checkpoint: opening %s: %w", path, err)
 	}
 	defer f.Close()
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("%w: %s: short header", ErrNotCheckpoint, path)
+	_, records, err := readLog(f, path, func(decode func(any) error) error { return decode(v) })
+	if err == nil && records != 1 {
+		err = fmt.Errorf("checkpoint: %s holds %d complete records, want the 1 a checkpoint is", path, records)
 	}
-	if hdr != magic {
-		return fmt.Errorf("%w: %s", ErrNotCheckpoint, path)
-	}
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("checkpoint: decoding %s: %w", path, err)
-	}
-	return nil
+	return err
 }

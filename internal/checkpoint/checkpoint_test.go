@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -127,9 +126,9 @@ func appendRecords(t *testing.T, path string, from, to int) {
 func replayAll(t *testing.T, path string) []*testState {
 	t.Helper()
 	var got []*testState
-	err := ReplayJournal(path, func(dec *gob.Decoder) error {
+	err := ReplayJournal(path, func(decode func(v any) error) error {
 		var st testState
-		if err := dec.Decode(&st); err != nil {
+		if err := decode(&st); err != nil {
 			return err
 		}
 		got = append(got, &st)
@@ -250,7 +249,7 @@ func TestJournalRejectsForeignFile(t *testing.T) {
 	if _, err := OpenJournal(path); !errors.Is(err, ErrNotJournal) {
 		t.Errorf("OpenJournal on a foreign file: %v, want ErrNotJournal", err)
 	}
-	if err := ReplayJournal(path, func(*gob.Decoder) error { return nil }); !errors.Is(err, ErrNotJournal) {
+	if err := ReplayJournal(path, func(func(any) error) error { return nil }); !errors.Is(err, ErrNotJournal) {
 		t.Errorf("ReplayJournal on a foreign file: %v, want ErrNotJournal", err)
 	}
 }
@@ -259,12 +258,11 @@ func TestJournalRewrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "compact.journal")
 	appendRecords(t, path, 0, 6)
 	// Compaction: replace six records with one summary record.
-	err := RewriteJournal(path, func(app func(v any) error) error {
-		return app(sampleState(42))
-	})
+	j, err := RewriteJournal(path, sampleState(42))
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.Close()
 	got := replayAll(t, path)
 	if len(got) != 1 || !reflect.DeepEqual(got[0], sampleState(42)) {
 		t.Fatalf("rewritten journal replays %+v", got)
@@ -277,7 +275,7 @@ func TestJournalRewrite(t *testing.T) {
 }
 
 func TestReplayMissingJournalIsEmpty(t *testing.T) {
-	err := ReplayJournal(filepath.Join(t.TempDir(), "absent.journal"), func(*gob.Decoder) error {
+	err := ReplayJournal(filepath.Join(t.TempDir(), "absent.journal"), func(func(any) error) error {
 		t.Error("decode called for a missing journal")
 		return nil
 	})

@@ -24,8 +24,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"iolayers/internal/checkpoint"
 	"iolayers/internal/darshan/colfmt"
 	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/obsv"
@@ -55,12 +55,12 @@ type ConvertResult struct {
 	BytesOut int64
 }
 
-// convert walks the source at src into a fresh colfmt.Writer on a temp file
-// and commits dst atomically on success. Conversion is strict: any
-// undecodable log aborts it — a columnar file must be a faithful image of
-// its source, so damaged campaigns should be ingested with a QuarantineDir
-// first and the cleaned archive converted. On error (including
-// cancellation) dst is untouched.
+// convert walks the source at src into a fresh colfmt.Writer on a
+// checkpoint.AtomicFile and commits dst atomically on success. Conversion is
+// strict: any undecodable log aborts it — a columnar file must be a faithful
+// image of its source, so damaged campaigns should be ingested with a
+// QuarantineDir first and the cleaned archive converted. On error
+// (including cancellation) dst is untouched.
 func convert(ctx context.Context, src, dst string, opts ConvertOptions, want string) (ConvertResult, error) {
 	in, err := openKind(src, opts.Limits, want)
 	if err != nil {
@@ -78,18 +78,13 @@ func convert(ctx context.Context, src, dst string, opts ConvertOptions, want str
 	timer := span.Begin()
 	defer timer.End()
 
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".convert-*")
+	out, err := checkpoint.CreateAtomic(dst)
 	if err != nil {
 		return ConvertResult{}, fmt.Errorf("core: creating temp output: %w", err)
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
+	defer out.Abort()
 
-	w, err := colfmt.NewWriter(tmp, opts.SegmentLogs)
+	w, err := colfmt.NewWriter(out, opts.SegmentLogs)
 	if err != nil {
 		return ConvertResult{}, err
 	}
@@ -123,26 +118,10 @@ func convert(ctx context.Context, src, dst string, opts ConvertOptions, want str
 		return ConvertResult{}, err
 	}
 	res := ConvertResult{Logs: w.Count(), Segments: w.Segments(), BytesIn: bytesIn}
-	if fi, err := tmp.Stat(); err == nil {
+	if fi, err := out.Stat(); err == nil {
 		res.BytesOut = fi.Size()
 	}
-	if err := tmp.Sync(); err != nil {
-		return ConvertResult{}, fmt.Errorf("core: syncing temp output: %w", err)
-	}
-	// CreateTemp opens 0600; the committed campaign should be as readable
-	// as any other generated artifact.
-	if err := tmp.Chmod(0o644); err != nil {
-		return ConvertResult{}, fmt.Errorf("core: chmod temp output: %w", err)
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		os.Remove(name)
-		return ConvertResult{}, fmt.Errorf("core: closing %s: %w", dst, err)
-	}
-	tmp = nil
-	if err := os.Rename(name, dst); err != nil {
-		os.Remove(name)
+	if err := out.Commit(); err != nil {
 		return ConvertResult{}, fmt.Errorf("core: committing %s: %w", dst, err)
 	}
 	if m := opts.Metrics; m != nil {

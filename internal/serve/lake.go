@@ -1,40 +1,35 @@
 package serve
 
 // The dataset lake is what makes ioserved's datasets survive the process.
-// Every successful ingest appends an immutable *segment* — the ingested
-// source folded into a fresh aggregator and persisted as a gob-framed
-// analysis.AggregatorState via the checkpoint package — under the lake
-// directory, then records the commit in an fsync'd append-only journal.
-// The journal append is the commit point: a generation whose record is
-// durable will be recovered byte-identically after any crash; a crash
-// before the append loses only the in-flight ingest (the orphaned segment
-// file is swept on the next recovery).
+// A dataset on disk is one file, a checkpoint record log:
 //
-// On-disk layout:
+//	<lake>/datasets/<name>/log
 //
-//	<lake>/journal                       — commit journal (checkpoint.Journal)
-//	<lake>/datasets/<name>/seg-<gen>.ckpt          — one ingest's delta state
-//	<lake>/datasets/<name>/seg-<gen>-compact.ckpt  — a compaction's frozen fold
+// Every successful ingest appends one record to it — the ingested source
+// folded into a fresh aggregator, as an analysis.AggregatorState — and the
+// fsync'd append is the whole commit: the data and the commit point are the
+// same write. A generation whose record is durable will be recovered
+// byte-identically after any crash; a crash mid-append leaves a torn tail
+// the next open truncates, exactly as if the ingest never ran.
 //
-// Recovery replays the journal, rebuilds each dataset's aggregator by
-// merging its committed segments in commit order (analysis.MergeState —
-// the same merge the parallel worker pool is already proven byte-exact
-// on), and republishes the last committed generation. Compaction bounds
-// that cost: once a dataset accumulates CompactEvery segments, the current
-// frozen aggregator state — by construction the fold of every committed
-// segment — is written as a single compact segment and the journal is
-// atomically rewritten to start from it, after which the superseded
-// segment files are deleted. Every crash window leaves either the old
-// journal with the old segments intact, or the new journal with the
-// compact segment; orphans from the windows in between are swept at
-// recovery.
+// Recovery walks datasets/*/log, rebuilds each dataset's aggregator from
+// its first record and merges the rest in order (analysis.MergeState — the
+// same merge the parallel worker pool is already proven byte-exact on), and
+// republishes the last committed generation. Compaction bounds that cost:
+// once a log holds CompactEvery records, the current frozen aggregator
+// state — by construction the fold of every one of them — atomically
+// replaces the log as its single record. A crash before the rename leaves
+// the old log, after it the new one; the only debris either window can
+// leave is a `log.tmp*` file, swept at recovery. What recovery will not do
+// is guess: a log that is damaged mid-file, skips or repeats a generation,
+// or is for a system this build does not know fails the boot naming the
+// dataset, and nothing in that dataset's directory is touched.
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -44,18 +39,18 @@ import (
 	"iolayers/internal/obsv"
 )
 
-// DefaultCompactEvery is how many committed segments a dataset accumulates
+// DefaultCompactEvery is how many records a dataset's log accumulates
 // before compaction folds them into one, when the caller does not choose.
 const DefaultCompactEvery = 16
 
-// lakeJournalName is the commit journal's filename inside the lake dir.
-const lakeJournalName = "journal"
+// lakeLogName is a dataset's record log inside its directory.
+const lakeLogName = "log"
 
 // LakeConfig configures OpenLake.
 type LakeConfig struct {
 	// Dir is the lake directory; created if absent. Required.
 	Dir string
-	// CompactEvery is the per-dataset segment count that triggers
+	// CompactEvery is the per-dataset record count that triggers
 	// compaction after a commit (0 means DefaultCompactEvery, negative
 	// disables compaction).
 	CompactEvery int
@@ -64,24 +59,22 @@ type LakeConfig struct {
 	Metrics *obsv.Registry
 }
 
-// lakeRecord is one journal entry: the durable fact that generation Gen of
-// Dataset is the fold of the previous generation plus the state in
-// Segment. A Compact record instead asserts Segment alone reconstructs
-// generation Gen, superseding every earlier record for the dataset.
+// lakeRecord is one entry of a dataset's log: State is the fold of
+// Sources, and the dataset is at generation Gen once this record is
+// durable. A log's first record stands alone — a dataset's first ingest, or
+// a compaction's frozen fold of everything before it, whose Sources is the
+// cumulative list. Every later record is the delta of the one source it
+// names, merged onto what precedes it, and must carry the next generation.
 type lakeRecord struct {
-	Dataset string
 	System  string
 	Gen     uint64
-	// Segment is the state file's path relative to the lake directory.
-	Segment string
-	// Sources is the dataset's cumulative source list as of Gen.
 	Sources []string
-	Compact bool
+	State   *analysis.AggregatorState
 }
 
-// Lake is the disk half of a Store: a commit journal plus the segment
-// files it references. All methods are safe for concurrent use; commits
-// for different datasets interleave in journal order.
+// Lake is the disk half of a Store: one record log per dataset. All
+// methods are safe for concurrent use; commits for different datasets
+// share nothing but the logs map.
 type Lake struct {
 	dir          string
 	compactEvery int
@@ -91,20 +84,23 @@ type Lake struct {
 	// maintenance view of readiness.
 	compacting atomic.Int32
 
-	mu      sync.Mutex
-	journal *checkpoint.Journal
-	// commits holds each dataset's live records in commit order — the
-	// replay view, maintained incrementally as commits land.
-	commits map[string][]lakeRecord
+	// mu guards the logs map and nothing else: it is never held across a
+	// write, fsync or rename. A log itself is only used under its dataset's
+	// entry.ingestMu, or by Recover before any ingest can run.
+	mu   sync.Mutex
+	logs map[string]*checkpoint.Journal
 }
 
-// OpenLake opens (creating if needed) the lake at cfg.Dir and loads its
-// commit history: after OpenLake, Recover rebuilds the datasets. A torn
-// journal tail from a crash mid-commit is truncated; the half-committed
-// generation it described is gone, exactly as if the ingest never ran.
+// OpenLake opens (creating if needed) the lake at cfg.Dir; after OpenLake,
+// Recover rebuilds the datasets. A directory still in the layout this one
+// replaced — a lake-wide journal naming seg-*.ckpt segment files — is
+// refused as found: nothing in it is migrated, truncated or deleted.
 func OpenLake(cfg LakeConfig) (*Lake, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: lake directory is required")
+	}
+	if _, err := os.Stat(filepath.Join(cfg.Dir, "journal")); err == nil {
+		return nil, fmt.Errorf("serve: lake %s is in the old layout (a lake-wide journal plus seg-*.ckpt segment files), which this version does not read: point -lake at an empty directory and re-ingest", cfg.Dir)
 	}
 	if err := os.MkdirAll(filepath.Join(cfg.Dir, "datasets"), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: creating lake: %w", err)
@@ -113,256 +109,175 @@ func OpenLake(cfg LakeConfig) (*Lake, error) {
 	if compactEvery == 0 {
 		compactEvery = DefaultCompactEvery
 	}
-	l := &Lake{
+	return &Lake{
 		dir:          cfg.Dir,
 		compactEvery: compactEvery,
 		metrics:      cfg.Metrics,
-		commits:      map[string][]lakeRecord{},
-	}
-	jpath := filepath.Join(cfg.Dir, lakeJournalName)
-	err := checkpoint.ReplayJournal(jpath, func(dec *gob.Decoder) error {
-		var rec lakeRecord
-		if err := dec.Decode(&rec); err != nil {
-			return err
-		}
-		if rec.Compact {
-			l.commits[rec.Dataset] = l.commits[rec.Dataset][:0]
-		}
-		l.commits[rec.Dataset] = append(l.commits[rec.Dataset], rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if l.journal, err = checkpoint.OpenJournal(jpath); err != nil {
-		return nil, err
-	}
-	return l, nil
+		logs:         map[string]*checkpoint.Journal{},
+	}, nil
 }
 
-// Close releases the lake's journal handle.
+// Close releases every dataset log's handle. Commits after Close fail.
 func (l *Lake) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.journal.Close()
+	var errs []error
+	for _, log := range l.logs {
+		errs = append(errs, log.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // Dir returns the lake directory.
 func (l *Lake) Dir() string { return l.dir }
 
-func (l *Lake) segmentPath(rel string) string { return filepath.Join(l.dir, rel) }
+func (l *Lake) logPath(dataset string) string {
+	return filepath.Join(l.dir, "datasets", dataset, lakeLogName)
+}
 
-// commit persists one ingest: the delta state as a segment file, then the
-// journal record. Only when Append returns — the record fsync'd — is the
-// generation committed; an error at any earlier point leaves the journal
-// untouched and at worst an orphan segment file for recovery to sweep.
-func (l *Lake) commit(dataset, system string, gen uint64, sources []string, delta *analysis.AggregatorState) error {
-	rel := filepath.Join("datasets", dataset, fmt.Sprintf("seg-%08d.ckpt", gen))
-	abs := l.segmentPath(rel)
-	if err := os.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
-		return fmt.Errorf("serve: lake dataset dir: %w", err)
-	}
-	if err := checkpoint.Save(abs, delta); err != nil {
-		return fmt.Errorf("serve: writing lake segment: %w", err)
-	}
-	rec := lakeRecord{Dataset: dataset, System: system, Gen: gen, Segment: rel, Sources: sources}
+func (l *Lake) log(dataset string) *checkpoint.Journal {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.journal.Append(&rec); err != nil {
-		os.Remove(abs) // roll the orphan segment back eagerly
-		return err
+	return l.logs[dataset]
+}
+
+// setLog installs the dataset's open log and returns the one it replaces.
+func (l *Lake) setLog(dataset string, log *checkpoint.Journal) *checkpoint.Journal {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	old := l.logs[dataset]
+	l.logs[dataset] = log
+	return old
+}
+
+// commit persists one ingest: one record — the delta state and the source
+// it is the fold of — appended to the dataset's log. Only when Append
+// returns, the record fsync'd, is the generation committed; an error
+// leaves the log at its last durable record. A dataset's first commit also
+// creates its directory and log, and makes both directory entries durable.
+func (l *Lake) commit(dataset, system string, gen uint64, source string, delta *analysis.AggregatorState) error {
+	log := l.log(dataset)
+	if log == nil {
+		path := l.logPath(dataset)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return fmt.Errorf("serve: lake dataset dir: %w", err)
+		}
+		checkpoint.SyncDir(filepath.Join(l.dir, "datasets"))
+		var err error
+		if log, err = checkpoint.OpenJournal(path); err != nil {
+			return err
+		}
+		l.setLog(dataset, log)
 	}
-	l.commits[dataset] = append(l.commits[dataset], rec)
+	if err := log.Append(&lakeRecord{System: system, Gen: gen, Sources: []string{source}, State: delta}); err != nil {
+		return fmt.Errorf("serve: lake commit of %s gen %d: %w", dataset, gen, err)
+	}
 	l.metrics.Counter("serve.lake.segments_written").Add(1)
 	return nil
 }
 
-// maybeCompact folds the dataset's committed segments into one frozen
-// segment once enough have accumulated. snap must be the just-published
-// generation — its frozen aggregator *is* the fold of every committed
-// segment, so compaction costs one State() walk and one atomic journal
-// rewrite, never a re-fold. Runs after the commit that tripped the
-// threshold; a failure is recorded but does not fail the ingest (the
-// un-compacted history is still fully recoverable).
+// maybeCompact folds the dataset's log into one record once enough have
+// accumulated. snap must be the just-published generation — its frozen
+// aggregator *is* the fold of every record in the log, so compaction costs
+// one State() walk and one atomic file replacement, never a re-fold. Runs
+// after the commit that tripped the threshold; a failure is recorded but
+// does not fail the ingest (the un-compacted log is still fully
+// recoverable, and stays the one being appended to).
 func (l *Lake) maybeCompact(snap *Snapshot) {
-	l.mu.Lock()
-	live := len(l.commits[snap.Name])
-	l.mu.Unlock()
-	if l.compactEvery < 0 || live < l.compactEvery {
+	if l.compactEvery < 0 || l.log(snap.Name).Records() < l.compactEvery {
 		return
 	}
 	l.compacting.Add(1)
 	defer l.compacting.Add(-1)
-	if err := l.compact(snap); err != nil {
+	timer := l.metrics.Span("lake-compact").Begin()
+	defer timer.End()
+	next, err := checkpoint.RewriteJournal(l.logPath(snap.Name),
+		&lakeRecord{System: snap.System, Gen: snap.Gen, Sources: snap.Sources, State: snap.agg.State()})
+	if err != nil {
 		l.metrics.Counter("serve.lake.compact_errors").Add(1)
 		return
 	}
+	l.setLog(snap.Name, next).Close()
 	l.metrics.Counter("serve.lake.compactions").Add(1)
 }
 
 // Compacting reports whether a compaction pass is in flight.
 func (l *Lake) Compacting() bool { return l.compacting.Load() > 0 }
 
-func (l *Lake) compact(snap *Snapshot) error {
-	timer := l.metrics.Span("lake-compact").Begin()
-	defer timer.End()
-	rel := filepath.Join("datasets", snap.Name, fmt.Sprintf("seg-%08d-compact.ckpt", snap.Gen))
-	if err := checkpoint.Save(l.segmentPath(rel), snap.agg.State()); err != nil {
-		return fmt.Errorf("serve: writing compact segment: %w", err)
-	}
-	rec := lakeRecord{Dataset: snap.Name, System: snap.System, Gen: snap.Gen,
-		Segment: rel, Sources: snap.Sources, Compact: true}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	superseded := append([]lakeRecord(nil), l.commits[snap.Name]...)
-	next := map[string][]lakeRecord{}
-	for ds, recs := range l.commits {
-		if ds == snap.Name {
-			next[ds] = []lakeRecord{rec}
-		} else {
-			next[ds] = append([]lakeRecord(nil), recs...)
-		}
-	}
-	// Atomically swap the journal for one that starts from the compact
-	// record. The live handle must be closed across the rename.
-	if err := l.journal.Close(); err != nil {
-		return fmt.Errorf("serve: closing journal for compaction: %w", err)
-	}
-	jpath := filepath.Join(l.dir, lakeJournalName)
-	err := checkpoint.RewriteJournal(jpath, func(app func(v any) error) error {
-		for _, ds := range sortedKeys(next) {
-			for i := range next[ds] {
-				if err := app(&next[ds][i]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err == nil {
-		l.commits = next
-		// The old delta segments are unreferenced now; losing this cleanup
-		// to a crash only leaves orphans recovery will sweep.
-		for _, old := range superseded {
-			os.Remove(l.segmentPath(old.Segment))
-		}
-	}
-	// Reopen whichever journal the rewrite left in place — the new one on
-	// success, the old (still valid) one on failure.
-	j, jerr := checkpoint.OpenJournal(jpath)
-	if jerr != nil {
-		if err == nil {
-			err = jerr
-		}
-		return err
-	}
-	l.journal = j
-	return err
-}
-
-// Recover rebuilds every committed dataset into store and publishes each
-// at its last committed generation. It also sweeps debris from crash
-// windows: segment files no journal record references and stale
-// checkpoint temp files. Recover is called once, before the store serves
-// traffic.
+// Recover rebuilds every committed dataset into store, publishes each at
+// its last committed generation, and leaves each log open for the commits
+// that follow. It also sweeps the one kind of debris a crash can leave: the
+// temp file of a compaction that died before its rename. Recover is called
+// once, before the store serves traffic.
 func (l *Lake) Recover(store *Store) error {
 	timer := l.metrics.Span("lake-recover").Begin()
 	defer timer.End()
-	l.mu.Lock()
-	commits := make(map[string][]lakeRecord, len(l.commits))
-	for ds, recs := range l.commits {
-		commits[ds] = append([]lakeRecord(nil), recs...)
-	}
-	l.mu.Unlock()
-
-	for _, ds := range sortedKeys(commits) {
-		recs := commits[ds]
-		last := recs[len(recs)-1]
-		sys := systems.ByName(last.System)
-		if sys == nil {
-			return fmt.Errorf("serve: lake dataset %q is for unknown system %q", ds, last.System)
-		}
-		var agg *analysis.Aggregator
-		for _, rec := range recs {
-			var st analysis.AggregatorState
-			if err := checkpoint.Load(l.segmentPath(rec.Segment), &st); err != nil {
-				return fmt.Errorf("serve: lake segment for %s gen %d: %w", ds, rec.Gen, err)
-			}
-			if agg == nil {
-				a, err := analysis.NewAggregatorFromState(sys, &st)
-				if err != nil {
-					return fmt.Errorf("serve: lake segment for %s gen %d: %w", ds, rec.Gen, err)
-				}
-				agg = a
-			} else if err := agg.MergeState(&st); err != nil {
-				return fmt.Errorf("serve: lake segment for %s gen %d: %w", ds, rec.Gen, err)
-			}
-			l.metrics.Counter("serve.lake.recovered_segments").Add(1)
-		}
-		store.publishRecovered(&Snapshot{
-			Name:    ds,
-			System:  sys.Name,
-			Gen:     last.Gen,
-			Report:  agg.Report(),
-			Sources: last.Sources,
-			agg:     agg,
-		})
-		l.metrics.Counter("serve.lake.recovered_datasets").Add(1)
-	}
-	l.sweep(commits)
-	return nil
-}
-
-// sweep deletes files under datasets/ that no live journal record
-// references — segments whose commit never became durable, delta segments
-// a compaction superseded before crashing, and abandoned checkpoint
-// temps. Only ever called from Recover, before any ingest can race with
-// it.
-func (l *Lake) sweep(commits map[string][]lakeRecord) {
-	live := map[string]bool{}
-	for _, recs := range commits {
-		for _, rec := range recs {
-			live[l.segmentPath(rec.Segment)] = true
-		}
-	}
 	root := filepath.Join(l.dir, "datasets")
 	dirs, err := os.ReadDir(root)
 	if err != nil {
-		return
+		return fmt.Errorf("serve: reading lake: %w", err)
 	}
 	swept := 0
 	for _, d := range dirs {
 		if !d.IsDir() {
 			continue
 		}
-		dsDir := filepath.Join(root, d.Name())
-		swept += checkpoint.SweepTemps(dsDir, "", 0)
-		files, err := os.ReadDir(dsDir)
+		snap, err := l.recoverDataset(d.Name())
 		if err != nil {
-			continue
+			return fmt.Errorf("serve: lake dataset %q: %w", d.Name(), err)
 		}
-		for _, f := range files {
-			p := filepath.Join(dsDir, f.Name())
-			if f.IsDir() || live[p] {
-				continue
-			}
-			if os.Remove(p) == nil {
-				swept++
-			}
+		if snap != nil {
+			store.publishRecovered(snap)
+			l.metrics.Counter("serve.lake.recovered_datasets").Add(1)
 		}
+		swept += checkpoint.SweepTemps(filepath.Join(root, d.Name()), "", 0)
 	}
-	swept += checkpoint.SweepTemps(l.dir, lakeJournalName, 0)
 	if swept > 0 {
 		l.metrics.Counter("serve.lake.orphans_swept").Add(int64(swept))
 	}
+	return nil
 }
 
-func sortedKeys(m map[string][]lakeRecord) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// recoverDataset replays one dataset's log into a snapshot, or nil when
+// the log holds no record (a first commit that never became durable).
+func (l *Lake) recoverDataset(name string) (*Snapshot, error) {
+	path := l.logPath(name)
+	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
+		return nil, nil // a crash between the mkdir and the log's creation
 	}
-	sort.Strings(keys)
-	return keys
+	snap := &Snapshot{Name: name}
+	log, err := checkpoint.RecoverJournal(path, func(decode func(v any) error) error {
+		var rec lakeRecord
+		if err := decode(&rec); err != nil {
+			return err
+		}
+		if snap.agg == nil {
+			sys := systems.ByName(rec.System)
+			if sys == nil {
+				return fmt.Errorf("gen %d is for unknown system %q", rec.Gen, rec.System)
+			}
+			agg, err := analysis.NewAggregatorFromState(sys, rec.State)
+			if err != nil {
+				return err
+			}
+			snap.System, snap.agg = sys.Name, agg
+		} else if rec.Gen != snap.Gen+1 {
+			return fmt.Errorf("gen %d follows gen %d: the log skips or repeats a generation", rec.Gen, snap.Gen)
+		} else if err := snap.agg.MergeState(rec.State); err != nil {
+			return err
+		}
+		snap.Gen = rec.Gen
+		snap.Sources = append(snap.Sources, rec.Sources...)
+		l.metrics.Counter("serve.lake.recovered_segments").Add(1)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	l.setLog(name, log)
+	if snap.agg == nil {
+		return nil, nil
+	}
+	snap.Report = snap.agg.Report()
+	return snap, nil
 }

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -175,17 +176,55 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
+// lakeFrames parses a dataset log's framing: the offset each record's
+// frame starts at, plus the end of the file.
+func lakeFrames(t *testing.T, raw []byte) []int {
+	t.Helper()
+	const magicLen, frameHeader = 8, 8
+	var starts []int
+	off := magicLen
+	for off < len(raw) {
+		starts = append(starts, off)
+		off += frameHeader + int(binary.LittleEndian.Uint32(raw[off:]))
+	}
+	if off != len(raw) {
+		t.Fatalf("log does not end on a frame boundary: %d of %d", off, len(raw))
+	}
+	return append(starts, len(raw))
+}
+
+// killPoints lists where a dataset log is cut: every byte of the magic and
+// of each frame header, the first and last 16 bytes of each payload, and a
+// stride through payload interiors.
+func killPoints(frames []int) []int {
+	const frameHeader, edge, stride = 8, 16, 97
+	var cuts []int
+	for n := 0; n <= frames[0]; n++ {
+		cuts = append(cuts, n)
+	}
+	for i := 0; i+1 < len(frames); i++ {
+		payload, end := frames[i]+frameHeader, frames[i+1]
+		for n := frames[i] + 1; n <= end; n++ {
+			if n <= payload+edge || n >= end-edge || (n-payload)%stride == 0 {
+				cuts = append(cuts, n)
+			}
+		}
+	}
+	return cuts
+}
+
 // TestLakeKillAtEveryJournalByte is the crash-recovery property test, in
-// the spirit of internal/core/resume_test.go but exhaustive rather than
-// sampled: truncating the commit journal at byte N is exactly the disk
-// state a kill -9 at instant N of the commit sequence leaves behind. For
-// every truncation point, recovery must come up with each dataset at the
-// generation whose record is still fully durable — never a torn or
-// half-applied one — rendering the byte-identical report captured when
-// that generation was first published, across worker counts.
+// the spirit of internal/core/resume_test.go. A commit is one append to one
+// file, so truncating a dataset's log at byte N is exactly the disk state a
+// kill -9 at instant N of the commit sequence leaves behind — the whole
+// commit, data and commit point alike. For every cut (killPoints),
+// recovery must come up with the cut dataset at the generation whose record
+// is still fully durable — never a torn or half-applied one — and the
+// other dataset untouched, each rendering the byte-identical report
+// captured when that generation was first published, across worker counts.
 func TestLakeKillAtEveryJournalByte(t *testing.T) {
 	if testing.Short() {
-		t.Skip("exhaustive journal sweep in -short mode")
+		t.Skip("kill-point sweep in -short mode")
 	}
 	dir := corpusDir(t, 3)
 	adir := t.TempDir()
@@ -212,112 +251,318 @@ func TestLakeKillAtEveryJournalByte(t *testing.T) {
 				rendered[ing.ds][snap.Gen] = renderedGen(snap)
 			}
 
-			journal, err := os.ReadFile(filepath.Join(lakeDir, lakeJournalName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for n := 0; n <= len(journal); n++ {
-				crashDir := filepath.Join(t.TempDir(), "lake")
-				copyTree(t, lakeDir, crashDir)
-				if err := os.WriteFile(filepath.Join(crashDir, lakeJournalName), journal[:n], 0o644); err != nil {
+			for cutDS := range rendered {
+				rel := filepath.Join("datasets", cutDS, lakeLogName)
+				raw, err := os.ReadFile(filepath.Join(lakeDir, rel))
+				if err != nil {
 					t.Fatal(err)
 				}
-
-				// What the truncated journal still commits, per dataset.
-				committed := map[string]uint64{}
-				err := checkpoint.ReplayJournal(filepath.Join(crashDir, lakeJournalName), func(dec *gob.Decoder) error {
-					var rec lakeRecord
-					if err := dec.Decode(&rec); err != nil {
-						return err
+				frames := lakeFrames(t, raw)
+				for _, n := range killPoints(frames) {
+					crashDir := filepath.Join(t.TempDir(), "lake")
+					copyTree(t, lakeDir, crashDir)
+					if err := os.WriteFile(filepath.Join(crashDir, rel), raw[:n], 0o644); err != nil {
+						t.Fatal(err)
 					}
-					committed[rec.Dataset] = rec.Gen
-					return nil
-				})
-				if err != nil && !errors.Is(err, checkpoint.ErrNotJournal) {
-					t.Fatalf("cut at %d: replay: %v", n, err)
-				}
+					// Generations are 1, 2, … with no compaction: the cut
+					// dataset is at the count of frames that still end
+					// inside the file, every other dataset at its last.
+					committed := map[string]uint64{}
+					for ds, gens := range rendered {
+						committed[ds] = uint64(len(gens))
+					}
+					committed[cutDS] = 0
+					for _, end := range frames[1:] {
+						if end <= n {
+							committed[cutDS]++
+						}
+					}
 
-				l, err := OpenLake(LakeConfig{Dir: crashDir})
-				if err != nil {
-					t.Fatalf("cut at %d: reopening lake: %v", n, err)
-				}
-				rec, err := NewStoreWithLake(l)
-				if err != nil {
+					l, err := OpenLake(LakeConfig{Dir: crashDir})
+					if err != nil {
+						t.Fatalf("%s cut at %d: reopening lake: %v", cutDS, n, err)
+					}
+					rec, err := NewStoreWithLake(l)
+					if err != nil {
+						l.Close()
+						t.Fatalf("%s cut at %d: recovery: %v", cutDS, n, err)
+					}
+					for ds, gens := range rendered {
+						snap, ok := rec.Get(ds)
+						wantGen := committed[ds]
+						if ok != (wantGen > 0) {
+							t.Fatalf("%s cut at %d: dataset %s present=%v, want gen %d", cutDS, n, ds, ok, wantGen)
+						}
+						if !ok {
+							continue
+						}
+						if snap.Gen != wantGen {
+							t.Fatalf("%s cut at %d: %s at gen %d, want last committed %d", cutDS, n, ds, snap.Gen, wantGen)
+						}
+						if renderedGen(snap) != gens[wantGen] {
+							t.Fatalf("%s cut at %d: %s gen %d report differs from pre-kill rendering", cutDS, n, ds, wantGen)
+						}
+					}
 					l.Close()
-					t.Fatalf("cut at %d: recovery: %v", n, err)
 				}
-				for ds, gens := range rendered {
-					snap, ok := rec.Get(ds)
-					wantGen, wantOK := committed[ds]
-					if ok != wantOK {
-						t.Fatalf("cut at %d: dataset %s present=%v, want %v", n, ds, ok, wantOK)
-					}
-					if !ok {
-						continue
-					}
-					if snap.Gen != wantGen {
-						t.Fatalf("cut at %d: %s at gen %d, want last committed %d", n, ds, snap.Gen, wantGen)
-					}
-					if renderedGen(snap) != gens[wantGen] {
-						t.Fatalf("cut at %d: %s gen %d report differs from pre-kill rendering", n, ds, wantGen)
-					}
-				}
-				l.Close()
 			}
 		})
 	}
 }
 
-// TestLakeIgnoresUncommittedSegment covers the crash window between the
-// segment write and the journal append: the orphan segment must not
-// surface a generation, and recovery sweeps it (and any stale checkpoint
-// temps) from the dataset directory.
-func TestLakeIgnoresUncommittedSegment(t *testing.T) {
-	dir := corpusDir(t, 2)
+// TestLakeKillAroundCompaction is the compaction leg of the kill sweep.
+// Compaction is one atomic file replacement, so it has two windows: killed
+// before the rename the old log stands (beside a `log.tmp*` of any length,
+// which recovery sweeps and counts); killed after it the new single-record
+// log does. Both recover the same generation with the same bytes.
+func TestLakeKillAroundCompaction(t *testing.T) {
+	dir := corpusDir(t, 3)
 	sys := systems.NewSummit()
-	lakeDir := t.TempDir()
-	st := lakeStore(t, openLake(t, lakeDir, 0))
-	snap, _, err := st.Ingest(context.Background(), "ds", sys, dir, core.IngestOptions{})
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// The same three ingests, never compacted and compacted at 3.
+			lakes := map[bool]string{}
+			var want string
+			for _, compacted := range []bool{false, true} {
+				lakes[compacted] = t.TempDir()
+				every := -1
+				if compacted {
+					every = 3
+				}
+				st := lakeStore(t, openLake(t, lakes[compacted], every))
+				for i := 0; i < 3; i++ {
+					snap, _, err := st.Ingest(context.Background(), "ds", sys, dir, core.IngestOptions{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = renderedGen(snap)
+				}
+			}
+			logOf := func(lake string) string { return filepath.Join(lake, "datasets", "ds", lakeLogName) }
+			newLog, err := os.ReadFile(logOf(lakes[true]))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			recoverAt := func(lake string, wantRecords, wantSwept int64) {
+				t.Helper()
+				metrics := obsv.New()
+				l, err := OpenLake(LakeConfig{Dir: lake, Metrics: metrics})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				snap, ok := lakeStore(t, l).Get("ds")
+				if !ok || snap.Gen != 3 || renderedGen(snap) != want {
+					t.Fatalf("recovered %+v, want gen 3 with the pre-kill report", snap)
+				}
+				if got := metrics.Counter("serve.lake.recovered_segments").Value(); got != wantRecords {
+					t.Errorf("recovery merged %d records, want %d", got, wantRecords)
+				}
+				if got := metrics.Counter("serve.lake.orphans_swept").Value(); got != wantSwept {
+					t.Errorf("orphans_swept = %d, want %d", got, wantSwept)
+				}
+				if names := lakeFiles(t, lake); len(names) != 1 || names[0] != filepath.Join("datasets", "ds", lakeLogName) {
+					t.Errorf("lake holds %v after recovery, want the one log", names)
+				}
+			}
+			// Killed before the rename, at three instants of the temp's life.
+			for _, n := range []int{0, len(newLog) / 2, len(newLog)} {
+				crashDir := filepath.Join(t.TempDir(), "lake")
+				copyTree(t, lakes[false], crashDir)
+				if err := os.WriteFile(logOf(crashDir)+".tmp123456", newLog[:n], 0o600); err != nil {
+					t.Fatal(err)
+				}
+				recoverAt(crashDir, 3, 1)
+			}
+			// Killed after it.
+			recoverAt(lakes[true], 1, 0)
+		})
+	}
+}
+
+// lakeFiles lists every regular file under a lake, relative to it.
+func lakeFiles(t *testing.T, lake string) []string {
+	t.Helper()
+	var names []string
+	err := filepath.Walk(lake, func(p string, fi os.FileInfo, err error) error {
+		if err == nil && fi.Mode().IsRegular() {
+			rel, _ := filepath.Rel(lake, p)
+			names = append(names, rel)
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderedGen(snap)
+	return names
+}
 
-	dsDir := filepath.Join(lakeDir, "datasets", "ds")
-	orphan := filepath.Join(dsDir, "seg-00000002.ckpt")
-	if err := checkpoint.Save(orphan, snap.agg.State()); err != nil {
+// closedLake ingests two generations into each of datasets a, b and c and
+// closes the lake: what a clean shutdown leaves on disk.
+func closedLake(t *testing.T) (lakeDir string, want map[string]string) {
+	t.Helper()
+	dir := corpusDir(t, 2)
+	sys := systems.NewSummit()
+	lakeDir = t.TempDir()
+	l, err := OpenLake(LakeConfig{Dir: lakeDir})
+	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(dsDir, "seg-00000003.ckpt.tmp42")
-	if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
+	st := lakeStore(t, l)
+	want = map[string]string{}
+	for _, ds := range []string{"a", "b", "c"} {
+		for i := 0; i < 2; i++ {
+			snap, _, err := st.Ingest(context.Background(), ds, sys, dir, core.IngestOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[ds] = renderedGen(snap)
+		}
 	}
+	l.Close()
+	return lakeDir, want
+}
 
-	metrics := obsv.New()
-	l, err := OpenLake(LakeConfig{Dir: lakeDir, Metrics: metrics})
+// bootLake is one restart over lakeDir: open, recover, close.
+func bootLake(t *testing.T, lakeDir string) error {
+	t.Helper()
+	l, err := OpenLake(LakeConfig{Dir: lakeDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	rec := lakeStore(t, l)
-	got, ok := rec.Get("ds")
-	if !ok || got.Gen != 1 || renderedGen(got) != want {
-		t.Fatalf("recovery surfaced the uncommitted segment: gen %d", got.Gen)
+	_, err = NewStoreWithLake(l)
+	return err
+}
+
+// TestLakeFlippedBitFailsBootNamingDataset: one flipped bit in the first
+// record of the lake-wide journal used to boot clean with zero datasets —
+// the damage was taken for a torn tail, the journal cut to its header, and
+// every segment file then deleted as an orphan. Damage now fails the boot
+// naming the dataset, nothing on disk changes, and with the damaged
+// directory moved aside the other datasets recover intact.
+func TestLakeFlippedBitFailsBootNamingDataset(t *testing.T) {
+	lakeDir, want := closedLake(t)
+	path := filepath.Join(lakeDir, "datasets", "b", lakeLogName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range []string{orphan, tmp} {
-		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("recovery left crash debris %s: %v", filepath.Base(p), err)
+	raw[lakeFrames(t, raw)[0]+8+40] ^= 0x04 // inside record 0's payload
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][]byte{}
+	for _, rel := range lakeFiles(t, lakeDir) {
+		raw, err := os.ReadFile(filepath.Join(lakeDir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[rel] = raw
+	}
+
+	err = bootLake(t, lakeDir)
+	var corrupt *checkpoint.CorruptError
+	if !errors.As(err, &corrupt) || !strings.Contains(err.Error(), `dataset "b"`) {
+		t.Fatalf("boot over a damaged log: err = %v, want a corruption error naming dataset \"b\"", err)
+	}
+	after := lakeFiles(t, lakeDir)
+	if len(after) != len(before) {
+		t.Fatalf("the refused boot changed the lake's files: %v", after)
+	}
+	for _, rel := range after {
+		raw, _ := os.ReadFile(filepath.Join(lakeDir, rel))
+		if !bytes.Equal(raw, before[rel]) {
+			t.Errorf("%s was modified by the refused boot", rel)
 		}
 	}
-	if metrics.Counter("serve.lake.orphans_swept").Value() < 2 {
-		t.Error("orphan sweep not counted")
+
+	if err := os.Rename(filepath.Join(lakeDir, "datasets", "b"), filepath.Join(t.TempDir(), "b.damaged")); err != nil {
+		t.Fatal(err)
+	}
+	rec := lakeStore(t, openLake(t, lakeDir, 0))
+	for _, ds := range []string{"a", "c"} {
+		snap, ok := rec.Get(ds)
+		if !ok || snap.Gen != 2 || renderedGen(snap) != want[ds] {
+			t.Errorf("%s after moving the damage aside: %+v, want gen 2 with the original report", ds, snap)
+		}
+	}
+	if _, ok := rec.Get("b"); ok {
+		t.Error("the dataset that was moved aside came back")
+	}
+}
+
+// TestLakeStateFlipSweep: a lake segment used to be a bare gob stream, so
+// bit rot in it went undetected until a render was wrong. Every flip, at a
+// stride through the State payload of a record that is not the log's last,
+// must now fail the boot.
+func TestLakeStateFlipSweep(t *testing.T) {
+	lakeDir, _ := closedLake(t)
+	path := filepath.Join(lakeDir, "datasets", "b", lakeLogName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := lakeFrames(t, raw)
+	for at := frames[0] + 8; at < frames[1]; at += 53 {
+		mut := append([]byte(nil), raw...)
+		mut[at] ^= 1 << (at % 8)
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := bootLake(t, lakeDir); err == nil {
+			t.Fatalf("flip at byte %d of record 0's state recovered without error", at)
+		}
+	}
+}
+
+// TestLakeRefusesWhatItCannotTrust covers the refusals that are not CRC
+// failures: the layout this one replaced, and a log whose generations do
+// not run consecutively.
+func TestLakeRefusesWhatItCannotTrust(t *testing.T) {
+	old := t.TempDir()
+	journal := filepath.Join(old, "journal")
+	if err := os.WriteFile(journal, []byte("DGJRNL\x00\x01 and the rest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLake(LakeConfig{Dir: old}); err == nil || !strings.Contains(err.Error(), "old layout") || !strings.Contains(err.Error(), "re-ingest") {
+		t.Errorf("OpenLake over a lake-wide journal: %v, want a refusal naming the old layout and the way out", err)
+	}
+	if names := lakeFiles(t, old); len(names) != 1 || names[0] != "journal" {
+		t.Errorf("the refused old lake now holds %v", names)
+	}
+
+	dir := corpusDir(t, 2)
+	sys := systems.NewSummit()
+	lakeDir := t.TempDir()
+	l, err := OpenLake(LakeConfig{Dir: lakeDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := lakeStore(t, l).Ingest(context.Background(), "ds", sys, dir, core.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	for _, gen := range []uint64{1, 3} { // a repeat, a gap
+		j, err := checkpoint.RewriteJournal(filepath.Join(lakeDir, "datasets", "ds", lakeLogName),
+			&lakeRecord{System: snap.System, Gen: 1, Sources: snap.Sources, State: snap.agg.State()},
+			&lakeRecord{System: snap.System, Gen: gen, Sources: snap.Sources, State: snap.agg.State()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if err := bootLake(t, lakeDir); err == nil || !strings.Contains(err.Error(), `dataset "ds"`) || !strings.Contains(err.Error(), "skips or repeats") {
+			t.Errorf("gen %d after gen 1: err = %v, want a refusal naming the dataset", gen, err)
+		}
 	}
 }
 
 // TestLakeCompaction checks the bounded-recovery invariant: past the
-// threshold, a dataset's segments fold into one compact segment, the
-// journal is truncated to start from it, superseded segment files are
-// deleted — and recovery from the compacted lake is byte-identical.
+// threshold, a dataset's log is atomically replaced by the single record of
+// its frozen fold, nothing else is left in the lake — and recovery from the
+// compacted log is byte-identical.
 func TestLakeCompaction(t *testing.T) {
 	dir := corpusDir(t, 3)
 	sys := systems.NewSummit()
@@ -339,23 +584,17 @@ func TestLakeCompaction(t *testing.T) {
 	if got := metrics.Counter("serve.lake.compactions").Value(); got != 1 {
 		t.Fatalf("compactions = %d, want 1 (threshold 3, 4 ingests)", got)
 	}
-	dsDir := filepath.Join(lakeDir, "datasets", "ds")
-	entries, err := os.ReadDir(dsDir)
-	if err != nil {
-		t.Fatal(err)
+	// Gen 1-3 folded into one record; gen 4's delta follows it in the same
+	// file, which is the only file the lake holds.
+	logRel := filepath.Join("datasets", "ds", lakeLogName)
+	if names := lakeFiles(t, lakeDir); len(names) != 1 || names[0] != logRel {
+		t.Fatalf("lake after compaction holds %v, want exactly %s", names, logRel)
 	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
+	if fi, err := os.Stat(filepath.Join(lakeDir, logRel)); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Errorf("compacted log: %v mode %v, want 0644 like the log it replaced", err, fi.Mode().Perm())
 	}
-	// Gen 1-3 folded into seg-00000003-compact; gen 4's delta follows it.
-	if len(names) != 2 {
-		t.Fatalf("dataset dir after compaction holds %v, want compact segment + gen-4 delta", names)
-	}
-	for _, n := range names {
-		if !strings.Contains(n, "compact") && n != "seg-00000004.ckpt" {
-			t.Errorf("unexpected surviving segment %s", n)
-		}
+	if got := l.log("ds").Records(); got != 2 {
+		t.Fatalf("log holds %d live records, want 2 (compact + gen-4 delta)", got)
 	}
 
 	recMetrics := obsv.New()
@@ -373,12 +612,15 @@ func TestLakeCompaction(t *testing.T) {
 		t.Error("report after compacted recovery differs from pre-compaction rendering")
 	}
 	if got := recMetrics.Counter("serve.lake.recovered_segments").Value(); got != 2 {
-		t.Errorf("recovery merged %d segments, want 2 (compact + one delta)", got)
+		t.Errorf("recovery merged %d records, want 2 (compact + one delta)", got)
+	}
+	if len(snap.Sources) != 4 {
+		t.Errorf("recovered %d sources, want 4 (3 in the compact record + 1 delta)", len(snap.Sources))
 	}
 }
 
 // TestLakeCommitFailureKeepsGeneration: a dataset whose lake commit fails
-// (journal unwritable) must keep serving its current generation and must
+// (log unwritable) must keep serving its current generation and must
 // not advance, mirroring the no-publish-on-error contract.
 func TestLakeCommitFailureKeepsGeneration(t *testing.T) {
 	dir := corpusDir(t, 2)
@@ -389,10 +631,10 @@ func TestLakeCommitFailureKeepsGeneration(t *testing.T) {
 	if _, _, err := st.Ingest(context.Background(), "ds", sys, dir, core.IngestOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the journal handle: further appends must fail.
-	l.journal.Close()
+	// Sabotage the dataset's log handle: further appends must fail.
+	l.log("ds").Close()
 	if _, _, err := st.Ingest(context.Background(), "ds", sys, dir, core.IngestOptions{}); err == nil {
-		t.Fatal("ingest succeeded with a dead journal")
+		t.Fatal("ingest succeeded with a dead log")
 	}
 	snap, ok := st.Get("ds")
 	if !ok || snap.Gen != 1 {

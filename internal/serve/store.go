@@ -63,8 +63,8 @@ type entry struct {
 type Store struct {
 	mu       sync.RWMutex
 	datasets map[string]*entry
-	// lake, when non-nil, makes generations durable: each ingest commits a
-	// segment + journal record before publishing (see lake.go).
+	// lake, when non-nil, makes generations durable: each ingest appends a
+	// record to the dataset's log before publishing (see lake.go).
 	lake *Lake
 	// maint counts maintenance passes in flight — lake replay and
 	// compaction — the phases during which the server's /readyz reports
@@ -91,7 +91,7 @@ func NewStoreWithLake(l *Lake) (*Store, error) {
 
 // NewStoreAttached builds a store wired to the lake without recovering
 // it — for servers that want to start answering health checks first and
-// replay the journal behind a not-ready /readyz (call RecoverLake before
+// replay the lake behind a not-ready /readyz (call RecoverLake before
 // accepting query traffic for the recovered datasets).
 func NewStoreAttached(l *Lake) *Store {
 	s := NewStore()
@@ -99,7 +99,7 @@ func NewStoreAttached(l *Lake) *Store {
 	return s
 }
 
-// RecoverLake replays the attached lake's journal, republishing every
+// RecoverLake replays the attached lake's dataset logs, republishing every
 // committed dataset at its last committed generation. The store counts
 // as in maintenance for the duration. No-op without a lake.
 func (s *Store) RecoverLake() error {
@@ -214,7 +214,7 @@ func (s *Store) gcIfEmpty(name string, e *entry) {
 // partial aggregates is the worker pool's own accumulation step, already
 // proven byte-identical to a sequential fold at any partitioning, and the
 // delta is exactly what a lake-backed store persists as the generation's
-// segment.
+// record.
 func (s *Store) Ingest(ctx context.Context, name string, sys *iosim.System, source string, opts core.IngestOptions) (*Snapshot, core.IngestResult, error) {
 	if !ValidDatasetName(name) {
 		return nil, core.IngestResult{}, fmt.Errorf("serve: invalid dataset name %q", name)
@@ -226,15 +226,9 @@ func (s *Store) Ingest(ctx context.Context, name string, sys *iosim.System, sour
 	defer e.ingestMu.Unlock()
 
 	cur := e.cur.Load()
-	var sources []string
-	if cur != nil {
-		if cur.System != sys.Name {
-			return nil, core.IngestResult{}, fmt.Errorf("serve: dataset %q is %s data, cannot ingest %s logs",
-				name, cur.System, sys.Name)
-		}
-		sources = append(append([]string(nil), cur.Sources...), source)
-	} else {
-		sources = []string{source}
+	if cur != nil && cur.System != sys.Name {
+		return nil, core.IngestResult{}, fmt.Errorf("serve: dataset %q is %s data, cannot ingest %s logs",
+			name, cur.System, sys.Name)
 	}
 	delta := analysis.NewAggregator(sys)
 	opts.Into = delta
@@ -253,15 +247,16 @@ func (s *Store) Ingest(ctx context.Context, name string, sys *iosim.System, sour
 	}
 	gen := genAfter(cur)
 	if s.lake != nil {
-		if err := s.lake.commit(name, sys.Name, gen, sources, delta.State()); err != nil {
+		if err := s.lake.commit(name, sys.Name, gen, source, delta.State()); err != nil {
 			s.gcIfEmpty(name, e)
 			return nil, res, err
 		}
 	}
-	base := delta
+	base, sources := delta, []string{source}
 	if cur != nil {
 		base = cur.agg.Clone()
 		base.Merge(delta)
+		sources = append(append([]string(nil), cur.Sources...), source)
 	}
 	next := &Snapshot{
 		Name:    name,

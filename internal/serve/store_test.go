@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -210,9 +209,11 @@ func TestIngestThatParsesNothingPublishesNothing(t *testing.T) {
 				lakeDir := filepath.Join(t.TempDir(), "lake")
 				st := lakeStore(t, openLake(t, lakeDir, 0))
 				ts, _, _ := newTestServer(t, Config{Store: st}) // publishes "prod" at generation 1
-				journalLen := func() int {
+				// logLen counts the records in prod's log, the only file the
+				// lake may hold.
+				logLen := func() int {
 					n := 0
-					err := checkpoint.ReplayJournal(filepath.Join(lakeDir, lakeJournalName), func(*gob.Decoder) error {
+					err := checkpoint.ReplayJournal(filepath.Join(lakeDir, "datasets", "prod", lakeLogName), func(func(any) error) error {
 						n++
 						return nil
 					})
@@ -221,8 +222,8 @@ func TestIngestThatParsesNothingPublishesNothing(t *testing.T) {
 					}
 					return n
 				}
-				if n := journalLen(); n != 1 {
-					t.Fatalf("journal holds %d records after the set-up ingest, want 1", n)
+				if n := logLen(); n != 1 {
+					t.Fatalf("prod's log holds %d records after the set-up ingest, want 1", n)
 				}
 
 				resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(
@@ -255,8 +256,14 @@ func TestIngestThatParsesNothingPublishesNothing(t *testing.T) {
 				if cells != 1 {
 					t.Errorf("Store.datasets holds %d cells, want 1 (prod)", cells)
 				}
-				if n := journalLen(); n != 1 {
-					t.Errorf("journal holds %d records, want 1: the rejected ingest committed to the lake", n)
+				if n := logLen(); n != 1 {
+					t.Errorf("prod's log holds %d records, want 1: the rejected ingest committed to the lake", n)
+				}
+				if names := lakeFiles(t, lakeDir); len(names) != 1 {
+					t.Errorf("lake holds %v, want prod's log alone", names)
+				}
+				if _, err := os.Stat(filepath.Join(lakeDir, "datasets", "fresh")); !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("a rejected first ingest left a dataset directory behind: %v", err)
 				}
 			})
 		}
