@@ -1,14 +1,24 @@
 GO ?= go
 
-.PHONY: check vet apilint ingestlint durablelint staticcheck govulncheck build test race race-short bench benchcheck fuzz serve-smoke cluster-smoke load-smoke
+.PHONY: check vet fmtcheck apilint ingestlint durablelint foldlint staticcheck govulncheck build test race race-short bench benchcheck fuzz serve-smoke cluster-smoke load-smoke
 
-## check: the full CI gate — vet, apilint, ingestlint, durablelint,
-## staticcheck + govulncheck (when installed), build, and the test suite
-## under the race detector
-check: vet apilint ingestlint durablelint staticcheck govulncheck build race
+## check: the full CI gate — vet, gofmt, apilint, ingestlint, durablelint,
+## foldlint, staticcheck + govulncheck (when installed), build, and the test
+## suite under the race detector
+check: vet fmtcheck apilint ingestlint durablelint foldlint staticcheck govulncheck build race
 
 vet:
 	$(GO) vet ./...
+
+## fmtcheck: every Go file in the tree is gofmt-clean
+fmtcheck:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "fmtcheck: not gofmt-clean (run gofmt -w):"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi; \
+	echo "fmtcheck: ok"
 
 ## apilint: every error body the HTTP services write must go through the
 ## internal/httpapi envelope — ad-hoc http.Error calls and raw
@@ -65,6 +75,25 @@ durablelint:
 		exit 1; \
 	fi; \
 	echo "durablelint: ok"
+
+## foldlint: a log's records are grouped per file in one place,
+## darshan.Grouper (internal/darshan/group.go), and everything downstream —
+## the aggregator's folds, the columnar writer, the predict and core scans —
+## reads the rows it produces. Indexing a record's raw counters anywhere in
+## those packages is a second grouping growing back, with its own idea of
+## which records make up a file; so is a per-module view type like the two
+## copies of modView/fileView this rule replaced, wherever it appears
+foldlint:
+	@bad=$$( { grep -rnE '\.F?Counters\[' \
+			internal/analysis internal/darshan/colfmt internal/predict internal/core \
+			--include='*.go' --exclude='*_test.go'; \
+		grep -rnE 'type (modView|fileView)\b' . --include='*.go'; } || true); \
+	if [ -n "$$bad" ]; then \
+		echo "foldlint: raw counter reads or a second per-file view outside darshan.Grouper (consume darshan.LogRows):"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi; \
+	echo "foldlint: ok"
 
 ## staticcheck: runs only when the binary is on PATH, so environments
 ## without it (e.g. hermetic containers) still pass `make check`
@@ -130,11 +159,12 @@ cluster-smoke:
 load-smoke:
 	scripts/load_smoke.sh
 
-## fuzz: short fuzzing smoke over the untrusted-input decoders and the
-## durable record log's reader; -fuzz must match exactly one target, hence
-## one invocation each
+## fuzz: short fuzzing smoke over the untrusted-input decoders, the durable
+## record log's reader, and the row-vs-columnar fold identity; -fuzz must
+## match exactly one target, hence one invocation each
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzColumnRead -fuzztime=20s ./internal/darshan/colfmt
 	$(GO) test -fuzz=FuzzRecordLog -fuzztime=20s ./internal/checkpoint
+	$(GO) test -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/analysis

@@ -239,12 +239,11 @@ type Aggregator struct {
 	// join coverage of §3.3.2.
 	domainCovered, domainUncovered map[uint64]bool
 
-	// Per-AddLog scratch, reused across calls so the per-file grouping pass
-	// allocates nothing steady-state. Valid because Aggregator is
+	// Per-AddLog scratch, reused across calls so grouping and routing
+	// allocate nothing steady-state. Valid because Aggregator is
 	// single-goroutine by contract.
-	scratchIdx   map[darshan.RecordID]int32
-	scratchOrder []darshan.RecordID
-	scratchViews []fileView
+	grouper darshan.Grouper
+	kinds   []iosim.LayerKind
 }
 
 // NewAggregator builds an aggregator for logs produced on sys.
@@ -263,7 +262,6 @@ func NewAggregator(sys *iosim.System) *Aggregator {
 		domains:         map[string]*DomainStats{},
 		domainCovered:   map[uint64]bool{},
 		domainUncovered: map[uint64]bool{},
-		scratchIdx:      map[darshan.RecordID]int32{},
 	}
 }
 
@@ -280,46 +278,11 @@ func (a *Aggregator) TotalBytes() float64 {
 	return t
 }
 
-// modView folds the per-rank records of one (file, module) pair down to the
-// few quantities the accounting rules consume — byte totals, busy time, and
-// sharedness — without materializing a merged FileRecord (the old
-// mergeRanks+Clone path allocated two counter slices per extra rank).
-type modView struct {
-	n             int   // records folded in
-	rank          int32 // the single record's rank; 0 once ranks are merged
-	readB, writeB int64
-	readT, writeT float64
-}
-
-// add folds one record. A merged partial-rank view is never a shared
-// record, so rank collapses to 0 on the second fold — matching the old
-// mergeRanks semantics.
-func (mv *modView) add(rec *darshan.FileRecord, cRead, cWrite, fRead, fWrite int) {
-	mv.n++
-	if mv.n == 1 {
-		mv.rank = rec.Rank
-	} else {
-		mv.rank = 0
-	}
-	mv.readB += rec.Counters[cRead]
-	mv.writeB += rec.Counters[cWrite]
-	mv.readT += rec.FCounters[fRead]
-	mv.writeT += rec.FCounters[fWrite]
-}
-
-func (mv *modView) present() bool { return mv.n > 0 }
-func (mv *modView) shared() bool  { return mv.rank == darshan.SharedRank }
-
-// fileView gathers one file's per-module accounting views within one log.
-type fileView struct {
-	posix, mpiio, stdio modView
-}
-
-// logContext carries the per-log state that the per-file fold consumes. It
-// is produced by beginLog and threaded through foldFile — the shared spine
-// of the row-oriented AddLog path and the columnar FoldBatch path, which
-// must stay arithmetically identical (reports are byte-diffed across the
-// two).
+// logContext carries the per-log state the row folds consume; beginLog
+// produces it. The row folds — foldFile, foldPosixSizes, foldStdioXSizes —
+// are everything a log's rows contribute and the only code that contributes
+// it: AddLog hands them rows straight from the grouper, FoldBatch rows read
+// back from columns, so reports rendered either way are byte-identical.
 type logContext struct {
 	jv     *jobView
 	ds     *DomainStats
@@ -370,137 +333,92 @@ func (a *Aggregator) beginLog(job darshan.JobHeader, domain string) logContext {
 }
 
 // foldFile folds one accounted file into the per-layer, per-job, per-month,
-// and per-user statistics. The before/after volume delta is computed with
-// the exact float operations both fold paths share, so the monthly and
-// per-user tallies are bit-identical however the file arrived.
-func (a *Aggregator) foldFile(lc logContext, fv *fileView, kind iosim.LayerKind) {
+// and per-user statistics.
+func (a *Aggregator) foldFile(lc logContext, f *darshan.FileRow, kind iosim.LayerKind) {
 	li := layerIndex(kind)
 	ls := a.layers[li]
 	lc.jv.layers[li] = true
-	if fv.stdio.present() {
+	if f.Stdio.Present {
 		lc.jv.usedStdio = true
 	}
 
 	before := ls.Bytes[Read] + ls.Bytes[Write]
-	a.accountFile(ls, lc.ds, fv, kind, lc.large)
+	a.accountFile(ls, lc.ds, f, kind)
 	moved := ls.Bytes[Read] + ls.Bytes[Write] - before
 	a.monthlyBytes[lc.month] += moved
 	a.userBytes[lc.userID] += moved
 	a.userFiles[lc.userID]++
 }
 
-// AddLog folds one log into the aggregate.
-func (a *Aggregator) AddLog(log *darshan.Log) {
-	if log == nil {
-		panic("analysis: nil log")
-	}
-	lc := a.beginLog(log.Job, log.Job.Metadata["domain"])
-	a.observeTuning(log)
-
-	// Group records per file, into scratch reused across AddLog calls.
-	clear(a.scratchIdx)
-	order := a.scratchOrder[:0]
-	views := a.scratchViews[:0]
-	for _, rec := range log.Records {
-		idx, ok := a.scratchIdx[rec.Record]
-		if !ok {
-			views = append(views, fileView{})
-			idx = int32(len(views) - 1)
-			a.scratchIdx[rec.Record] = idx
-			order = append(order, rec.Record)
-		}
-		fv := &views[idx]
-		switch rec.Module {
-		case darshan.ModulePOSIX:
-			fv.posix.add(rec, darshan.PosixBytesRead, darshan.PosixBytesWritten,
-				darshan.PosixFReadTime, darshan.PosixFWriteTime)
-		case darshan.ModuleMPIIO:
-			fv.mpiio.add(rec, darshan.MpiioBytesRead, darshan.MpiioBytesWritten,
-				darshan.MpiioFReadTime, darshan.MpiioFWriteTime)
-		case darshan.ModuleSTDIO:
-			fv.stdio.add(rec, darshan.StdioBytesRead, darshan.StdioBytesWritten,
-				darshan.StdioFReadTime, darshan.StdioFWriteTime)
-		}
-	}
-	a.scratchOrder = order
-	a.scratchViews = views
-
-	for i, id := range order {
-		fv := &views[i]
-		if !fv.posix.present() && !fv.stdio.present() && !fv.mpiio.present() {
-			continue // Lustre-only entry
-		}
-		path := log.PathOf(id)
-		if path == "" {
-			continue // unresolvable record (truncated log)
-		}
-		a.foldFile(lc, fv, a.sys.LayerFor(path).Kind())
-	}
-
-	// Extended-STDIO records, when present, feed the Recommendation 4
-	// extension statistics; POSIX records feed the request-size histograms
-	// (Figures 4 and 5), layer-routed. One pass over log.Records, filtering
-	// by module inline — RecordsFor would allocate a fresh slice per call.
-	for _, rec := range log.Records {
-		switch rec.Module {
-		case darshan.ModuleStdioX:
-			path := log.PathOf(rec.Record)
-			if path == "" {
-				continue
-			}
-			ls := a.layers[layerIndex(a.sys.LayerFor(path).Kind())]
-			for b := 0; b < units.NumRequestBins; b++ {
-				ls.StdioXRequestHist[Read].Add(b, uint64(rec.Counters[darshan.StdioXSizeRead0To100+b]))
-				ls.StdioXRequestHist[Write].Add(b, uint64(rec.Counters[darshan.StdioXSizeWrite0To100+b]))
-			}
-			ls.StdioXRewriteBytes += float64(rec.Counters[darshan.StdioXRewriteBytes])
-			ls.StdioXUniqueBytes += float64(rec.Counters[darshan.StdioXUniqueBytes])
-		case darshan.ModulePOSIX:
-			path := log.PathOf(rec.Record)
-			if path == "" {
-				continue
-			}
-			ls := a.layers[layerIndex(a.sys.LayerFor(path).Kind())]
-			for b := 0; b < units.NumRequestBins; b++ {
-				reads := uint64(rec.Counters[darshan.PosixSizeRead0To100+b])
-				writes := uint64(rec.Counters[darshan.PosixSizeWrite0To100+b])
-				ls.RequestHist[Read].Add(b, reads)
-				ls.RequestHist[Write].Add(b, writes)
-				if lc.large {
-					ls.LargeJobRequestHist[Read].Add(b, reads)
-					ls.LargeJobRequestHist[Write].Add(b, writes)
-				}
-			}
+// foldPosixSizes adds one path's POSIX access-size bins to its layer's
+// request-size histograms (Figures 4 and 5).
+func (a *Aggregator) foldPosixSizes(lc logContext, s *darshan.SizeRow, kind iosim.LayerKind) {
+	ls := a.layers[layerIndex(kind)]
+	for b := 0; b < units.NumRequestBins; b++ {
+		reads, writes := uint64(s.Bins[b]), uint64(s.Bins[units.NumRequestBins+b])
+		ls.RequestHist[Read].Add(b, reads)
+		ls.RequestHist[Write].Add(b, writes)
+		if lc.large {
+			ls.LargeJobRequestHist[Read].Add(b, reads)
+			ls.LargeJobRequestHist[Write].Add(b, writes)
 		}
 	}
 }
 
-// accountFile applies the paper's accounting rules to one file.
-func (a *Aggregator) accountFile(ls *LayerStats, ds *DomainStats, fv *fileView,
-	kind iosim.LayerKind, large bool) {
-
-	// POSIX-preferred byte accounting (§3.1).
-	var acct *modView
-	var perfIface darshan.ModuleID
-	switch {
-	case fv.posix.present():
-		acct = &fv.posix
-		perfIface = darshan.ModulePOSIX
-	case fv.stdio.present():
-		acct = &fv.stdio
-		perfIface = darshan.ModuleSTDIO
-	default:
-		// MPI-IO record without a POSIX record underneath: account at the
-		// MPI-IO level (does not occur with our runtime but may with
-		// foreign logs).
-		acct = &fv.mpiio
-		perfIface = darshan.ModuleMPIIO
+// foldStdioXSizes adds one path's extended-STDIO row to its layer's
+// Recommendation 4 statistics.
+func (a *Aggregator) foldStdioXSizes(s *darshan.SizeRow, kind iosim.LayerKind) {
+	ls := a.layers[layerIndex(kind)]
+	for b := 0; b < units.NumRequestBins; b++ {
+		ls.StdioXRequestHist[Read].Add(b, uint64(s.Bins[b]))
+		ls.StdioXRequestHist[Write].Add(b, uint64(s.Bins[units.NumRequestBins+b]))
 	}
-	readB := float64(acct.readB)
-	writeB := float64(acct.writeB)
-	readTime := acct.readT
-	writeTime := acct.writeT
-	shared := acct.shared()
+	ls.StdioXRewriteBytes += float64(s.Rewrite)
+	ls.StdioXUniqueBytes += float64(s.Unique)
+}
+
+// AddLog folds one log into the aggregate. Every row is routed before the
+// first is folded: iosim.System.LayerFor panics on a path outside the
+// system's mounts, and a log rejected that way must contribute nothing.
+func (a *Aggregator) AddLog(log *darshan.Log) {
+	if log == nil {
+		panic("analysis: nil log")
+	}
+	rows := a.grouper.Group(log)
+	kinds := a.kinds[:0]
+	for i := range rows.Files {
+		kinds = append(kinds, a.sys.LayerFor(rows.Files[i].Path).Kind())
+	}
+	for i := range rows.Posix {
+		kinds = append(kinds, a.sys.LayerFor(rows.Posix[i].Path).Kind())
+	}
+	for i := range rows.StdioX {
+		kinds = append(kinds, a.sys.LayerFor(rows.StdioX[i].Path).Kind())
+	}
+	a.kinds = kinds
+
+	lc := a.beginLog(rows.Job, rows.Domain)
+	a.observeTuning(rows)
+	for i := range rows.Files {
+		a.foldFile(lc, &rows.Files[i], kinds[i])
+	}
+	kinds = kinds[len(rows.Files):]
+	for i := range rows.Posix {
+		a.foldPosixSizes(lc, &rows.Posix[i], kinds[i])
+	}
+	kinds = kinds[len(rows.Posix):]
+	for i := range rows.StdioX {
+		a.foldStdioXSizes(&rows.StdioX[i], kinds[i])
+	}
+}
+
+// accountFile applies the paper's accounting rules to one file.
+func (a *Aggregator) accountFile(ls *LayerStats, ds *DomainStats, f *darshan.FileRow, kind iosim.LayerKind) {
+	acct, perfIface := f.Accounted()
+	readB := float64(acct.ReadB)
+	writeB := float64(acct.WriteB)
+	readTime := acct.ReadT
+	writeTime := acct.WriteT
 
 	ls.Files++
 	ls.Bytes[Read] += readB
@@ -512,9 +430,9 @@ func (a *Aggregator) accountFile(ls *LayerStats, ds *DomainStats, fv *fileView,
 	// substrate; STDIO files are those with STDIO records.
 	var iface darshan.ModuleID
 	switch {
-	case fv.mpiio.present():
+	case f.Mpiio.Present:
 		iface = darshan.ModuleMPIIO
-	case fv.posix.present():
+	case f.Posix.Present:
 		iface = darshan.ModulePOSIX
 	default:
 		iface = darshan.ModuleSTDIO
@@ -544,7 +462,7 @@ func (a *Aggregator) accountFile(ls *LayerStats, ds *DomainStats, fv *fileView,
 	if readB > 0 || writeB > 0 {
 		class := classify(readB, writeB)
 		ls.ClassFiles[class]++
-		if !fv.posix.present() && !fv.mpiio.present() && fv.stdio.present() {
+		if !f.Posix.Present && !f.Mpiio.Present && f.Stdio.Present {
 			ls.StdioClassFiles[class]++
 		}
 	}
@@ -555,15 +473,15 @@ func (a *Aggregator) accountFile(ls *LayerStats, ds *DomainStats, fv *fileView,
 			ds.InSystemBytes[Read] += readB
 			ds.InSystemBytes[Write] += writeB
 		}
-		if fv.stdio.present() {
-			ds.StdioBytes[Read] += float64(fv.stdio.readB)
-			ds.StdioBytes[Write] += float64(fv.stdio.writeB)
+		if f.Stdio.Present {
+			ds.StdioBytes[Read] += float64(f.Stdio.ReadB)
+			ds.StdioBytes[Write] += float64(f.Stdio.WriteB)
 		}
 	}
 
 	// Shared-file performance (Figures 11 and 12): single-shared files only
 	// (§3.4), POSIX and STDIO interfaces, MB/s per direction.
-	if shared && (perfIface == darshan.ModulePOSIX || perfIface == darshan.ModuleSTDIO) {
+	if acct.Shared && (perfIface == darshan.ModulePOSIX || perfIface == darshan.ModuleSTDIO) {
 		p := ls.perfCell(perfIface)
 		if readB > 0 && readTime > 0 {
 			bin := units.TransferBinFor(units.ByteSize(readB))
@@ -574,7 +492,6 @@ func (a *Aggregator) accountFile(ls *LayerStats, ds *DomainStats, fv *fileView,
 			p[Write][bin] = append(p[Write][bin], writeB/writeTime/1e6)
 		}
 	}
-	_ = large
 }
 
 func classify(readB, writeB float64) Class {

@@ -6,161 +6,116 @@ import (
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/colfmt"
 	"iolayers/internal/iosim"
-	"iolayers/internal/units"
 )
 
-// FoldBatch folds one decoded columnar segment into the aggregate — the
-// vectorized sibling of AddLog. Each of the batch's pre-folded accounting
-// rows goes through exactly the arithmetic AddLog applies to a freshly
-// grouped log (the shared beginLog/foldFile/observeTuningRaw spine plus
-// integer histogram adds), so a report rendered from a converted campaign
-// is byte-identical to one rendered from the row-oriented original.
+// FoldBatch folds one decoded columnar segment into the aggregate: each row
+// is read back as the row the writer was handed and goes through the row
+// fold AddLog puts a freshly grouped log's rows through, so a report
+// rendered from a converted campaign is byte-identical to one rendered from
+// the row-oriented original.
 //
 // The caller chooses via Projection which columns were decoded; a full
 // fold requires colfmt.ProjectAll. Layer routing runs once per dictionary
 // entry, not once per row. Like AddLog, FoldBatch panics on paths foreign
 // to the aggregator's system; structural defects in the batch itself
 // (row-end columns out of range, dictionary references past the table)
-// return an error instead, since batches come from files.
+// return an error instead, since batches come from files. Either way the
+// whole batch is checked and routed before its first log is folded, so a
+// rejected segment contributes nothing.
 func (a *Aggregator) FoldBatch(b *colfmt.Batch) error {
 	if b == nil {
 		panic("analysis: nil batch")
 	}
-
-	// Layer-kind cache, one slot per dictionary entry. Rows with empty
-	// paths are skipped (skip=true), matching AddLog's treatment of
-	// unresolvable records.
-	kinds := make([]iosim.LayerKind, len(b.Dict))
-	known := make([]bool, len(b.Dict))
-	pathKind := func(id int64) (kind iosim.LayerKind, skip bool, err error) {
-		if id < 0 || id >= int64(len(b.Dict)) {
-			return 0, false, fmt.Errorf("analysis: dictionary reference %d outside table of %d", id, len(b.Dict))
-		}
-		if b.Dict[id] == "" {
-			return 0, true, nil
-		}
-		if !known[id] {
-			kinds[id] = a.sys.LayerFor(b.Dict[id]).Kind()
-			known[id] = true
-		}
-		return kinds[id], false, nil
-	}
-	rowEnd := func(c []int64, i, start, rows int, name string) (int, error) {
-		end := int(colfmt.At(c, i))
-		if end < start || end > rows {
-			return 0, fmt.Errorf("analysis: log %d %s row end %d outside [%d, %d]", i, name, end, start, rows)
-		}
-		return end, nil
+	route, err := a.routeBatch(b)
+	if err != nil {
+		return err
 	}
 
-	fileStart, posixStart, sxStart := 0, 0, 0
+	file, posix, sx := 0, 0, 0
 	for i := 0; i < b.NumLogs; i++ {
-		job := darshan.JobHeader{
-			JobID:     uint64(colfmt.At(b.JobID, i)),
-			UserID:    uint64(colfmt.At(b.UserID, i)),
-			NProcs:    int(colfmt.At(b.NProcs, i)),
-			StartTime: colfmt.At(b.StartTime, i),
-			EndTime:   colfmt.At(b.EndTime, i),
+		// The log's header and tuning signals; its rows are folded one at
+		// a time below rather than gathered into the tables.
+		log := darshan.LogRows{
+			Job: darshan.JobHeader{
+				JobID:     uint64(colfmt.At(b.JobID, i)),
+				UserID:    uint64(colfmt.At(b.UserID, i)),
+				NProcs:    int(colfmt.At(b.NProcs, i)),
+				StartTime: colfmt.At(b.StartTime, i),
+				EndTime:   colfmt.At(b.EndTime, i),
+			},
+			Domain:     b.Dict[colfmt.At(b.Domain, i)],
+			TuneStripe: colfmt.At(b.TuneStripe, i),
+			TuneColl:   colfmt.At(b.TuneColl, i),
+			TuneIndep:  colfmt.At(b.TuneIndep, i),
 		}
-		domID := colfmt.At(b.Domain, i)
-		if domID < 0 || domID >= int64(len(b.Dict)) {
-			return fmt.Errorf("analysis: log %d domain reference %d outside table of %d", i, domID, len(b.Dict))
-		}
-		lc := a.beginLog(job, b.Dict[domID])
-		a.observeTuningRaw(job.UserID, job.StartTime,
-			colfmt.At(b.TuneStripe, i), colfmt.At(b.TuneColl, i), colfmt.At(b.TuneIndep, i))
-
-		fileEnd, err := rowEnd(b.FileEnd, i, fileStart, b.FileRows, "file")
-		if err != nil {
-			return err
-		}
-		for r := fileStart; r < fileEnd; r++ {
-			kind, skip, err := pathKind(colfmt.At(b.FilePath, r))
-			if err != nil {
-				return err
-			}
-			if skip {
-				continue
-			}
-			var fv fileView
-			flags := colfmt.At(b.FileFlags, r)
-			if flags&colfmt.FlagPosix != 0 {
-				fv.posix = viewAt(flags&colfmt.FlagPosixShared != 0,
-					colfmt.At(b.PosixReadB, r), colfmt.At(b.PosixWriteB, r),
-					colfmt.FAt(b.PosixReadT, r), colfmt.FAt(b.PosixWriteT, r))
-			}
-			if flags&colfmt.FlagMpiio != 0 {
-				fv.mpiio = viewAt(flags&colfmt.FlagMpiioShared != 0,
-					colfmt.At(b.MpiioReadB, r), colfmt.At(b.MpiioWriteB, r),
-					colfmt.FAt(b.MpiioReadT, r), colfmt.FAt(b.MpiioWriteT, r))
-			}
-			if flags&colfmt.FlagStdio != 0 {
-				fv.stdio = viewAt(flags&colfmt.FlagStdioShared != 0,
-					colfmt.At(b.StdioReadB, r), colfmt.At(b.StdioWriteB, r),
-					colfmt.FAt(b.StdioReadT, r), colfmt.FAt(b.StdioWriteT, r))
-			}
-			a.foldFile(lc, &fv, kind)
-		}
-		fileStart = fileEnd
-
-		posixEnd, err := rowEnd(b.PosixEnd, i, posixStart, b.PosixRows, "posix")
-		if err != nil {
-			return err
-		}
-		for r := posixStart; r < posixEnd; r++ {
-			kind, skip, err := pathKind(colfmt.At(b.PosixHistPath, r))
-			if err != nil {
-				return err
-			}
-			if skip {
-				continue
-			}
-			ls := a.layers[layerIndex(kind)]
-			for bin := 0; bin < units.NumRequestBins; bin++ {
-				reads := uint64(colfmt.At(b.PosixBins[bin], r))
-				writes := uint64(colfmt.At(b.PosixBins[units.NumRequestBins+bin], r))
-				ls.RequestHist[Read].Add(bin, reads)
-				ls.RequestHist[Write].Add(bin, writes)
-				if lc.large {
-					ls.LargeJobRequestHist[Read].Add(bin, reads)
-					ls.LargeJobRequestHist[Write].Add(bin, writes)
-				}
+		lc := a.beginLog(log.Job, log.Domain)
+		a.observeTuning(&log)
+		for end := int(colfmt.At(b.FileEnd, i)); file < end; file++ {
+			if k := route[colfmt.At(b.FilePath, file)]; k != unrouted {
+				f := b.FileRow(file)
+				a.foldFile(lc, &f, k)
 			}
 		}
-		posixStart = posixEnd
-
-		sxEnd, err := rowEnd(b.StdioXEnd, i, sxStart, b.StdioXRows, "stdiox")
-		if err != nil {
-			return err
+		for end := int(colfmt.At(b.PosixEnd, i)); posix < end; posix++ {
+			if k := route[colfmt.At(b.PosixHistPath, posix)]; k != unrouted {
+				s := b.PosixSizeRow(posix)
+				a.foldPosixSizes(lc, &s, k)
+			}
 		}
-		for r := sxStart; r < sxEnd; r++ {
-			kind, skip, err := pathKind(colfmt.At(b.StdioXPath, r))
-			if err != nil {
-				return err
+		for end := int(colfmt.At(b.StdioXEnd, i)); sx < end; sx++ {
+			if k := route[colfmt.At(b.StdioXPath, sx)]; k != unrouted {
+				s := b.StdioXSizeRow(sx)
+				a.foldStdioXSizes(&s, k)
 			}
-			if skip {
-				continue
-			}
-			ls := a.layers[layerIndex(kind)]
-			for bin := 0; bin < units.NumRequestBins; bin++ {
-				ls.StdioXRequestHist[Read].Add(bin, uint64(colfmt.At(b.StdioXBins[bin], r)))
-				ls.StdioXRequestHist[Write].Add(bin, uint64(colfmt.At(b.StdioXBins[units.NumRequestBins+bin], r)))
-			}
-			ls.StdioXRewriteBytes += float64(colfmt.At(b.StdioXRewrite, r))
-			ls.StdioXUniqueBytes += float64(colfmt.At(b.StdioXUnique, r))
 		}
-		sxStart = sxEnd
 	}
 	return nil
 }
 
-// viewAt reconstructs the modView a converted file row was folded down
-// from: a present view with the row's byte and busy-time totals, shared iff
-// the original was a single rank −1 record.
-func viewAt(shared bool, readB, writeB int64, readT, writeT float64) modView {
-	mv := modView{n: 1, readB: readB, writeB: writeB, readT: readT, writeT: writeT}
-	if shared {
-		mv.rank = darshan.SharedRank
+// unrouted marks a dictionary entry no row folds through: the empty path
+// (rows carrying it are skipped, as the grouper skips unresolvable records)
+// or a string no path column references, such as a domain name.
+const unrouted iosim.LayerKind = -1
+
+// routeBatch checks every reference FoldBatch will follow — each log's
+// row-end offsets, each row's path, each log's domain — and returns the
+// layer of every dictionary entry a path column references.
+func (a *Aggregator) routeBatch(b *colfmt.Batch) ([]iosim.LayerKind, error) {
+	route := make([]iosim.LayerKind, len(b.Dict))
+	for i := range route {
+		route[i] = unrouted
 	}
-	return mv
+	for _, t := range [...]struct {
+		name        string
+		ends, paths []int64
+		rows        int
+	}{
+		{"file", b.FileEnd, b.FilePath, b.FileRows},
+		{"posix", b.PosixEnd, b.PosixHistPath, b.PosixRows},
+		{"stdiox", b.StdioXEnd, b.StdioXPath, b.StdioXRows},
+	} {
+		start := 0
+		for i := 0; i < b.NumLogs; i++ {
+			end := int(colfmt.At(t.ends, i))
+			if end < start || end > t.rows {
+				return nil, fmt.Errorf("analysis: log %d %s row end %d outside [%d, %d]", i, t.name, end, start, t.rows)
+			}
+			start = end
+		}
+		for r := 0; r < start; r++ {
+			id := colfmt.At(t.paths, r)
+			if id < 0 || id >= int64(len(b.Dict)) {
+				return nil, fmt.Errorf("analysis: %s row %d path reference %d outside table of %d", t.name, r, id, len(b.Dict))
+			}
+			if route[id] == unrouted && b.Dict[id] != "" {
+				route[id] = a.sys.LayerFor(b.Dict[id]).Kind()
+			}
+		}
+	}
+	for i := 0; i < b.NumLogs; i++ {
+		if id := colfmt.At(b.Domain, i); id < 0 || id >= int64(len(b.Dict)) {
+			return nil, fmt.Errorf("analysis: log %d domain reference %d outside table of %d", i, id, len(b.Dict))
+		}
+	}
+	return route, nil
 }

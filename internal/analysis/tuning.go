@@ -17,47 +17,24 @@ type userTuning struct {
 	jobsInHalf [2]int64
 }
 
-// observeTuning folds one log's tuning signals into the per-user state.
-func (a *Aggregator) observeTuning(log *darshan.Log) {
-	var maxStripe, collOps, indepOps int64
-	for _, rec := range log.Records {
-		switch rec.Module {
-		case darshan.ModuleLustre:
-			if w := rec.Counters[darshan.LustreStripeWidth]; w > maxStripe {
-				maxStripe = w
-			}
-		case darshan.ModuleMPIIO:
-			collOps += rec.Counters[darshan.MpiioCollReads] +
-				rec.Counters[darshan.MpiioCollWrites] + rec.Counters[darshan.MpiioCollOpens]
-			indepOps += rec.Counters[darshan.MpiioIndepReads] +
-				rec.Counters[darshan.MpiioIndepWrites] + rec.Counters[darshan.MpiioIndepOpens]
-		}
-	}
-	a.observeTuningRaw(log.Job.UserID, log.Job.StartTime, maxStripe, collOps, indepOps)
-}
-
-// observeTuningRaw folds one log's already-reduced tuning signals — the max
-// Lustre stripe width over its records and its MPI-IO collective/independent
-// operation sums. This is the entry point the columnar fold shares with
-// observeTuning: max and sum are associative, so per-log pre-reduction
-// changes nothing.
-func (a *Aggregator) observeTuningRaw(userID uint64, startTime int64, maxStripe, collOps, indepOps int64) {
+// observeTuning folds one log's tuning signals — the widest Lustre stripe
+// layout over its records and its MPI-IO collective/independent operation
+// sums — into its user's per-half-year state.
+func (a *Aggregator) observeTuning(rows *darshan.LogRows) {
 	half := 0
-	if time.Unix(startTime, 0).UTC().Month() >= time.July {
+	if time.Unix(rows.Job.StartTime, 0).UTC().Month() >= time.July {
 		half = 1
 	}
-	ut, ok := a.tuning[userID]
+	ut, ok := a.tuning[rows.Job.UserID]
 	if !ok {
 		ut = &userTuning{}
-		a.tuning[userID] = ut
+		a.tuning[rows.Job.UserID] = ut
 	}
 	ut.seen[half] = true
 	ut.jobsInHalf[half]++
-	if maxStripe > ut.maxStripe[half] {
-		ut.maxStripe[half] = maxStripe
-	}
-	ut.collOps[half] += collOps
-	ut.indepOps[half] += indepOps
+	ut.maxStripe[half] = max(ut.maxStripe[half], rows.TuneStripe)
+	ut.collOps[half] += rows.TuneColl
+	ut.indepOps[half] += rows.TuneIndep
 }
 
 // TuningAdoption answers the paper's §5 future-work question from the logs

@@ -226,16 +226,9 @@ func QueryColumnarTotals(ctx context.Context, path string, q ColumnarQuery) (Col
 		}
 		tot.SegmentsScanned++
 		for r := 0; r < b.FileRows; r++ {
-			flags := colfmt.At(b.FileFlags, r)
-			var readB, writeB int64
-			switch {
-			case flags&colfmt.FlagPosix != 0:
-				readB, writeB = colfmt.At(b.PosixReadB, r), colfmt.At(b.PosixWriteB, r)
-			case flags&colfmt.FlagStdio != 0:
-				readB, writeB = colfmt.At(b.StdioReadB, r), colfmt.At(b.StdioWriteB, r)
-			default:
-				readB, writeB = colfmt.At(b.MpiioReadB, r), colfmt.At(b.MpiioWriteB, r)
-			}
+			f := b.FileRow(r)
+			acct, _ := f.Accounted()
+			readB, writeB := acct.ReadB, acct.WriteB
 			if q.MinFileBytes > 0 && readB < q.MinFileBytes && writeB < q.MinFileBytes {
 				continue
 			}

@@ -15,26 +15,6 @@ import (
 	"iolayers/internal/units"
 )
 
-// convertCorpus builds the shared test corpus and converts its archive to
-// a columnar file with small segments (so worker distribution, pruning,
-// and checkpointing all see multiple segments).
-func convertCorpus(t *testing.T) (archive, columnar string, count int) {
-	t.Helper()
-	_, archive, count = buildCorpus(t)
-	columnar = filepath.Join(t.TempDir(), "campaign.dgc")
-	res, err := ConvertArchive(context.Background(), archive, columnar, ConvertOptions{SegmentLogs: 8})
-	if err != nil {
-		t.Fatalf("converting: %v", err)
-	}
-	if res.Logs != count {
-		t.Fatalf("converted %d of %d logs", res.Logs, count)
-	}
-	if want := (count + 7) / 8; res.Segments != want {
-		t.Fatalf("converted into %d segments, want %d", res.Segments, want)
-	}
-	return archive, columnar, count
-}
-
 // TestColumnarRoundTripByteIdentical is the tentpole property: a campaign
 // converted to columnar form and batch-folded renders a report
 // byte-identical to the row-oriented ingest, at every worker count.

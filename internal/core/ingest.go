@@ -271,11 +271,9 @@ func decodeItem(br *bytes.Reader, lim logfmt.DecodeLimits, item ingestItem) (*da
 // synthesis, ingestion consumes external files, so invariant panics from
 // aggregation — iosim.System.LayerFor on a path outside the system's
 // mounts, as happens when a log is analyzed against the wrong -system — are
-// demoted to per-log errors rather than crashing the pass. A log that fails
-// partway through AddLog may leave a partial contribution in agg; callers
-// already treat a report with failures as best-effort, and the common
-// wrong-system case fails every log, which every caller rejects outright
-// (Parsed == 0).
+// demoted to per-log errors rather than crashing the pass. AddLog and
+// FoldBatch route every path before they fold anything, so an item rejected
+// this way leaves agg exactly as it was.
 // It returns how many logs the item contributed (1 for a log, the segment's
 // log count for a columnar segment) plus the columns the segment's stats
 // block let the decoder skip.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,51 +17,133 @@ import (
 	"iolayers/internal/workload"
 )
 
-// buildCorpus synthesizes a small Summit campaign and persists it twice:
-// as a directory of loose .darshan logs and as one .dgar archive. Returns
-// (dir, archivePath, number of logs).
-func buildCorpus(t *testing.T) (string, string, int) {
-	t.Helper()
+// corpus is the package's shared fixture: one small seeded Summit campaign,
+// persisted as a directory of loose .darshan logs, as one .dgar archive, and
+// as the archive's conversion to a columnar file with small segments (so
+// worker distribution, pruning, and checkpointing all see multiple
+// segments). It is built once per test process — generating and fsyncing it
+// per test was two thirds of the package's run time — and is read-only: a
+// test that adds, damages or quarantines files works on copyCorpusDir's
+// private copy, or writes its mutated archive elsewhere.
+var corpus struct {
+	once                   sync.Once
+	root                   string
+	dir, archive, columnar string
+	count                  int
+	err                    error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if corpus.root != "" {
+		os.RemoveAll(corpus.root)
+	}
+	os.Exit(code)
+}
+
+func buildSharedCorpus() error {
+	root, err := os.MkdirTemp("", "core-corpus-")
+	if err != nil {
+		return err
+	}
+	corpus.root = root
+	corpus.dir = filepath.Join(root, "logs")
+	corpus.archive = filepath.Join(root, "campaign.dgar")
+	corpus.columnar = filepath.Join(root, "campaign.dgc")
+	if err := os.Mkdir(corpus.dir, 0o755); err != nil {
+		return err
+	}
+
 	cfg := workload.Config{Seed: 8, JobScale: 0.0002, FileScale: 0.02}
 	campaign, err := NewCampaign("Summit", cfg)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	dir := t.TempDir()
-	archive := filepath.Join(t.TempDir(), "campaign.dgar")
-	f, err := os.Create(archive)
+	f, err := os.Create(corpus.archive)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
+	defer f.Close()
 	aw, err := logfmt.NewArchiveWriter(f)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	var mu sync.Mutex
-	count := 0
 	_, err = campaign.Run(func(jobIdx, logIdx int, log *darshan.Log) error {
 		mu.Lock()
 		defer mu.Unlock()
-		count++
-		name := filepath.Join(dir, fmt.Sprintf("job%05d_%05d.darshan", jobIdx, logIdx))
+		corpus.count++
+		name := filepath.Join(corpus.dir, fmt.Sprintf("job%05d_%05d.darshan", jobIdx, logIdx))
 		if err := logfmt.WriteFile(name, log); err != nil {
 			return err
 		}
 		return aw.Append(log)
 	})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if err := aw.Close(); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
+		return err
+	}
+	if corpus.count == 0 {
+		return errors.New("corpus is empty")
+	}
+
+	res, err := ConvertArchive(context.Background(), corpus.archive, corpus.columnar, ConvertOptions{SegmentLogs: 8})
+	if err != nil {
+		return fmt.Errorf("converting: %w", err)
+	}
+	if res.Logs != corpus.count {
+		return fmt.Errorf("converted %d of %d logs", res.Logs, corpus.count)
+	}
+	if want := (corpus.count + 7) / 8; res.Segments != want {
+		return fmt.Errorf("converted into %d segments, want %d", res.Segments, want)
+	}
+	return nil
+}
+
+// buildCorpus returns the shared corpus's log directory, its archive, and
+// the log count.
+func buildCorpus(t *testing.T) (dir, archive string, count int) {
+	t.Helper()
+	corpus.once.Do(func() { corpus.err = buildSharedCorpus() })
+	if corpus.err != nil {
+		t.Fatalf("building the shared corpus: %v", corpus.err)
+	}
+	return corpus.dir, corpus.archive, corpus.count
+}
+
+// convertCorpus returns the shared corpus's archive and its columnar
+// conversion.
+func convertCorpus(t *testing.T) (archive, columnar string, count int) {
+	t.Helper()
+	_, archive, count = buildCorpus(t)
+	return archive, corpus.columnar, count
+}
+
+// copyCorpusDir returns a private byte copy of the shared log directory, for
+// tests that write into it or let a pass move files out of it.
+func copyCorpusDir(t *testing.T) (dir string, count int) {
+	t.Helper()
+	src, _, count := buildCorpus(t)
+	dir = t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if count == 0 {
-		t.Fatal("corpus is empty")
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return dir, archive, count
+	return dir, count
 }
 
 // The ingestion determinism guarantee: the same corpus analyzed with 1, 2,
@@ -117,7 +200,7 @@ func TestIngestDirReportsFailures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign generation in -short mode")
 	}
-	dir, _, count := buildCorpus(t)
+	dir, count := copyCorpusDir(t)
 	bad := filepath.Join(dir, "aaa_bad.darshan")
 	if err := os.WriteFile(bad, []byte("not a darshan log at all"), 0o644); err != nil {
 		t.Fatal(err)

@@ -392,7 +392,7 @@ func TestIngestDirQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign generation in -short mode")
 	}
-	dir, _, count := buildCorpus(t)
+	dir, count := copyCorpusDir(t)
 	sys := systems.NewSummit()
 	baseRep, _, err := Ingest(context.Background(), sys, dir, IngestOptions{Workers: 2})
 	if err != nil {

@@ -193,3 +193,34 @@ func TestFailingPassesLeakNoDescriptors(t *testing.T) {
 		t.Errorf("open descriptors grew from %d to %d over 200 failing passes", before, after)
 	}
 }
+
+// TestRejectedLogStaysOutOfTheReport: a log the fold rejects — its second
+// file is on a path outside the system's mounts — is counted failed, and the
+// report carries exactly the logs the pass says it parsed, not those plus
+// whatever the rejected log folded before the fold gave up.
+func TestRejectedLogStaysOutOfTheReport(t *testing.T) {
+	dir := t.TempDir()
+	tinyCorpus(t, dir, 4)
+	rt := darshan.NewRuntime(darshan.JobHeader{JobID: 9, UserID: 1, NProcs: 1, StartTime: 0, EndTime: 60})
+	for _, p := range []string{"/gpfs/alpine/phys/ok.dat", "/dev/shm/x"} {
+		rt.Observe(darshan.Op{Module: darshan.ModulePOSIX, Path: p, Rank: 0,
+			Kind: darshan.OpWrite, Size: 100, Start: 1, End: 2})
+	}
+	if err := logfmt.WriteFile(filepath.Join(dir, "job00001-foreign.darshan"), rt.Finalize()); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		rep, res, err := Ingest(context.Background(), systems.NewSummit(), dir, IngestOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Parsed != 4 || res.Failed != 1 {
+			t.Fatalf("workers=%d: parsed %d, failed %d; want 4 and 1", workers, res.Parsed, res.Failed)
+		}
+		if rep.Summary.Logs != int64(res.Parsed) || rep.Summary.Files != 4 {
+			t.Errorf("workers=%d: report has %d logs and %d files for %d parsed logs of one file each",
+				workers, rep.Summary.Logs, rep.Summary.Files, res.Parsed)
+		}
+	}
+}

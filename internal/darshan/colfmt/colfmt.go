@@ -13,16 +13,18 @@
 // nonzero statistics so a reader can skip whole columns (all zeros) or
 // whole segments (predicate outside [min, max]) without decoding them.
 //
-// The unit of storage is not the raw counter record but the pre-folded
-// accounting row. At conversion time each log is grouped exactly the way
-// analysis.Aggregator.AddLog groups it — per-file module views with
-// POSIX/MPI-IO/STDIO byte and busy-time totals and sharedness, per-path
-// POSIX and extended-STDIO access-size bin sums, per-log tuning signals
-// — so folding a decoded Batch reproduces AddLog's arithmetic exactly
-// (see analysis.Aggregator.FoldBatch) while skipping the per-record
-// work. Paths stay dictionary-encoded strings, not layer indices, so one
-// file serves any system: layer routing runs once per dictionary entry
-// at fold time.
+// The unit of storage is not the raw counter record but the accounting
+// row: darshan.Grouper reduces each log to per-file module totals with
+// sharedness, per-path POSIX and extended-STDIO access-size bin sums, and
+// per-log tuning signals, and the Writer appends those rows to columns.
+// They are the same rows analysis.Aggregator.AddLog folds, and FoldBatch
+// reads them back (Batch.FileRow and friends) and runs the same fold, so a
+// report from a .dgc can differ from one from the logs only if a row was
+// encoded wrongly. The open segment a Writer builds and the segment a
+// reader decodes are both a Batch; one pair of accessors maps a column id
+// to its field for both. Paths stay dictionary-encoded strings, not layer
+// indices, so one file serves any system: layer routing runs once per
+// dictionary entry at fold time.
 //
 // Robustness follows logfmt's discipline: every length, count, and size
 // field is treated as attacker-controlled, allocations are bounded by
@@ -33,6 +35,9 @@
 package colfmt
 
 import (
+	"fmt"
+
+	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
 )
 
@@ -82,7 +87,7 @@ const (
 	colStdioXEnd byte = 13
 
 	// Per-file accounting rows (one per accounted file per log, in
-	// AddLog's first-appearance order).
+	// first-appearance order).
 	colFileFlags   byte = 20
 	colFilePath    byte = 21 // dictionary id
 	colPosixReadB  byte = 22
@@ -110,9 +115,9 @@ const (
 	colStdioXUnique  byte = 92
 )
 
-// numBins is the per-direction access-size bin count doubled (read+write);
-// kept local so colfmt does not depend on the units package.
-const numBins = 20
+// numBins is the number of bin columns in each access-size table: read
+// bins then write bins.
+const numBins = darshan.SizeBins
 
 // FileFlags bits (colFileFlags): which module views are present on the
 // file row and whether each was a rank −1 shared record.
@@ -227,21 +232,21 @@ type Batch struct {
 	Dict []string
 
 	// Per-log columns.
-	JobID, UserID, NProcs       []int64
-	StartTime, EndTime          []int64
-	Domain                      []int64
-	TuneStripe                  []int64
-	TuneColl, TuneIndep         []int64
+	JobID, UserID, NProcs        []int64
+	StartTime, EndTime           []int64
+	Domain                       []int64
+	TuneStripe                   []int64
+	TuneColl, TuneIndep          []int64
 	FileEnd, PosixEnd, StdioXEnd []int64
 
 	// Per-file columns.
-	FileFlags, FilePath        []int64
-	PosixReadB, PosixWriteB    []int64
-	MpiioReadB, MpiioWriteB    []int64
-	StdioReadB, StdioWriteB    []int64
-	PosixReadT, PosixWriteT    []float64
-	MpiioReadT, MpiioWriteT    []float64
-	StdioReadT, StdioWriteT    []float64
+	FileFlags, FilePath     []int64
+	PosixReadB, PosixWriteB []int64
+	MpiioReadB, MpiioWriteB []int64
+	StdioReadB, StdioWriteB []int64
+	PosixReadT, PosixWriteT []float64
+	MpiioReadT, MpiioWriteT []float64
+	StdioReadT, StdioWriteT []float64
 
 	// POSIX access-size rows: bins 0..9 are reads, 10..19 writes.
 	PosixHistPath []int64
@@ -272,6 +277,162 @@ func FAt(c []float64, i int) float64 {
 		return 0
 	}
 	return c[i]
+}
+
+// ints maps an integer column id to the Batch field holding it. Together
+// with floats this is the only place the schema's ids meet the struct: the
+// writer resets and encodes through it, the reader decodes through it.
+func (b *Batch) ints(id byte) *[]int64 {
+	switch id {
+	case colJobID:
+		return &b.JobID
+	case colUserID:
+		return &b.UserID
+	case colNProcs:
+		return &b.NProcs
+	case colStartTime:
+		return &b.StartTime
+	case colEndTime:
+		return &b.EndTime
+	case colDomain:
+		return &b.Domain
+	case colTuneStripe:
+		return &b.TuneStripe
+	case colTuneColl:
+		return &b.TuneColl
+	case colTuneIndep:
+		return &b.TuneIndep
+	case colFileEnd:
+		return &b.FileEnd
+	case colPosixEnd:
+		return &b.PosixEnd
+	case colStdioXEnd:
+		return &b.StdioXEnd
+	case colFileFlags:
+		return &b.FileFlags
+	case colFilePath:
+		return &b.FilePath
+	case colPosixReadB:
+		return &b.PosixReadB
+	case colPosixWriteB:
+		return &b.PosixWriteB
+	case colMpiioReadB:
+		return &b.MpiioReadB
+	case colMpiioWriteB:
+		return &b.MpiioWriteB
+	case colStdioReadB:
+		return &b.StdioReadB
+	case colStdioWriteB:
+		return &b.StdioWriteB
+	case colPosixHistPath:
+		return &b.PosixHistPath
+	case colStdioXPath:
+		return &b.StdioXPath
+	case colStdioXRewrite:
+		return &b.StdioXRewrite
+	case colStdioXUnique:
+		return &b.StdioXUnique
+	}
+	switch {
+	case id >= colPosixBins && id < colPosixBins+numBins:
+		return &b.PosixBins[id-colPosixBins]
+	case id >= colStdioXBins && id < colStdioXBins+numBins:
+		return &b.StdioXBins[id-colStdioXBins]
+	}
+	panic(fmt.Sprintf("colfmt: no integer column with id %d", id))
+}
+
+// floats is ints for the float columns.
+func (b *Batch) floats(id byte) *[]float64 {
+	switch id {
+	case colPosixReadT:
+		return &b.PosixReadT
+	case colPosixWriteT:
+		return &b.PosixWriteT
+	case colMpiioReadT:
+		return &b.MpiioReadT
+	case colMpiioWriteT:
+		return &b.MpiioWriteT
+	case colStdioReadT:
+		return &b.StdioReadT
+	case colStdioWriteT:
+		return &b.StdioWriteT
+	}
+	panic(fmt.Sprintf("colfmt: no float column with id %d", id))
+}
+
+// rows returns a table's row count.
+func (b *Batch) rows(t tableKind) int {
+	switch t {
+	case tblDict:
+		return len(b.Dict)
+	case tblLogs:
+		return b.NumLogs
+	case tblFiles:
+		return b.FileRows
+	case tblPosix:
+		return b.PosixRows
+	default:
+		return b.StdioXRows
+	}
+}
+
+// modFlags encodes one module's presence and sharedness as FileFlags bits.
+func modFlags(m *darshan.ModRow, present, shared int64) int64 {
+	switch {
+	case !m.Present:
+		return 0
+	case m.Shared:
+		return present | shared
+	default:
+		return present
+	}
+}
+
+// modRow is the inverse of modFlags plus the module's four totals. A module
+// whose presence bit is clear reads back as the zero row whatever its
+// columns hold, as the writer stores zeros there.
+func modRow(flags, present, shared, readB, writeB int64, readT, writeT float64) darshan.ModRow {
+	if flags&present == 0 {
+		return darshan.ModRow{}
+	}
+	return darshan.ModRow{Present: true, Shared: flags&shared != 0,
+		ReadB: readB, WriteB: writeB, ReadT: readT, WriteT: writeT}
+}
+
+// FileRow reads file row r back as the row the writer was handed. Columns
+// outside the decoded projection read as zero.
+func (b *Batch) FileRow(r int) darshan.FileRow {
+	flags := At(b.FileFlags, r)
+	return darshan.FileRow{
+		Path: b.Dict[At(b.FilePath, r)],
+		Posix: modRow(flags, FlagPosix, FlagPosixShared,
+			At(b.PosixReadB, r), At(b.PosixWriteB, r), FAt(b.PosixReadT, r), FAt(b.PosixWriteT, r)),
+		Mpiio: modRow(flags, FlagMpiio, FlagMpiioShared,
+			At(b.MpiioReadB, r), At(b.MpiioWriteB, r), FAt(b.MpiioReadT, r), FAt(b.MpiioWriteT, r)),
+		Stdio: modRow(flags, FlagStdio, FlagStdioShared,
+			At(b.StdioReadB, r), At(b.StdioWriteB, r), FAt(b.StdioReadT, r), FAt(b.StdioWriteT, r)),
+	}
+}
+
+// PosixSizeRow reads POSIX access-size row r back.
+func (b *Batch) PosixSizeRow(r int) darshan.SizeRow {
+	return sizeRow(b.Dict[At(b.PosixHistPath, r)], &b.PosixBins, r)
+}
+
+// StdioXSizeRow reads extended-STDIO row r back.
+func (b *Batch) StdioXSizeRow(r int) darshan.SizeRow {
+	s := sizeRow(b.Dict[At(b.StdioXPath, r)], &b.StdioXBins, r)
+	s.Rewrite, s.Unique = At(b.StdioXRewrite, r), At(b.StdioXUnique, r)
+	return s
+}
+
+func sizeRow(path string, bins *[numBins][]int64, r int) darshan.SizeRow {
+	s := darshan.SizeRow{Path: path}
+	for i := range s.Bins {
+		s.Bins[i] = At(bins[i], r)
+	}
+	return s
 }
 
 // colSpec describes one schema column: its table, projection group,

@@ -27,10 +27,10 @@ func decErrf(kind logfmt.ErrorKind, section string, offset int64, format string,
 // pay for DecodeSegment themselves (the same hand-off shape as
 // logfmt.ArchiveReader.NextRaw).
 type Reader struct {
-	r   io.Reader
-	lim logfmt.DecodeLimits
-	off int64 // input offset of the next frame
-	buf []byte
+	r    io.Reader
+	lim  logfmt.DecodeLimits
+	off  int64 // input offset of the next frame
+	buf  []byte
 	done bool
 }
 
@@ -207,7 +207,7 @@ func DecodeSegment(raw []byte, proj Projection, lim logfmt.DecodeLimits) (*Batch
 		if spec.tbl != tblDict && proj&spec.group == 0 {
 			continue
 		}
-		rows := tableRows(b, spec.tbl)
+		rows := b.rows(spec.tbl)
 		if spec.tbl != tblDict && int(cs.Stats.Count) != rows {
 			return nil, decErrf(logfmt.KindCorrupt, "colfmt-column", -1,
 				"column %d holds %d values, table has %d rows", cs.ID, cs.Stats.Count, rows)
@@ -235,13 +235,13 @@ func DecodeSegment(raw []byte, proj Projection, lim logfmt.DecodeLimits) (*Batch
 			if err != nil {
 				return nil, err
 			}
-			setFloatColumn(b, cs.ID, vals)
+			*b.floats(cs.ID) = vals
 		} else {
 			vals, err := decodeInts(data, int(cs.Stats.Count), cs.Encoding, cs.ID)
 			if err != nil {
 				return nil, err
 			}
-			setIntColumn(b, cs.ID, vals)
+			*b.ints(cs.ID) = vals
 		}
 	}
 	if b.Dict == nil {
@@ -251,21 +251,6 @@ func DecodeSegment(raw []byte, proj Projection, lim logfmt.DecodeLimits) (*Batch
 		return nil, err
 	}
 	return b, nil
-}
-
-func tableRows(b *Batch, t tableKind) int {
-	switch t {
-	case tblLogs:
-		return b.NumLogs
-	case tblFiles:
-		return b.FileRows
-	case tblPosix:
-		return b.PosixRows
-	case tblStdioX:
-		return b.StdioXRows
-	default:
-		return 0
-	}
 }
 
 // validate enforces the structural invariants a fold relies on, so a
@@ -333,84 +318,6 @@ func (b *Batch) validate() error {
 		}
 	}
 	return nil
-}
-
-// setIntColumn routes a decoded integer column into its Batch field.
-func setIntColumn(b *Batch, id byte, vals []int64) {
-	switch id {
-	case colJobID:
-		b.JobID = vals
-	case colUserID:
-		b.UserID = vals
-	case colNProcs:
-		b.NProcs = vals
-	case colStartTime:
-		b.StartTime = vals
-	case colEndTime:
-		b.EndTime = vals
-	case colDomain:
-		b.Domain = vals
-	case colTuneStripe:
-		b.TuneStripe = vals
-	case colTuneColl:
-		b.TuneColl = vals
-	case colTuneIndep:
-		b.TuneIndep = vals
-	case colFileEnd:
-		b.FileEnd = vals
-	case colPosixEnd:
-		b.PosixEnd = vals
-	case colStdioXEnd:
-		b.StdioXEnd = vals
-	case colFileFlags:
-		b.FileFlags = vals
-	case colFilePath:
-		b.FilePath = vals
-	case colPosixReadB:
-		b.PosixReadB = vals
-	case colPosixWriteB:
-		b.PosixWriteB = vals
-	case colMpiioReadB:
-		b.MpiioReadB = vals
-	case colMpiioWriteB:
-		b.MpiioWriteB = vals
-	case colStdioReadB:
-		b.StdioReadB = vals
-	case colStdioWriteB:
-		b.StdioWriteB = vals
-	case colPosixHistPath:
-		b.PosixHistPath = vals
-	case colStdioXPath:
-		b.StdioXPath = vals
-	case colStdioXRewrite:
-		b.StdioXRewrite = vals
-	case colStdioXUnique:
-		b.StdioXUnique = vals
-	default:
-		switch {
-		case id >= colPosixBins && id < colPosixBins+numBins:
-			b.PosixBins[id-colPosixBins] = vals
-		case id >= colStdioXBins && id < colStdioXBins+numBins:
-			b.StdioXBins[id-colStdioXBins] = vals
-		}
-	}
-}
-
-func setFloatColumn(b *Batch, id byte, vals []float64) {
-	switch id {
-	case colPosixReadT:
-		b.PosixReadT = vals
-	case colPosixWriteT:
-		b.PosixWriteT = vals
-	case colMpiioReadT:
-		b.MpiioReadT = vals
-	case colMpiioWriteT:
-		b.MpiioWriteT = vals
-	case colStdioReadT:
-		b.StdioReadT = vals
-	case colStdioWriteT:
-		b.StdioWriteT = vals
-	}
 }
 
 // decodeInts decodes count varint-family values. The one-byte-per-value

@@ -23,218 +23,50 @@ const DefaultSegmentLogs = 256
 // partial segment and writes the terminator. Writer is not safe for
 // concurrent use.
 type Writer struct {
-	w       io.Writer
-	err     error // sticky
-	count   int   // logs appended over the file's lifetime
+	w        io.Writer
+	err      error // sticky
+	count    int   // logs appended over the file's lifetime
 	segments int
-	segLogs int
+	segLogs  int
 
-	seg segment
-
-	// Per-Append scratch, reused so extraction allocates nothing
-	// steady-state (the same discipline as Aggregator.AddLog).
-	scratchIdx   map[darshan.RecordID]int32
-	scratchOrder []darshan.RecordID
-	scratchViews []fileView
-	histIdx      map[int64]int32 // dict id → the open log's POSIX bin row
-	sxIdx        map[int64]int32 // dict id → the open log's StdioX row
-}
-
-// modView mirrors analysis's per-(file, module) fold: record count, the
-// single record's rank (collapsing to 0 once ranks merge), and byte/time
-// totals. Kept in sync by the round-trip property tests — the byte
-// identity of columnar reports rests on this matching AddLog's grouping.
-type modView struct {
-	n             int
-	rank          int32
-	readB, writeB int64
-	readT, writeT float64
-}
-
-func (mv *modView) add(rec *darshan.FileRecord, cRead, cWrite, fRead, fWrite int) {
-	mv.n++
-	if mv.n == 1 {
-		mv.rank = rec.Rank
-	} else {
-		mv.rank = 0
-	}
-	mv.readB += rec.Counters[cRead]
-	mv.writeB += rec.Counters[cWrite]
-	mv.readT += rec.FCounters[fRead]
-	mv.writeT += rec.FCounters[fWrite]
-}
-
-func (mv *modView) present() bool { return mv.n > 0 }
-func (mv *modView) shared() bool  { return mv.rank == darshan.SharedRank }
-
-type fileView struct {
-	posix, mpiio, stdio modView
-}
-
-// segment is the column builder for the open segment.
-type segment struct {
-	dict    []string
+	// seg is the open segment — the Batch a reader will decode it to — and
+	// dictIdx the index of seg.Dict. Both are reused across segments, and
+	// with the grouper's tables that makes Append allocation-free
+	// steady-state.
+	seg     Batch
 	dictIdx map[string]int64
-
-	logs int
-
-	jobID, userID, nprocs []int64
-	start, end            []int64
-	domain                []int64
-	tuneStripe            []int64
-	tuneColl, tuneIndep   []int64
-	fileEnd, posixEnd, stdioxEnd []int64
-
-	fileFlags, filePath []int64
-	pReadB, pWriteB     []int64
-	mReadB, mWriteB     []int64
-	sReadB, sWriteB     []int64
-	pReadT, pWriteT     []float64
-	mReadT, mWriteT     []float64
-	sReadT, sWriteT     []float64
-
-	phPath []int64
-	phBins [numBins][]int64
-
-	sxPath                []int64
-	sxBins                [numBins][]int64
-	sxRewrite, sxUnique   []int64
+	grouper darshan.Grouper
 }
 
-func (s *segment) reset() {
-	s.dict = append(s.dict[:0], "")
-	if s.dictIdx == nil {
-		s.dictIdx = map[string]int64{}
-	} else {
-		clear(s.dictIdx)
+// reset empties the open segment, keeping every column's capacity.
+func (w *Writer) reset() {
+	b := &w.seg
+	b.NumLogs, b.FileRows, b.PosixRows, b.StdioXRows = 0, 0, 0, 0
+	b.Dict = append(b.Dict[:0], "")
+	clear(w.dictIdx)
+	w.dictIdx[""] = 0
+	for _, spec := range specs {
+		switch {
+		case spec.tbl == tblDict: // reset above
+		case spec.float:
+			c := b.floats(spec.id)
+			*c = (*c)[:0]
+		default:
+			c := b.ints(spec.id)
+			*c = (*c)[:0]
+		}
 	}
-	s.dictIdx[""] = 0
-	s.logs = 0
-	for _, c := range s.intCols() {
-		*c = (*c)[:0]
-	}
-	for _, c := range s.floatCols() {
-		*c = (*c)[:0]
-	}
-}
-
-func (s *segment) intCols() []*[]int64 {
-	cols := []*[]int64{
-		&s.jobID, &s.userID, &s.nprocs, &s.start, &s.end, &s.domain,
-		&s.tuneStripe, &s.tuneColl, &s.tuneIndep,
-		&s.fileEnd, &s.posixEnd, &s.stdioxEnd,
-		&s.fileFlags, &s.filePath,
-		&s.pReadB, &s.pWriteB, &s.mReadB, &s.mWriteB, &s.sReadB, &s.sWriteB,
-		&s.phPath, &s.sxPath, &s.sxRewrite, &s.sxUnique,
-	}
-	for b := 0; b < numBins; b++ {
-		cols = append(cols, &s.phBins[b], &s.sxBins[b])
-	}
-	return cols
-}
-
-func (s *segment) floatCols() []*[]float64 {
-	return []*[]float64{&s.pReadT, &s.pWriteT, &s.mReadT, &s.mWriteT, &s.sReadT, &s.sWriteT}
 }
 
 // dictID interns a string into the segment dictionary.
-func (s *segment) dictID(str string) int64 {
-	if id, ok := s.dictIdx[str]; ok {
+func (w *Writer) dictID(str string) int64 {
+	if id, ok := w.dictIdx[str]; ok {
 		return id
 	}
-	id := int64(len(s.dict))
-	s.dict = append(s.dict, str)
-	s.dictIdx[str] = id
+	id := int64(len(w.seg.Dict))
+	w.seg.Dict = append(w.seg.Dict, str)
+	w.dictIdx[str] = id
 	return id
-}
-
-// rows returns a table's current row count.
-func (s *segment) rows(t tableKind) int {
-	switch t {
-	case tblDict:
-		return len(s.dict)
-	case tblLogs:
-		return s.logs
-	case tblFiles:
-		return len(s.fileFlags)
-	case tblPosix:
-		return len(s.phPath)
-	default:
-		return len(s.sxPath)
-	}
-}
-
-// column resolves a schema column to the builder's data slice.
-func (s *segment) column(id byte) (ints []int64, floats []float64) {
-	switch id {
-	case colJobID:
-		return s.jobID, nil
-	case colUserID:
-		return s.userID, nil
-	case colNProcs:
-		return s.nprocs, nil
-	case colStartTime:
-		return s.start, nil
-	case colEndTime:
-		return s.end, nil
-	case colDomain:
-		return s.domain, nil
-	case colTuneStripe:
-		return s.tuneStripe, nil
-	case colTuneColl:
-		return s.tuneColl, nil
-	case colTuneIndep:
-		return s.tuneIndep, nil
-	case colFileEnd:
-		return s.fileEnd, nil
-	case colPosixEnd:
-		return s.posixEnd, nil
-	case colStdioXEnd:
-		return s.stdioxEnd, nil
-	case colFileFlags:
-		return s.fileFlags, nil
-	case colFilePath:
-		return s.filePath, nil
-	case colPosixReadB:
-		return s.pReadB, nil
-	case colPosixWriteB:
-		return s.pWriteB, nil
-	case colMpiioReadB:
-		return s.mReadB, nil
-	case colMpiioWriteB:
-		return s.mWriteB, nil
-	case colStdioReadB:
-		return s.sReadB, nil
-	case colStdioWriteB:
-		return s.sWriteB, nil
-	case colPosixReadT:
-		return nil, s.pReadT
-	case colPosixWriteT:
-		return nil, s.pWriteT
-	case colMpiioReadT:
-		return nil, s.mReadT
-	case colMpiioWriteT:
-		return nil, s.mWriteT
-	case colStdioReadT:
-		return nil, s.sReadT
-	case colStdioWriteT:
-		return nil, s.sWriteT
-	case colPosixHistPath:
-		return s.phPath, nil
-	case colStdioXPath:
-		return s.sxPath, nil
-	case colStdioXRewrite:
-		return s.sxRewrite, nil
-	case colStdioXUnique:
-		return s.sxUnique, nil
-	}
-	if id >= colPosixBins && id < colPosixBins+numBins {
-		return s.phBins[id-colPosixBins], nil
-	}
-	if id >= colStdioXBins && id < colStdioXBins+numBins {
-		return s.sxBins[id-colStdioXBins], nil
-	}
-	panic(fmt.Sprintf("colfmt: no builder column for id %d", id))
 }
 
 // NewWriter starts a columnar file on w: the header is written
@@ -243,14 +75,8 @@ func NewWriter(w io.Writer, segmentLogs int) (*Writer, error) {
 	if segmentLogs <= 0 {
 		segmentLogs = DefaultSegmentLogs
 	}
-	cw := &Writer{
-		w:          w,
-		segLogs:    segmentLogs,
-		scratchIdx: map[darshan.RecordID]int32{},
-		histIdx:    map[int64]int32{},
-		sxIdx:      map[int64]int32{},
-	}
-	cw.seg.reset()
+	cw := &Writer{w: w, segLogs: segmentLogs, dictIdx: map[string]int64{}}
+	cw.reset()
 	var hdr [6]byte
 	copy(hdr[:], Magic)
 	binary.LittleEndian.PutUint16(hdr[4:], Version)
@@ -274,7 +100,7 @@ func (w *Writer) Append(log *darshan.Log) error {
 	}
 	w.extract(log)
 	w.count++
-	if w.seg.logs >= w.segLogs {
+	if w.seg.NumLogs >= w.segLogs {
 		if err := w.Flush(); err != nil {
 			return err
 		}
@@ -282,168 +108,65 @@ func (w *Writer) Append(log *darshan.Log) error {
 	return nil
 }
 
-// extract folds one log into the segment builder. The grouping pass is a
-// deliberate structural copy of Aggregator.AddLog: records group per
-// RecordID in first-appearance order, only files with a POSIX, MPI-IO, or
-// STDIO view and a resolvable non-empty path become accounting rows.
+// extract appends one log's accounting rows to the open segment's columns.
 func (w *Writer) extract(log *darshan.Log) {
-	s := &w.seg
+	rows := w.grouper.Group(log)
+	b := &w.seg
 
-	clear(w.scratchIdx)
-	order := w.scratchOrder[:0]
-	views := w.scratchViews[:0]
-	var tuneStripe, tuneColl, tuneIndep int64
-	for _, rec := range log.Records {
-		idx, ok := w.scratchIdx[rec.Record]
-		if !ok {
-			views = append(views, fileView{})
-			idx = int32(len(views) - 1)
-			w.scratchIdx[rec.Record] = idx
-			order = append(order, rec.Record)
-		}
-		fv := &views[idx]
-		switch rec.Module {
-		case darshan.ModulePOSIX:
-			fv.posix.add(rec, darshan.PosixBytesRead, darshan.PosixBytesWritten,
-				darshan.PosixFReadTime, darshan.PosixFWriteTime)
-		case darshan.ModuleMPIIO:
-			fv.mpiio.add(rec, darshan.MpiioBytesRead, darshan.MpiioBytesWritten,
-				darshan.MpiioFReadTime, darshan.MpiioFWriteTime)
-			tuneColl += rec.Counters[darshan.MpiioCollReads] +
-				rec.Counters[darshan.MpiioCollWrites] + rec.Counters[darshan.MpiioCollOpens]
-			tuneIndep += rec.Counters[darshan.MpiioIndepReads] +
-				rec.Counters[darshan.MpiioIndepWrites] + rec.Counters[darshan.MpiioIndepOpens]
-		case darshan.ModuleSTDIO:
-			fv.stdio.add(rec, darshan.StdioBytesRead, darshan.StdioBytesWritten,
-				darshan.StdioFReadTime, darshan.StdioFWriteTime)
-		case darshan.ModuleLustre:
-			if sw := rec.Counters[darshan.LustreStripeWidth]; sw > tuneStripe {
-				tuneStripe = sw
-			}
+	for i := range rows.Files {
+		f := &rows.Files[i]
+		b.FileFlags = append(b.FileFlags, modFlags(&f.Posix, FlagPosix, FlagPosixShared)|
+			modFlags(&f.Mpiio, FlagMpiio, FlagMpiioShared)|modFlags(&f.Stdio, FlagStdio, FlagStdioShared))
+		b.FilePath = append(b.FilePath, w.dictID(f.Path))
+		b.PosixReadB = append(b.PosixReadB, f.Posix.ReadB)
+		b.PosixWriteB = append(b.PosixWriteB, f.Posix.WriteB)
+		b.MpiioReadB = append(b.MpiioReadB, f.Mpiio.ReadB)
+		b.MpiioWriteB = append(b.MpiioWriteB, f.Mpiio.WriteB)
+		b.StdioReadB = append(b.StdioReadB, f.Stdio.ReadB)
+		b.StdioWriteB = append(b.StdioWriteB, f.Stdio.WriteB)
+		b.PosixReadT = append(b.PosixReadT, f.Posix.ReadT)
+		b.PosixWriteT = append(b.PosixWriteT, f.Posix.WriteT)
+		b.MpiioReadT = append(b.MpiioReadT, f.Mpiio.ReadT)
+		b.MpiioWriteT = append(b.MpiioWriteT, f.Mpiio.WriteT)
+		b.StdioReadT = append(b.StdioReadT, f.Stdio.ReadT)
+		b.StdioWriteT = append(b.StdioWriteT, f.Stdio.WriteT)
+	}
+	b.FileRows += len(rows.Files)
+
+	for i := range rows.Posix {
+		s := &rows.Posix[i]
+		b.PosixHistPath = append(b.PosixHistPath, w.dictID(s.Path))
+		for bin := range s.Bins {
+			b.PosixBins[bin] = append(b.PosixBins[bin], s.Bins[bin])
 		}
 	}
-	w.scratchOrder = order
-	w.scratchViews = views
+	b.PosixRows += len(rows.Posix)
 
-	for i, id := range order {
-		fv := &views[i]
-		if !fv.posix.present() && !fv.stdio.present() && !fv.mpiio.present() {
-			continue // Lustre- or StdioX-only entry
+	for i := range rows.StdioX {
+		s := &rows.StdioX[i]
+		b.StdioXPath = append(b.StdioXPath, w.dictID(s.Path))
+		for bin := range s.Bins {
+			b.StdioXBins[bin] = append(b.StdioXBins[bin], s.Bins[bin])
 		}
-		path := log.PathOf(id)
-		if path == "" {
-			continue // unresolvable record (truncated log)
-		}
-		var flags int64
-		setFlags := func(mv *modView, present, shared int64) {
-			if mv.present() {
-				flags |= present
-				if mv.shared() {
-					flags |= shared
-				}
-			}
-		}
-		setFlags(&fv.posix, FlagPosix, FlagPosixShared)
-		setFlags(&fv.mpiio, FlagMpiio, FlagMpiioShared)
-		setFlags(&fv.stdio, FlagStdio, FlagStdioShared)
-		s.fileFlags = append(s.fileFlags, flags)
-		s.filePath = append(s.filePath, s.dictID(path))
-		s.pReadB = append(s.pReadB, fv.posix.readB)
-		s.pWriteB = append(s.pWriteB, fv.posix.writeB)
-		s.mReadB = append(s.mReadB, fv.mpiio.readB)
-		s.mWriteB = append(s.mWriteB, fv.mpiio.writeB)
-		s.sReadB = append(s.sReadB, fv.stdio.readB)
-		s.sWriteB = append(s.sWriteB, fv.stdio.writeB)
-		s.pReadT = append(s.pReadT, fv.posix.readT)
-		s.pWriteT = append(s.pWriteT, fv.posix.writeT)
-		s.mReadT = append(s.mReadT, fv.mpiio.readT)
-		s.mWriteT = append(s.mWriteT, fv.mpiio.writeT)
-		s.sReadT = append(s.sReadT, fv.stdio.readT)
-		s.sWriteT = append(s.sWriteT, fv.stdio.writeT)
+		b.StdioXRewrite = append(b.StdioXRewrite, s.Rewrite)
+		b.StdioXUnique = append(b.StdioXUnique, s.Unique)
 	}
-
-	// Access-size bin rows, pre-summed per (log, path). Integer bin adds
-	// commute, so per-record and per-path folds agree exactly (the
-	// histogram counters add with uint64 wrapping, a ring homomorphism
-	// from int64 sums).
-	clear(w.histIdx)
-	clear(w.sxIdx)
-	for _, rec := range log.Records {
-		switch rec.Module {
-		case darshan.ModulePOSIX:
-			path := log.PathOf(rec.Record)
-			if path == "" {
-				continue
-			}
-			row := w.histRow(path)
-			for b := 0; b < numBins/2; b++ {
-				s.phBins[b][row] += rec.Counters[darshan.PosixSizeRead0To100+b]
-				s.phBins[numBins/2+b][row] += rec.Counters[darshan.PosixSizeWrite0To100+b]
-			}
-		case darshan.ModuleStdioX:
-			path := log.PathOf(rec.Record)
-			if path == "" {
-				continue
-			}
-			row := w.sxRow(path)
-			for b := 0; b < numBins/2; b++ {
-				s.sxBins[b][row] += rec.Counters[darshan.StdioXSizeRead0To100+b]
-				s.sxBins[numBins/2+b][row] += rec.Counters[darshan.StdioXSizeWrite0To100+b]
-			}
-			s.sxRewrite[row] += rec.Counters[darshan.StdioXRewriteBytes]
-			s.sxUnique[row] += rec.Counters[darshan.StdioXUniqueBytes]
-		}
-	}
+	b.StdioXRows += len(rows.StdioX)
 
 	// The per-log row last: its row-end offsets cover everything above.
-	s.jobID = append(s.jobID, int64(log.Job.JobID))
-	s.userID = append(s.userID, int64(log.Job.UserID))
-	s.nprocs = append(s.nprocs, int64(log.Job.NProcs))
-	s.start = append(s.start, log.Job.StartTime)
-	s.end = append(s.end, log.Job.EndTime)
-	s.domain = append(s.domain, s.dictID(log.Job.Metadata["domain"]))
-	s.tuneStripe = append(s.tuneStripe, tuneStripe)
-	s.tuneColl = append(s.tuneColl, tuneColl)
-	s.tuneIndep = append(s.tuneIndep, tuneIndep)
-	s.fileEnd = append(s.fileEnd, int64(len(s.fileFlags)))
-	s.posixEnd = append(s.posixEnd, int64(len(s.phPath)))
-	s.stdioxEnd = append(s.stdioxEnd, int64(len(s.sxPath)))
-	s.logs++
-}
-
-// histRow returns the open log's POSIX bin row for path, creating it on
-// first sight.
-func (w *Writer) histRow(path string) int {
-	s := &w.seg
-	id := s.dictID(path)
-	if row, ok := w.histIdx[id]; ok {
-		return int(row)
-	}
-	s.phPath = append(s.phPath, id)
-	for b := range s.phBins {
-		s.phBins[b] = append(s.phBins[b], 0)
-	}
-	row := len(s.phPath) - 1
-	w.histIdx[id] = int32(row)
-	return row
-}
-
-// sxRow is histRow for the extended-STDIO table.
-func (w *Writer) sxRow(path string) int {
-	s := &w.seg
-	id := s.dictID(path)
-	if row, ok := w.sxIdx[id]; ok {
-		return int(row)
-	}
-	s.sxPath = append(s.sxPath, id)
-	for b := range s.sxBins {
-		s.sxBins[b] = append(s.sxBins[b], 0)
-	}
-	s.sxRewrite = append(s.sxRewrite, 0)
-	s.sxUnique = append(s.sxUnique, 0)
-	row := len(s.sxPath) - 1
-	w.sxIdx[id] = int32(row)
-	return row
+	b.JobID = append(b.JobID, int64(rows.Job.JobID))
+	b.UserID = append(b.UserID, int64(rows.Job.UserID))
+	b.NProcs = append(b.NProcs, int64(rows.Job.NProcs))
+	b.StartTime = append(b.StartTime, rows.Job.StartTime)
+	b.EndTime = append(b.EndTime, rows.Job.EndTime)
+	b.Domain = append(b.Domain, w.dictID(rows.Domain))
+	b.TuneStripe = append(b.TuneStripe, rows.TuneStripe)
+	b.TuneColl = append(b.TuneColl, rows.TuneColl)
+	b.TuneIndep = append(b.TuneIndep, rows.TuneIndep)
+	b.FileEnd = append(b.FileEnd, int64(b.FileRows))
+	b.PosixEnd = append(b.PosixEnd, int64(b.PosixRows))
+	b.StdioXEnd = append(b.StdioXEnd, int64(b.StdioXRows))
+	b.NumLogs++
 }
 
 // Flush encodes and frames out the open segment, if it holds any logs.
@@ -451,7 +174,7 @@ func (w *Writer) Flush() error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.seg.logs == 0 {
+	if w.seg.NumLogs == 0 {
 		return nil
 	}
 	if err := w.writeSegment(); err != nil {
@@ -459,7 +182,7 @@ func (w *Writer) Flush() error {
 		return err
 	}
 	w.segments++
-	w.seg.reset()
+	w.reset()
 	return nil
 }
 
@@ -499,30 +222,28 @@ func (w *Writer) writeSegment() error {
 	}
 	cols := make([]colOut, 0, len(specs))
 	for _, spec := range specs {
-		if spec.tbl != tblDict && s.rows(spec.tbl) == 0 {
+		if s.rows(spec.tbl) == 0 { // the dictionary always holds ""
 			continue
 		}
 		off := body.Len()
 		var st Stats
 		switch {
-		case spec.enc == encStrings:
-			st = encodeStrings(body, s.dict)
+		case spec.tbl == tblDict:
+			st = encodeStrings(body, s.Dict)
 		case spec.float:
-			_, floats := s.column(spec.id)
-			st = encodeFloats(body, floats)
+			st = encodeFloats(body, *s.floats(spec.id))
 		default:
-			ints, _ := s.column(spec.id)
-			st = encodeInts(body, ints, spec.enc)
+			st = encodeInts(body, *s.ints(spec.id), spec.enc)
 		}
 		cols = append(cols, colOut{spec: spec, off: off, len: body.Len() - off, st: st})
 	}
 
 	hdr := getBuf()
 	defer putBuf(hdr)
-	putU32(hdr, uint32(s.logs))
-	putU32(hdr, uint32(len(s.fileFlags)))
-	putU32(hdr, uint32(len(s.phPath)))
-	putU32(hdr, uint32(len(s.sxPath)))
+	putU32(hdr, uint32(s.NumLogs))
+	putU32(hdr, uint32(s.FileRows))
+	putU32(hdr, uint32(s.PosixRows))
+	putU32(hdr, uint32(s.StdioXRows))
 	putU16(hdr, uint16(len(cols)))
 	for _, c := range cols {
 		hdr.WriteByte(c.spec.id)

@@ -67,8 +67,9 @@ func (sr *ScanResult) HourlyVolumes() []float64 {
 }
 
 // ScanColumnar mines a .dgc campaign into an hourly activity series and
-// per-domain totals, using the same POSIX-preferred byte accounting as
-// the aggregator so scanned totals reconcile exactly with the report.
+// per-domain totals, counting each file's bytes by the rule the aggregator
+// uses (darshan.FileRow.Accounted) so scanned totals reconcile exactly with
+// the report.
 // Segments are pruned by the start-time column's stats block before any
 // column is decoded — the PeekSegment fast path.
 func ScanColumnar(ctx context.Context, path string, opts ScanOptions) (*ScanResult, error) {
@@ -124,18 +125,10 @@ func ScanColumnar(ctx context.Context, path string, opts ScanOptions) (*ScanResu
 			}
 			var readB, writeB int64
 			for r := rowStart; r < rowEnd; r++ {
-				flags := colfmt.At(b.FileFlags, r)
-				switch {
-				case flags&colfmt.FlagPosix != 0:
-					readB += colfmt.At(b.PosixReadB, r)
-					writeB += colfmt.At(b.PosixWriteB, r)
-				case flags&colfmt.FlagStdio != 0:
-					readB += colfmt.At(b.StdioReadB, r)
-					writeB += colfmt.At(b.StdioWriteB, r)
-				default:
-					readB += colfmt.At(b.MpiioReadB, r)
-					writeB += colfmt.At(b.MpiioWriteB, r)
-				}
+				f := b.FileRow(r)
+				acct, _ := f.Accounted()
+				readB += acct.ReadB
+				writeB += acct.WriteB
 			}
 			rowStart = rowEnd
 
