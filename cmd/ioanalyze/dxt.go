@@ -1,4 +1,6 @@
-// Package dxtan analyzes Darshan eXtended Tracing records — the
+package main
+
+// The dxt subcommand analyzes Darshan eXtended Tracing records — the
 // high-resolution per-operation traces the paper's §2.2 describes as the
 // tool for "in-depth analysis of HPC I/O workloads" (and notes were
 // disabled in both production collections). Given the segment lists the
@@ -6,55 +8,55 @@
 // detects I/O phases (bursts), and computes the per-trace statistics that
 // counter-level Darshan records cannot express: exact burstiness, duty
 // cycle, and inter-operation gaps.
-package dxtan
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"iolayers/internal/darshan"
 )
 
-// Pattern classifies a trace's offset behavior.
-type Pattern int
+// pattern classifies a trace's offset behavior.
+type pattern int
 
 // Access patterns, from most to least storage-friendly.
 const (
-	// Consecutive: every operation starts exactly where the previous ended.
-	Consecutive Pattern = iota
-	// Sequential: offsets are monotone non-decreasing, possibly with holes.
-	Sequential
-	// Random: offsets move backwards at least once.
-	Random
+	// consecutive: every operation starts exactly where the previous ended.
+	consecutive pattern = iota
+	// sequential: offsets are monotone non-decreasing, possibly with holes.
+	sequential
+	// random: offsets move backwards at least once.
+	random
 )
 
 // String names the pattern.
-func (p Pattern) String() string {
+func (p pattern) String() string {
 	switch p {
-	case Consecutive:
+	case consecutive:
 		return "consecutive"
-	case Sequential:
+	case sequential:
 		return "sequential"
-	case Random:
+	case random:
 		return "random"
 	default:
 		return "pattern(?)"
 	}
 }
 
-// Phase is one contiguous burst of I/O within a trace: operations separated
+// phase is one contiguous burst of I/O within a trace: operations separated
 // by gaps no longer than the detector's threshold.
-type Phase struct {
+type phase struct {
 	Start, End float64
 	Ops        int
 	Bytes      int64
 }
 
 // Duration returns the phase's wall-clock span in seconds.
-func (p Phase) Duration() float64 { return p.End - p.Start }
+func (p phase) Duration() float64 { return p.End - p.Start }
 
-// TraceStats summarizes one DXT trace.
-type TraceStats struct {
+// traceStats summarizes one DXT trace.
+type traceStats struct {
 	Module darshan.ModuleID
 	Record darshan.RecordID
 	Rank   int32
@@ -68,19 +70,19 @@ type TraceStats struct {
 	DutyCycle  float64 // BusyTime / Span
 	MeanGap    float64 // mean inter-operation gap
 	MaxGap     float64
-	Pattern    Pattern
-	Phases     []Phase
+	Pattern    pattern
+	Phases     []phase
 	AvgOpBytes float64
 }
 
-// Analyze computes statistics for one trace. phaseGap is the idle-seconds
-// threshold that splits I/O phases; values at or below zero use 1 second,
-// a common burst-detection default.
-func Analyze(tr darshan.DXTTrace, phaseGap float64) TraceStats {
+// analyzeTrace computes statistics for one trace. phaseGap is the
+// idle-seconds threshold that splits I/O phases; values at or below zero
+// use 1 second, a common burst-detection default.
+func analyzeTrace(tr darshan.DXTTrace, phaseGap float64) traceStats {
 	if phaseGap <= 0 {
 		phaseGap = 1.0
 	}
-	st := TraceStats{Module: tr.Module, Record: tr.Record, Rank: tr.Rank}
+	st := traceStats{Module: tr.Module, Record: tr.Record, Rank: tr.Rank}
 	if len(tr.Segments) == 0 {
 		return st
 	}
@@ -89,11 +91,11 @@ func Analyze(tr darshan.DXTTrace, phaseGap float64) TraceStats {
 
 	st.Ops = len(segs)
 	st.Span = segs[len(segs)-1].End - segs[0].Start
-	st.Pattern = Consecutive
+	st.Pattern = consecutive
 
 	var prevEnd float64
 	var prevByteEnd int64
-	cur := Phase{Start: segs[0].Start, End: segs[0].End}
+	cur := phase{Start: segs[0].Start, End: segs[0].End}
 	var gaps []float64
 	for i, s := range segs {
 		if s.Kind == darshan.OpRead {
@@ -117,15 +119,15 @@ func Analyze(tr darshan.DXTTrace, phaseGap float64) TraceStats {
 			case s.Offset == prevByteEnd:
 				// still consecutive
 			case s.Offset > prevByteEnd:
-				if st.Pattern == Consecutive {
-					st.Pattern = Sequential
+				if st.Pattern == consecutive {
+					st.Pattern = sequential
 				}
 			default:
-				st.Pattern = Random
+				st.Pattern = random
 			}
 			if gap > phaseGap {
 				st.Phases = append(st.Phases, cur)
-				cur = Phase{Start: s.Start, End: s.End}
+				cur = phase{Start: s.Start, End: s.End}
 			} else {
 				if s.End > cur.End {
 					cur.End = s.End
@@ -156,17 +158,17 @@ func Analyze(tr darshan.DXTTrace, phaseGap float64) TraceStats {
 	return st
 }
 
-// AnalyzeLog analyzes every trace in a log.
-func AnalyzeLog(log *darshan.Log, phaseGap float64) []TraceStats {
-	out := make([]TraceStats, 0, len(log.DXT))
+// analyzeDXT analyzes every trace in a log.
+func analyzeDXT(log *darshan.Log, phaseGap float64) []traceStats {
+	out := make([]traceStats, 0, len(log.DXT))
 	for _, tr := range log.DXT {
-		out = append(out, Analyze(tr, phaseGap))
+		out = append(out, analyzeTrace(tr, phaseGap))
 	}
 	return out
 }
 
-// Render formats trace statistics with their resolved paths.
-func Render(log *darshan.Log, stats []TraceStats) string {
+// renderDXT formats trace statistics with their resolved paths.
+func renderDXT(log *darshan.Log, stats []traceStats) string {
 	out := fmt.Sprintf("DXT analysis: %d traces\n", len(stats))
 	for _, st := range stats {
 		out += fmt.Sprintf("%s rank %d  %s\n", st.Module, st.Rank, log.PathOf(st.Record))
@@ -176,4 +178,16 @@ func Render(log *darshan.Log, stats []TraceStats) string {
 			st.Span, st.BusyTime, st.DutyCycle, len(st.Phases), st.MeanGap, st.MaxGap)
 	}
 	return out
+}
+
+// showDXT prints one log's trace analysis: access patterns, I/O phases,
+// duty cycles. A log without DXT sections (the production default on both
+// studied systems) reports "no traces".
+func showDXT(w io.Writer, path string, log *darshan.Log, phaseGap float64) {
+	fmt.Fprintf(w, "# %s (job %d)\n", path, log.Job.JobID)
+	if len(log.DXT) == 0 {
+		fmt.Fprintln(w, "no traces (DXT was not enabled when this log was produced)")
+		return
+	}
+	fmt.Fprint(w, renderDXT(log, analyzeDXT(log, phaseGap)))
 }

@@ -1,4 +1,4 @@
-package dxtan
+package main
 
 import (
 	"math"
@@ -18,19 +18,19 @@ func trace(segs ...darshan.DXTSegment) darshan.DXTTrace {
 }
 
 func TestAnalyzeEmptyTrace(t *testing.T) {
-	st := Analyze(trace(), 1)
+	st := analyzeTrace(trace(), 1)
 	if st.Ops != 0 || len(st.Phases) != 0 {
 		t.Errorf("empty trace: %+v", st)
 	}
 }
 
 func TestConsecutivePattern(t *testing.T) {
-	st := Analyze(trace(
+	st := analyzeTrace(trace(
 		seg(darshan.OpWrite, 0, 100, 0, 0.1),
 		seg(darshan.OpWrite, 100, 100, 0.2, 0.3),
 		seg(darshan.OpWrite, 200, 100, 0.4, 0.5),
 	), 1)
-	if st.Pattern != Consecutive {
+	if st.Pattern != consecutive {
 		t.Errorf("pattern = %v, want consecutive", st.Pattern)
 	}
 	if st.Ops != 3 || st.WriteOps != 3 || st.Bytes != 300 {
@@ -39,28 +39,28 @@ func TestConsecutivePattern(t *testing.T) {
 }
 
 func TestSequentialWithHoles(t *testing.T) {
-	st := Analyze(trace(
+	st := analyzeTrace(trace(
 		seg(darshan.OpRead, 0, 100, 0, 0.1),
 		seg(darshan.OpRead, 500, 100, 0.2, 0.3), // forward jump
 	), 1)
-	if st.Pattern != Sequential {
+	if st.Pattern != sequential {
 		t.Errorf("pattern = %v, want sequential", st.Pattern)
 	}
 }
 
 func TestRandomPattern(t *testing.T) {
-	st := Analyze(trace(
+	st := analyzeTrace(trace(
 		seg(darshan.OpRead, 500, 100, 0, 0.1),
 		seg(darshan.OpRead, 0, 100, 0.2, 0.3), // backwards
 	), 1)
-	if st.Pattern != Random {
+	if st.Pattern != random {
 		t.Errorf("pattern = %v, want random", st.Pattern)
 	}
 }
 
 func TestPhaseDetection(t *testing.T) {
 	// Two bursts of 2 ops separated by a 10-second gap.
-	st := Analyze(trace(
+	st := analyzeTrace(trace(
 		seg(darshan.OpWrite, 0, 100, 0, 0.1),
 		seg(darshan.OpWrite, 100, 100, 0.2, 0.3),
 		seg(darshan.OpWrite, 200, 100, 10.3, 10.4),
@@ -85,7 +85,7 @@ func TestPhaseDetection(t *testing.T) {
 
 func TestDutyCycle(t *testing.T) {
 	// 0.2s busy within a 1.0s span.
-	st := Analyze(trace(
+	st := analyzeTrace(trace(
 		seg(darshan.OpWrite, 0, 100, 0, 0.1),
 		seg(darshan.OpWrite, 100, 100, 0.9, 1.0),
 	), 5)
@@ -99,17 +99,17 @@ func TestDutyCycle(t *testing.T) {
 
 func TestUnsortedSegmentsHandled(t *testing.T) {
 	// Segments arrive out of order; analysis must sort by start time.
-	st := Analyze(trace(
+	st := analyzeTrace(trace(
 		seg(darshan.OpWrite, 100, 100, 0.2, 0.3),
 		seg(darshan.OpWrite, 0, 100, 0, 0.1),
 	), 1)
-	if st.Pattern != Consecutive {
+	if st.Pattern != consecutive {
 		t.Errorf("pattern = %v, want consecutive after sorting", st.Pattern)
 	}
 }
 
 func TestDefaultPhaseGap(t *testing.T) {
-	st := Analyze(trace(
+	st := analyzeTrace(trace(
 		seg(darshan.OpWrite, 0, 100, 0, 0.1),
 		seg(darshan.OpWrite, 100, 100, 2.0, 2.1), // 1.9s gap > default 1s
 	), 0)
@@ -130,19 +130,19 @@ func TestAnalyzeLogEndToEnd(t *testing.T) {
 		off += int64(units.MiB)
 	}
 	log := rt.Finalize()
-	stats := AnalyzeLog(log, 1.0)
+	stats := analyzeDXT(log, 1.0)
 	if len(stats) != 1 {
 		t.Fatalf("stats = %d", len(stats))
 	}
 	st := stats[0]
-	if st.Ops != 5 || st.Pattern != Consecutive {
+	if st.Ops != 5 || st.Pattern != consecutive {
 		t.Errorf("end-to-end: %+v", st)
 	}
 	// 5 ops 4.5s apart: every op its own phase.
 	if len(st.Phases) != 5 {
 		t.Errorf("phases = %d, want 5 (checkpoint-like bursts)", len(st.Phases))
 	}
-	out := Render(log, stats)
+	out := renderDXT(log, stats)
 	for _, want := range []string{"DXT analysis", p, "consecutive", "phases=5"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

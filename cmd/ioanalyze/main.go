@@ -1,7 +1,16 @@
-// Command ioanalyze parses a directory of Darshan-format logs (as written
-// by iogen or any tool targeting the logfmt format) or a campaign archive
-// and prints the study's tables and figures for them — the darshan-util
-// half of the pipeline on its own.
+// Command ioanalyze is everything that reads logs off disk — the
+// darshan-util half of the pipeline on its own. Given flags, it parses a
+// campaign (a directory of Darshan-format logs as written by `iostudy gen`
+// or any tool targeting the logfmt format, an archive, or a columnar file)
+// and prints the study's tables and figures for it. Given a subcommand, it
+// shows single logs one at a time:
+//
+//	ioanalyze dump file.darshan [...]              every counter, darshan-parser style
+//	ioanalyze summary [-top N] file.darshan [...]  per-job report, darshan-job-summary style
+//	ioanalyze dxt [-gap 1.0] file.darshan [...]    DXT trace patterns, phases, duty cycles
+//
+// The subcommands exit 0 when every log was shown, 1 when any was
+// unreadable, 2 on a usage error, 130 when interrupted.
 //
 // Ingestion is parallel and streaming: logs fan out to a worker pool of
 // private aggregators that merge at the end (deterministically — the same
@@ -25,6 +34,7 @@
 //	ioanalyze -resume pass.ckpt [-checkpoint pass.ckpt]
 //	ioanalyze -dir /path/to/logs -format json [-section table2]
 //	ioanalyze -archive campaign.dgar -convert campaign.dgc
+//	ioanalyze dump|summary|dxt [flags] file.darshan [...]
 //
 // -dir and -archive name the one source path; what it is — a directory of
 // logs, a single .darshan log, a row-oriented campaign archive (.dgar) or a
@@ -40,15 +50,16 @@
 // can be diffed byte-for-byte against the service response. -format csv
 // emits the figure series for external plotting.
 //
-// Exit status: 0 on success (even with some unreadable logs, which are
-// reported on stderr); 1 when nothing could be parsed at all or the source
-// is unreadable; 2 on usage errors; 130 when interrupted.
+// Exit status of a report: 0 on success (even with some unreadable logs,
+// which are reported on stderr); 1 when nothing could be parsed at all or
+// the source is unreadable; 2 on usage errors; 130 when interrupted.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"iolayers/internal/cli"
 	"iolayers/internal/core"
@@ -57,17 +68,30 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
+		os.Exit(eachLog(os.Args[1], os.Args[2:]))
+	}
+	analyze(os.Args[1:])
+}
+
+// analyze renders the report over one campaign source.
+func analyze(args []string) {
+	fs := flag.NewFlagSet("ioanalyze", flag.ExitOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: ioanalyze [flags], or ioanalyze dump|summary|dxt [flags] file.darshan [...]")
+		fs.PrintDefaults()
+	}
 	var (
-		system     = flag.String("system", "summit", "system the logs came from: summit or cori")
-		dir        = flag.String("dir", "", "directory of .darshan logs")
-		archive    = flag.String("archive", "", "campaign file to analyze instead of a directory: a .dgar archive, a .dgc columnar campaign, or a single .darshan log")
-		formatFlag = flag.String("format", "text", "report output format: text, json, or csv")
-		section    = flag.String("section", "", "render one section (table2..table6, figure3..figure11, users, predict, ...; default all)")
-		convert    = flag.String("convert", "", "convert the source to a columnar campaign file (.dgc) at this path and exit")
+		system     = fs.String("system", "summit", "system the logs came from: summit or cori")
+		dir        = fs.String("dir", "", "directory of .darshan logs")
+		archive    = fs.String("archive", "", "campaign file to analyze instead of a directory: a .dgar archive, a .dgc columnar campaign, or a single .darshan log")
+		formatFlag = fs.String("format", "text", "report output format: text, json, or csv")
+		section    = fs.String("section", "", "render one section (table2..table6, figure3..figure11, users, predict, ...; default all)")
+		convert    = fs.String("convert", "", "convert the source to a columnar campaign file (.dgc) at this path and exit")
 	)
 	var common cli.CommonFlags
-	common.Register(flag.CommandLine, cli.FlagDebug|cli.FlagWorkers|cli.FlagCheckpoint|cli.FlagQuarantine)
-	flag.Parse()
+	common.Register(fs, cli.FlagDebug|cli.FlagWorkers|cli.FlagCheckpoint|cli.FlagQuarantine)
+	fs.Parse(args)
 
 	format, err := report.ParseFormat(*formatFlag)
 	if err != nil {

@@ -1,54 +1,15 @@
-// Command darshansummary renders a per-job report from one Darshan-format
-// log, in the spirit of darshan-job-summary: per-module totals, estimated
-// bandwidths, the access-size histogram, and the files that moved the most
-// data.
-//
-// Usage:
-//
-//	darshansummary file.darshan [...]
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"time"
 
-	"iolayers/internal/cli"
 	"iolayers/internal/darshan"
-	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/report"
 	"iolayers/internal/units"
 )
-
-func main() {
-	top := flag.Int("top", 10, "files to list in the by-volume table")
-	var common cli.CommonFlags
-	common.Register(flag.CommandLine, cli.FlagDebug)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: darshansummary [-top N] file.darshan [...]")
-		os.Exit(2)
-	}
-	ctx, cancel := cli.SignalContext("darshansummary")
-	defer cancel()
-	act := common.Activate(ctx, "darshansummary")
-	defer act.Close()
-	exit := 0
-	for _, path := range flag.Args() {
-		if ctx.Err() != nil {
-			exit = cli.ExitInterrupted
-			break
-		}
-		if err := summarize(path, *top); err != nil {
-			fmt.Fprintf(os.Stderr, "darshansummary: %s: %v\n", path, err)
-			exit = 1
-		}
-	}
-	act.WriteMetricsOut()
-	os.Exit(exit)
-}
 
 type moduleTotals struct {
 	files                int
@@ -57,20 +18,19 @@ type moduleTotals struct {
 	readTime, writeTime  float64
 }
 
-func summarize(path string, top int) error {
-	log, err := logfmt.ReadFile(path)
-	if err != nil {
-		return err
-	}
+// summarize renders a per-job report of one log, in the spirit of
+// darshan-job-summary: per-module totals, estimated bandwidths, the
+// access-size histogram, and the top files that moved the most data.
+func summarize(w io.Writer, path string, log *darshan.Log, top int) {
 	j := log.Job
-	fmt.Printf("=== %s ===\n", path)
-	fmt.Printf("job %d, uid %d, %d processes, %s, runtime %.0fs\n",
+	fmt.Fprintf(w, "=== %s ===\n", path)
+	fmt.Fprintf(w, "job %d, uid %d, %d processes, %s, runtime %.0fs\n",
 		j.JobID, j.UserID, j.NProcs,
 		time.Unix(j.StartTime, 0).UTC().Format("2006-01-02 15:04"), j.Runtime())
 	if d := j.Metadata["domain"]; d != "" {
-		fmt.Printf("science domain: %s\n", d)
+		fmt.Fprintf(w, "science domain: %s\n", d)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	totals := map[darshan.ModuleID]*moduleTotals{}
 	type fileVol struct {
@@ -112,7 +72,7 @@ func summarize(path string, top int) error {
 		}
 	}
 
-	fmt.Printf("%-8s %7s %10s %10s %12s %12s %10s %10s\n",
+	fmt.Fprintf(w, "%-8s %7s %10s %10s %12s %12s %10s %10s\n",
 		"module", "files", "reads", "writes", "bytes read", "bytes writ", "read MB/s", "write MB/s")
 	for _, m := range darshan.Modules() {
 		mt, ok := totals[m]
@@ -126,7 +86,7 @@ func summarize(path string, top int) error {
 		if mt.writeTime > 0 {
 			wbw = float64(mt.bytesWrit) / mt.writeTime / 1e6
 		}
-		fmt.Printf("%-8s %7d %10d %10d %12s %12s %10.1f %10.1f\n",
+		fmt.Fprintf(w, "%-8s %7d %10d %10d %12s %12s %10.1f %10.1f\n",
 			m, mt.files, mt.reads, mt.writes,
 			report.HumanBytes(float64(mt.bytesRead)), report.HumanBytes(float64(mt.bytesWrit)),
 			rbw, wbw)
@@ -145,12 +105,12 @@ func summarize(path string, top int) error {
 		histTotal += c
 	}
 	if histTotal > 0 {
-		fmt.Println("\nPOSIX access sizes:")
+		fmt.Fprintln(w, "\nPOSIX access sizes:")
 		for b, c := range hist {
 			if c == 0 {
 				continue
 			}
-			fmt.Printf("  %-9s %10d (%5.1f%%)\n",
+			fmt.Fprintf(w, "  %-9s %10d (%5.1f%%)\n",
 				units.RequestBin(b), c, 100*float64(c)/float64(histTotal))
 		}
 	}
@@ -162,16 +122,21 @@ func summarize(path string, top int) error {
 			files = append(files, fileVol{log.PathOf(id), b})
 		}
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].bytes > files[j].bytes })
+	// Ties break by path: volumes is a map, and the order must not be its.
+	sort.Slice(files, func(i, j int) bool {
+		if files[i].bytes != files[j].bytes {
+			return files[i].bytes > files[j].bytes
+		}
+		return files[i].path < files[j].path
+	})
 	if len(files) > 0 {
-		fmt.Printf("\ntop files by volume:\n")
+		fmt.Fprintf(w, "\ntop files by volume:\n")
 		for i, f := range files {
 			if i >= top {
 				break
 			}
-			fmt.Printf("  %12s  %s\n", report.HumanBytes(float64(f.bytes)), f.path)
+			fmt.Fprintf(w, "  %12s  %s\n", report.HumanBytes(float64(f.bytes)), f.path)
 		}
 	}
-	fmt.Println()
-	return nil
+	fmt.Fprintln(w)
 }

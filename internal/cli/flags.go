@@ -30,9 +30,6 @@ const (
 	FlagCheckpoint
 	// FlagQuarantine registers -quarantine.
 	FlagQuarantine
-
-	// FlagsAll registers every family — the full standard surface.
-	FlagsAll = FlagDebug | FlagWorkers | FlagFaults | FlagCheckpoint | FlagQuarantine
 )
 
 // CommonFlags is the flag plumbing shared across the cmd/ binaries: one

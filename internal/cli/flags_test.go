@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// allGroups is every flag family; no binary registers all of them.
+const allGroups = FlagDebug | FlagWorkers | FlagFaults | FlagCheckpoint | FlagQuarantine
+
 func parse(t *testing.T, groups FlagGroup, args ...string) *CommonFlags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -35,7 +38,7 @@ func TestRegisterGroupsAreSelective(t *testing.T) {
 }
 
 func TestRegisterAllParsesTheStandardSurface(t *testing.T) {
-	c := parse(t, FlagsAll,
+	c := parse(t, allGroups,
 		"-debug-addr", "127.0.0.1:0", "-metrics", "m.json", "-workers", "3",
 		"-faults", "production", "-faultseed", "7",
 		"-checkpoint", "c.ckpt", "-checkpoint-every", "64", "-resume", "r.ckpt",
@@ -49,7 +52,7 @@ func TestRegisterAllParsesTheStandardSurface(t *testing.T) {
 }
 
 func TestActivateWithoutObservabilityFlagsIsOff(t *testing.T) {
-	c := parse(t, FlagsAll)
+	c := parse(t, allGroups)
 	a := c.Activate(context.Background(), "test")
 	defer a.Close()
 	if a.Metrics != nil {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -61,13 +63,27 @@ func TestArchiveDetourMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	logs, err := logfmt.ReadArchiveFile(path)
+	rf, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	ar, err := logfmt.NewArchiveReader(rf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	agg := analysis.NewAggregator(systems.NewSummit())
-	for _, log := range logs {
+	var logs []*darshan.Log
+	for {
+		log, err := ar.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		agg.AddLog(log)
+		logs = append(logs, log)
 	}
 	detour := agg.Report()
 

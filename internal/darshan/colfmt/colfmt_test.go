@@ -364,18 +364,19 @@ func TestReaderRejectsForeignHeaders(t *testing.T) {
 func TestScanFileStopsEarly(t *testing.T) {
 	data := encodeFile(t, 6, 2)
 	path := writeTemp(t, data)
+	stop := errors.New("stop")
 	segs := 0
 	err := ScanFile(path, GroupFiles, logfmt.DecodeLimits{}, func(seg int, b *Batch) error {
 		segs++
 		if seg == 1 {
-			return logfmt.ErrStop
+			return stop
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatalf("ScanFile: %v", err)
+	if !errors.Is(err, stop) {
+		t.Fatalf("ScanFile returned %v, want the callback's own error", err)
 	}
 	if segs != 2 {
-		t.Fatalf("scanned %d segments after ErrStop at the second, want 2", segs)
+		t.Fatalf("scanned %d segments after stopping at the second, want 2", segs)
 	}
 }

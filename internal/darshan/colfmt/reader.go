@@ -431,8 +431,9 @@ func decodeStrings(src []byte, lim logfmt.DecodeLimits) ([]string, error) {
 }
 
 // ScanFile walks every segment of the file at path sequentially, decoding
-// under proj and calling fn with each batch. fn returning logfmt.ErrStop
-// ends the scan early with a nil error.
+// under proj and calling fn with each batch. A non-nil error from fn ends
+// the scan and is returned as is, so a caller stops early by returning a
+// sentinel of its own.
 func ScanFile(path string, proj Projection, lim logfmt.DecodeLimits, fn func(seg int, b *Batch) error) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -456,9 +457,6 @@ func ScanFile(path string, proj Projection, lim logfmt.DecodeLimits, fn func(seg
 			return err
 		}
 		if err := fn(seg, b); err != nil {
-			if errors.Is(err, logfmt.ErrStop) {
-				return nil
-			}
 			return err
 		}
 	}

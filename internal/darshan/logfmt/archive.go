@@ -214,8 +214,8 @@ func (ar *ArchiveReader) InputOffset() int64 { return ar.off }
 // inside a well-framed entry reports that single bad entry as a
 // *DecodeError (classified per the embedded log's damage: a log that ends
 // mid-section inside its frame is KindTruncated even though the archive
-// framing is intact — the streaming and recovery paths agree on this); the
-// reader remains usable and the next call yields the following entry.
+// framing is intact); the reader remains usable and the next call yields
+// the following entry.
 // Framing errors (truncation, an impossible entry length) end iteration:
 // subsequent calls return io.EOF.
 func (ar *ArchiveReader) Next() (*darshan.Log, error) {
@@ -293,100 +293,4 @@ func WriteArchiveFile(path string, logs []*darshan.Log) error {
 		return fmt.Errorf("logfmt: closing %s: %w", path, err)
 	}
 	return nil
-}
-
-// RecoverArchiveFile salvages the complete entries of a damaged or
-// unterminated archive — the state a crash mid-collection leaves behind. It
-// returns every log that parses and the framing error that stopped recovery
-// (io.EOF-equivalent clean ends return a nil error). Well-framed entries
-// whose embedded log fails to parse are skipped, exactly as the streaming
-// path (ReadArchiveFunc) skips them, so recovery and streaming agree on
-// which entries a damaged archive yields and on how each failure is
-// classified.
-func RecoverArchiveFile(path string) ([]*darshan.Log, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("logfmt: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	ar, err := NewArchiveReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("logfmt: %s: %w", path, err)
-	}
-	var logs []*darshan.Log
-	for {
-		log, err := ar.Next()
-		if errors.Is(err, io.EOF) {
-			return logs, nil
-		}
-		if err != nil {
-			if ar.Damaged() {
-				// Damage point reached: everything before it is saved.
-				return logs, err
-			}
-			continue // corrupt entry inside intact framing: skip it
-		}
-		logs = append(logs, log)
-	}
-}
-
-// ErrStop is returned by a ReadArchiveFunc callback to end iteration early
-// without an error.
-var ErrStop = errors.New("logfmt: stop iteration")
-
-// ReadArchiveFunc streams the archive at path, invoking fn once per entry in
-// order. Memory stays bounded: at most one decoded log exists at a time and
-// the raw-entry scratch is reused, so archives far larger than RAM are
-// ingestible. For an entry that fails to parse, fn receives a nil log and
-// the parse error (a *DecodeError), and iteration continues with the
-// following entry (entry framing is independent of entry contents). If fn
-// returns ErrStop, iteration ends immediately with a nil error; any other
-// non-nil return aborts with that error. Stream-level damage (truncation, a
-// corrupt entry length) ends iteration with the framing error.
-func ReadArchiveFunc(path string, fn func(index int, log *darshan.Log, err error) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("logfmt: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	ar, err := NewArchiveReader(f)
-	if err != nil {
-		return fmt.Errorf("logfmt: %s: %w", path, err)
-	}
-	for i := 0; ; i++ {
-		log, err := ar.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil && ar.Damaged() {
-			// Framing error: the stream position is lost, nothing after
-			// this point is reachable.
-			return fmt.Errorf("logfmt: %s entry %d: %w", path, i, err)
-		}
-		if cbErr := fn(i, log, err); cbErr != nil {
-			if errors.Is(cbErr, ErrStop) {
-				return nil
-			}
-			return cbErr
-		}
-	}
-}
-
-// ReadArchiveFile parses every log in the archive at path. Prefer
-// ReadArchiveFunc (or ArchiveReader) for large archives: this helper
-// materializes the whole archive in memory and stops at the first bad
-// entry.
-func ReadArchiveFile(path string) ([]*darshan.Log, error) {
-	var logs []*darshan.Log
-	err := ReadArchiveFunc(path, func(i int, log *darshan.Log, err error) error {
-		if err != nil {
-			return fmt.Errorf("logfmt: %s entry %d: %w", path, i, err)
-		}
-		logs = append(logs, log)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return logs, nil
 }

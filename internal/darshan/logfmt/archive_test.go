@@ -75,9 +75,25 @@ func TestArchiveFileHelpers(t *testing.T) {
 	if err := WriteArchiveFile(path, logs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadArchiveFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer f.Close()
+	ar, err := NewArchiveReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*darshan.Log
+	for {
+		log, err := ar.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, log)
 	}
 	if len(got) != 3 {
 		t.Fatalf("read %d logs", len(got))
@@ -134,62 +150,6 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	// Double close is a no-op.
 	if err := aw.Close(); err != nil {
 		t.Errorf("double close: %v", err)
-	}
-}
-
-func TestRecoverArchiveFile(t *testing.T) {
-	// Crash scenario: three logs appended, no terminator, trailing garbage.
-	path := filepath.Join(t.TempDir(), "crashed.dgar")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aw, _ := NewArchiveWriter(f)
-	for _, l := range archiveLogs(3) {
-		if err := aw.Append(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = aw.w.Flush()
-	// Simulate a partially written fourth entry: a length prefix with only
-	// half the payload behind it.
-	if _, err := f.Write([]byte{0xff, 0x00, 0x00, 0x00, 'D', 'G'}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Strict reading fails...
-	if _, err := ReadArchiveFile(path); err == nil {
-		t.Error("strict read of crashed archive succeeded")
-	}
-	// ...recovery salvages the complete entries.
-	logs, err := RecoverArchiveFile(path)
-	if err == nil {
-		t.Error("recovery should report the damage point")
-	}
-	if len(logs) != 3 {
-		t.Errorf("recovered %d logs, want 3", len(logs))
-	}
-	for i, l := range logs {
-		if l.Job.JobID != uint64(100+i) {
-			t.Errorf("recovered entry %d: job %d", i, l.Job.JobID)
-		}
-	}
-}
-
-func TestRecoverCleanArchive(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "clean.dgar")
-	if err := WriteArchiveFile(path, archiveLogs(2)); err != nil {
-		t.Fatal(err)
-	}
-	logs, err := RecoverArchiveFile(path)
-	if err != nil {
-		t.Errorf("recovery of a clean archive errored: %v", err)
-	}
-	if len(logs) != 2 {
-		t.Errorf("recovered %d logs", len(logs))
 	}
 }
 

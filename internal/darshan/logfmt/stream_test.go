@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -30,60 +29,6 @@ func writeSampleArchive(t *testing.T, n int) string {
 	return path
 }
 
-func TestReadArchiveFuncStreamsInOrder(t *testing.T) {
-	path := writeSampleArchive(t, 5)
-	var ids []uint64
-	err := ReadArchiveFunc(path, func(i int, log *darshan.Log, err error) error {
-		if err != nil {
-			t.Fatalf("entry %d: %v", i, err)
-		}
-		if i != len(ids) {
-			t.Fatalf("entry index %d, want %d", i, len(ids))
-		}
-		ids = append(ids, log.Job.JobID)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{1000, 1001, 1002, 1003, 1004}
-	if !reflect.DeepEqual(ids, want) {
-		t.Errorf("job ids = %v, want %v", ids, want)
-	}
-}
-
-// ErrStop ends iteration early with no error — the laziness guarantee:
-// entries after the stop are never decoded (or even read), so analysis can
-// bound its work without slurping the archive.
-func TestReadArchiveFuncStopsEarly(t *testing.T) {
-	path := writeSampleArchive(t, 64)
-	seen := 0
-	err := ReadArchiveFunc(path, func(i int, log *darshan.Log, err error) error {
-		seen++
-		if seen == 2 {
-			return ErrStop
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != 2 {
-		t.Errorf("callback ran %d times after ErrStop at 2", seen)
-	}
-}
-
-func TestReadArchiveFuncPropagatesCallbackError(t *testing.T) {
-	path := writeSampleArchive(t, 3)
-	boom := errors.New("boom")
-	err := ReadArchiveFunc(path, func(i int, log *darshan.Log, err error) error {
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want boom", err)
-	}
-}
-
 // corruptEntry flips one byte in the middle of entry k's embedded log,
 // leaving the archive framing intact.
 func corruptEntry(t *testing.T, path string, k int) {
@@ -103,34 +48,9 @@ func corruptEntry(t *testing.T, path string, k int) {
 	}
 }
 
-// A corrupt entry is reported to the callback and iteration continues with
-// the following entries — the framing is independent of entry contents.
-func TestReadArchiveFuncContinuesPastCorruptEntry(t *testing.T) {
-	path := writeSampleArchive(t, 4)
-	corruptEntry(t, path, 1)
-	var ids []uint64
-	var badIdx []int
-	err := ReadArchiveFunc(path, func(i int, log *darshan.Log, err error) error {
-		if err != nil {
-			badIdx = append(badIdx, i)
-			return nil
-		}
-		ids = append(ids, log.Job.JobID)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(badIdx, []int{1}) {
-		t.Errorf("bad entries = %v, want [1]", badIdx)
-	}
-	if !reflect.DeepEqual(ids, []uint64{1000, 1002, 1003}) {
-		t.Errorf("surviving job ids = %v", ids)
-	}
-}
-
-// Same property at the ArchiveReader level: Next returns the per-entry
-// error, then keeps yielding the entries after it.
+// A corrupt entry does not end iteration — the framing is independent of
+// entry contents: Next returns the per-entry error, then keeps yielding the
+// entries after it.
 func TestArchiveReaderNextRecoversFromCorruptEntry(t *testing.T) {
 	path := writeSampleArchive(t, 3)
 	corruptEntry(t, path, 0)

@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 
-	"iolayers/internal/dist"
 	"iolayers/internal/iosim"
 	"iolayers/internal/stats"
 	"iolayers/internal/units"
@@ -94,7 +93,7 @@ func (h *Harness) RunContext(ctx context.Context, samples int) ([]Sample, error)
 			if err := ctx.Err(); err != nil {
 				return out, err
 			}
-			r := dist.Stream(h.seed, uint64(li)*1000+uint64(pi))
+			r := stats.Stream(h.seed, uint64(li)*1000+uint64(pi))
 			path := fmt.Sprintf("%s/probe/%s.dat", layer.Mount(), p.Name)
 			for s := 0; s < samples; s++ {
 				dur := layer.Transfer(path, p.RW, p.Size, p.Procs, r)

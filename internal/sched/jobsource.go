@@ -3,8 +3,8 @@ package sched
 import (
 	"math"
 
-	"iolayers/internal/dist"
 	"iolayers/internal/iosim/faults"
+	"iolayers/internal/stats"
 	"iolayers/internal/workload"
 )
 
@@ -24,7 +24,7 @@ type SourceConfig struct {
 	// allocation (Cori's CBB-exclusive + both-layer jobs ≈ 19%).
 	BBFraction float64
 	// StageSeconds samples the stage-in duration of BB jobs.
-	StageSeconds dist.Sampler
+	StageSeconds stats.Sampler
 	// MaxWalltimeSeconds caps job runtimes, as production queue policies do
 	// (0 = the conventional 48 h limit).
 	MaxWalltimeSeconds float64
@@ -54,7 +54,7 @@ func FromProfile(p workload.Profile, cfg SourceConfig) []Job {
 	}
 	jobs := make([]Job, 0, n)
 	for i := 0; i < n; i++ {
-		r := dist.Stream(cfg.Seed, uint64(i))
+		r := stats.Stream(cfg.Seed, uint64(i))
 		procs := int(math.Round(p.NProcs.Sample(r)))
 		if procs < 1 {
 			procs = 1
@@ -95,7 +95,7 @@ func FromProfile(p workload.Profile, cfg SourceConfig) []Job {
 			Nodes:   nodes,
 			Runtime: runtime,
 		}
-		if cfg.BBFraction > 0 && dist.Bernoulli(r, cfg.BBFraction) {
+		if cfg.BBFraction > 0 && stats.Bernoulli(r, cfg.BBFraction) {
 			j.BBNodes = 1 + r.IntN(16)
 			if cfg.StageSeconds != nil {
 				j.StageInSeconds = cfg.StageSeconds.Sample(r)

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"iolayers/internal/dist"
+	"iolayers/internal/stats"
 	"iolayers/internal/workload"
 )
 
@@ -195,7 +195,7 @@ func TestUtilizationBounded(t *testing.T) {
 		Scale: 0.0002, Seed: 3, PeriodSeconds: 30 * 86400,
 		ProcsPerNode: 64, MachineNodes: 9688,
 		BBFraction:   0.19,
-		StageSeconds: dist.LogNormal{Median: 120, Sigma: 1},
+		StageSeconds: stats.LogNormal{Median: 120, Sigma: 1},
 	})
 	if len(jobs) < 100 {
 		t.Fatalf("job stream too small: %d", len(jobs))

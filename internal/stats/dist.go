@@ -1,11 +1,12 @@
-// Package dist provides the deterministic, seedable random distributions the
-// workload generator is built from: categorical (weighted) choice, lognormal
-// and bounded-Pareto size distributions, and mixtures of samplers.
+package stats
+
+// The deterministic, seedable random distributions the workload generator is
+// built from: categorical (weighted) choice, lognormal and bounded-Pareto
+// size distributions, and mixtures of samplers.
 //
 // Determinism contract: every generator in the study derives its randomness
 // from a Stream(seed, index) PCG stream, so a campaign is bit-identical for
 // a given (seed, scale) pair regardless of worker parallelism.
-package dist
 
 import (
 	"fmt"
@@ -65,7 +66,7 @@ type LogNormal struct {
 // Sample draws from the lognormal.
 func (l LogNormal) Sample(r *rand.Rand) float64 {
 	if l.Median <= 0 {
-		panic(fmt.Sprintf("dist: LogNormal median %v must be positive", l.Median))
+		panic(fmt.Sprintf("stats: LogNormal median %v must be positive", l.Median))
 	}
 	return l.Median * math.Exp(l.Sigma*r.NormFloat64())
 }
@@ -73,7 +74,7 @@ func (l LogNormal) Sample(r *rand.Rand) float64 {
 // Quantile returns the value at cumulative probability u ∈ (0,1).
 func (l LogNormal) Quantile(u float64) float64 {
 	if l.Median <= 0 {
-		panic(fmt.Sprintf("dist: LogNormal median %v must be positive", l.Median))
+		panic(fmt.Sprintf("stats: LogNormal median %v must be positive", l.Median))
 	}
 	return l.Median * math.Exp(l.Sigma*NormQuantile(u))
 }
@@ -130,7 +131,7 @@ type BoundedPareto struct {
 // Sample draws from the bounded Pareto.
 func (p BoundedPareto) Sample(r *rand.Rand) float64 {
 	if !(p.Lo > 0 && p.Hi > p.Lo && p.Alpha > 0) {
-		panic(fmt.Sprintf("dist: invalid BoundedPareto %+v", p))
+		panic(fmt.Sprintf("stats: invalid BoundedPareto %+v", p))
 	}
 	u := r.Float64()
 	la := math.Pow(p.Lo, p.Alpha)
@@ -149,7 +150,7 @@ type UniformRange struct {
 // Sample draws from the range.
 func (u UniformRange) Sample(r *rand.Rand) float64 {
 	if u.Hi < u.Lo {
-		panic(fmt.Sprintf("dist: invalid UniformRange [%v,%v)", u.Lo, u.Hi))
+		panic(fmt.Sprintf("stats: invalid UniformRange [%v,%v)", u.Lo, u.Hi))
 	}
 	return u.Lo + (u.Hi-u.Lo)*r.Float64()
 }
@@ -171,20 +172,20 @@ type Mixture struct {
 // non-negative with a positive sum.
 func NewMixture(components ...Component) *Mixture {
 	if len(components) == 0 {
-		panic("dist: NewMixture needs at least one component")
+		panic("stats: NewMixture needs at least one component")
 	}
 	var total float64
 	for _, c := range components {
 		if c.Weight < 0 || math.IsNaN(c.Weight) {
-			panic(fmt.Sprintf("dist: negative mixture weight %v", c.Weight))
+			panic(fmt.Sprintf("stats: negative mixture weight %v", c.Weight))
 		}
 		if c.Sampler == nil {
-			panic("dist: nil sampler in mixture")
+			panic("stats: nil sampler in mixture")
 		}
 		total += c.Weight
 	}
 	if total <= 0 {
-		panic("dist: mixture weights sum to zero")
+		panic("stats: mixture weights sum to zero")
 	}
 	m := &Mixture{
 		components: append([]Component(nil), components...),
@@ -226,17 +227,17 @@ type Weighted[T any] struct {
 // non-negative with a positive sum.
 func NewCategorical[T any](choices ...Weighted[T]) *Categorical[T] {
 	if len(choices) == 0 {
-		panic("dist: NewCategorical needs at least one choice")
+		panic("stats: NewCategorical needs at least one choice")
 	}
 	var total float64
 	for _, c := range choices {
 		if c.Weight < 0 || math.IsNaN(c.Weight) {
-			panic(fmt.Sprintf("dist: negative categorical weight %v", c.Weight))
+			panic(fmt.Sprintf("stats: negative categorical weight %v", c.Weight))
 		}
 		total += c.Weight
 	}
 	if total <= 0 {
-		panic("dist: categorical weights sum to zero")
+		panic("stats: categorical weights sum to zero")
 	}
 	cat := &Categorical[T]{
 		values: make([]T, len(choices)),

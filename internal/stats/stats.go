@@ -1,6 +1,8 @@
 // Package stats provides the small set of descriptive statistics the study
-// needs: empirical quantiles, five-number boxplot summaries, binned
-// histograms, and cumulative distribution functions over ordered bins.
+// needs — empirical quantiles, five-number boxplot summaries, binned
+// histograms, and cumulative distribution functions over ordered bins — and
+// the seedable random distributions the workload generator draws from
+// (dist.go).
 //
 // All functions are deterministic and allocate only what they return, so
 // they are safe to call from concurrent analysis workers on disjoint data.

@@ -6,10 +6,10 @@ import (
 	"math/rand/v2"
 
 	"iolayers/internal/darshan"
-	"iolayers/internal/dist"
 	"iolayers/internal/iosim"
 	"iolayers/internal/iosim/faults"
 	"iolayers/internal/iosim/lustre"
+	"iolayers/internal/stats"
 	"iolayers/internal/units"
 )
 
@@ -175,13 +175,13 @@ func (g *Generator) GenerateJobFaults(i int) ([]*darshan.Log, FaultOutcome) {
 		panic(fmt.Sprintf("workload: job index %d outside [0,%d)", i, g.jobs))
 	}
 	var fo FaultOutcome
-	r := dist.Stream(g.cfg.Seed, uint64(i))
+	r := stats.Stream(g.cfg.Seed, uint64(i))
 	p := &g.profile
 
 	jobID := uint64(1_000_000 + i)
 	uid := uint64(1000 + r.IntN(p.Users))
 	domain := p.Domains.Sample(r)
-	covered := dist.Bernoulli(r, p.DomainCoverage)
+	covered := stats.Bernoulli(r, p.DomainCoverage)
 
 	nprocs := int(math.Round(p.NProcs.Sample(r)))
 	if nprocs < 1 {
@@ -337,7 +337,7 @@ func (g *Generator) scaledCount(raw float64, r *rand.Rand) int {
 		return 0
 	}
 	n := int(v)
-	if dist.Bernoulli(r, v-float64(n)) {
+	if stats.Bernoulli(r, v-float64(n)) {
 		n++
 	}
 	if n > maxFilesPerLogLayer {
@@ -387,7 +387,7 @@ func (g *Generator) genFile(rt *darshan.Runtime, r *rand.Rand, lp *LayerProfile,
 	path := fmt.Sprintf("%s/%s/job%d/l%d/f%d.%s",
 		layer.Mount(), shortDomain(domain), jobID, logIdx, fileIdx, ext)
 
-	shared := nprocs > 1 && dist.Bernoulli(r, lp.SharedFileFrac)
+	shared := nprocs > 1 && stats.Bernoulli(r, lp.SharedFileFrac)
 	rank := darshan.SharedRank
 	procs := nprocs
 	if !shared {
@@ -399,7 +399,7 @@ func (g *Generator) genFile(rt *darshan.Runtime, r *rand.Rand, lp *LayerProfile,
 		// Tuned users let the library do collective buffering (§5).
 		collFrac = 0.9
 	}
-	collective := iface == darshan.ModuleMPIIO && dist.Bernoulli(r, collFrac)
+	collective := iface == darshan.ModuleMPIIO && stats.Bernoulli(r, collFrac)
 
 	volScale := 1.0
 	if s, ok := p.DomainVolumeScale[domain]; ok {
@@ -472,7 +472,7 @@ func (g *Generator) genFile(rt *darshan.Runtime, r *rand.Rand, lp *LayerProfile,
 func (g *Generator) genTransfer(rt *darshan.Runtime, r *rand.Rand,
 	cfg iosim.InterfaceConfig, layer iosim.Layer, path string,
 	iface darshan.ModuleID, rank int32, procs int, collective bool,
-	rw iosim.RW, sizeDist dist.Sampler, volScale float64, reqs RequestSizes,
+	rw iosim.RW, sizeDist stats.Sampler, volScale float64, reqs RequestSizes,
 	t0, clock float64, fo *FaultOutcome) float64 {
 
 	volume := units.ByteSize(sizeDist.Sample(r) * volScale)
@@ -536,14 +536,14 @@ func (g *Generator) genTransfer(rt *darshan.Runtime, r *rand.Rand,
 		// even when a small file cannot populate every bin.
 		exact := totalCalls * w / wsum
 		n := int(exact)
-		if dist.Bernoulli(r, exact-float64(n)) {
+		if stats.Bernoulli(r, exact-float64(n)) {
 			n++
 		}
 		if n == 0 {
 			continue
 		}
 		if iface == darshan.ModuleSTDIO && rw == iosim.Write &&
-			dist.Bernoulli(r, stdioRewriteFrac) {
+			stats.Bernoulli(r, stdioRewriteFrac) {
 			offset = 0
 		}
 		clock = g.emitBatch(rt, r, cfg, layer, path, iface, rank, procs,

@@ -19,7 +19,7 @@ import (
 	"math/rand/v2"
 
 	"iolayers/internal/darshan"
-	"iolayers/internal/dist"
+	"iolayers/internal/stats"
 	"iolayers/internal/units"
 )
 
@@ -135,18 +135,18 @@ func logUniform(r *rand.Rand, lo, hi float64) units.ByteSize {
 // distributions (including heavy tails for the >1 TB population).
 type InterfaceProfile struct {
 	// ClassMix draws read-only / read-write / write-only.
-	ClassMix *dist.Categorical[Class]
+	ClassMix *stats.Categorical[Class]
 	// ReadSize and WriteSize draw a file's aggregate transferred bytes in
 	// the respective direction (used when the class includes it).
-	ReadSize  dist.Sampler
-	WriteSize dist.Sampler
+	ReadSize  stats.Sampler
+	WriteSize stats.Sampler
 }
 
 // LayerProfile describes one storage layer's file population.
 type LayerProfile struct {
 	// FilesPerLog draws the number of files a log touches on this layer
 	// (for jobs that use the layer at all).
-	FilesPerLog dist.Sampler
+	FilesPerLog stats.Sampler
 	// FilesPerJob, when non-nil, replaces FilesPerLog: the job's whole
 	// file population on this layer is drawn once and spread evenly over
 	// its logs — the pattern of campaigns that revisit one dataset on
@@ -154,9 +154,9 @@ type LayerProfile struct {
 	// realistic for in-system layers, it decouples the layer's totals from
 	// the heavy-tailed logs-per-job draw, which matters for the stability
 	// of small synthetic campaigns.
-	FilesPerJob dist.Sampler
+	FilesPerJob stats.Sampler
 	// InterfaceMix draws the managing interface per file (Table 6).
-	InterfaceMix *dist.Categorical[darshan.ModuleID]
+	InterfaceMix *stats.Categorical[darshan.ModuleID]
 	// Interfaces maps each interface to its file population profile.
 	Interfaces map[darshan.ModuleID]InterfaceProfile
 	// ReadReq and WriteReq are the request-size histograms (Figure 4).
@@ -188,18 +188,18 @@ type Profile struct {
 
 	// LogsPerJob draws how many Darshan logs (application executions) one
 	// job produces; heavy-tailed (1–34341 on Summit, 1–9999 on Cori).
-	LogsPerJob dist.Sampler
+	LogsPerJob stats.Sampler
 	// MaxLogsPerJob caps LogsPerJob (the paper's observed maxima).
 	MaxLogsPerJob int
 	// NProcs draws a job's process count.
-	NProcs dist.Sampler
+	NProcs stats.Sampler
 	// LargeJobProcs is the paper's large-job threshold (1024).
 	LargeJobProcs int
 	// RuntimeSeconds draws a log's instrumented duration.
-	RuntimeSeconds dist.Sampler
+	RuntimeSeconds stats.Sampler
 
 	// Domains is the science-domain mix (Figures 7 and 10).
-	Domains *dist.Categorical[string]
+	Domains *stats.Categorical[string]
 	// DomainCoverage is the probability that a job can be joined to a
 	// domain at all (0.9002 on Cori, where Slurm does not record domains
 	// and the NEWT project join has gaps, §3.3.2).
@@ -226,14 +226,14 @@ type Profile struct {
 	TunerFraction float64
 
 	// JobClassMix draws PFS-only / in-system-only / both (Table 5).
-	JobClassMix *dist.Categorical[JobLayerClass]
+	JobClassMix *stats.Categorical[JobLayerClass]
 
 	// PFS and InSystem describe the two layers' file populations.
 	PFS, InSystem LayerProfile
 
 	// StdioExtensions weights the file extensions STDIO files carry
 	// (≈70% .rst/.dat/.vol on Cori, §3.3.2).
-	StdioExtensions *dist.Categorical[string]
+	StdioExtensions *stats.Categorical[string]
 	// DataExtensions weights POSIX/MPI-IO file extensions.
-	DataExtensions *dist.Categorical[string]
+	DataExtensions *stats.Categorical[string]
 }

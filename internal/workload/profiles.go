@@ -2,7 +2,7 @@ package workload
 
 import (
 	"iolayers/internal/darshan"
-	"iolayers/internal/dist"
+	"iolayers/internal/stats"
 	"iolayers/internal/units"
 )
 
@@ -12,15 +12,15 @@ import (
 // gigabyte-to-terabyte files, and a sparse huge tail above 1 TB (Table 4).
 func sizeModel(bodyMedian units.ByteSize, sigma float64,
 	midWeight float64, midAlpha float64, midLo, midHi units.ByteSize,
-	hugeWeight float64, hugeHi units.ByteSize) dist.Sampler {
-	body := dist.LogNormal{Median: float64(bodyMedian), Sigma: sigma}
-	components := []dist.Component{
+	hugeWeight float64, hugeHi units.ByteSize) stats.Sampler {
+	body := stats.LogNormal{Median: float64(bodyMedian), Sigma: sigma}
+	components := []stats.Component{
 		{Weight: 1 - midWeight - hugeWeight, Sampler: body},
 	}
 	if midWeight > 0 {
-		components = append(components, dist.Component{
+		components = append(components, stats.Component{
 			Weight: midWeight,
-			Sampler: dist.BoundedPareto{
+			Sampler: stats.BoundedPareto{
 				Alpha: midAlpha,
 				Lo:    float64(midLo),
 				Hi:    float64(midHi),
@@ -28,36 +28,36 @@ func sizeModel(bodyMedian units.ByteSize, sigma float64,
 		})
 	}
 	if hugeWeight > 0 {
-		components = append(components, dist.Component{
+		components = append(components, stats.Component{
 			Weight: hugeWeight,
-			Sampler: dist.BoundedPareto{
+			Sampler: stats.BoundedPareto{
 				Alpha: 0.8,
 				Lo:    float64(units.TiB) * 1.001,
 				Hi:    float64(hugeHi),
 			},
 		})
 	}
-	return dist.NewMixture(components...)
+	return stats.NewMixture(components...)
 }
 
-func classMix(ro, rw, wo float64) *dist.Categorical[Class] {
-	return dist.NewCategorical(
-		dist.Weighted[Class]{Value: ReadOnly, Weight: ro},
-		dist.Weighted[Class]{Value: ReadWrite, Weight: rw},
-		dist.Weighted[Class]{Value: WriteOnly, Weight: wo},
+func classMix(ro, rw, wo float64) *stats.Categorical[Class] {
+	return stats.NewCategorical(
+		stats.Weighted[Class]{Value: ReadOnly, Weight: ro},
+		stats.Weighted[Class]{Value: ReadWrite, Weight: rw},
+		stats.Weighted[Class]{Value: WriteOnly, Weight: wo},
 	)
 }
 
-func interfaceMix(posix, mpiio, stdio float64) *dist.Categorical[darshan.ModuleID] {
-	return dist.NewCategorical(
-		dist.Weighted[darshan.ModuleID]{Value: darshan.ModulePOSIX, Weight: posix},
-		dist.Weighted[darshan.ModuleID]{Value: darshan.ModuleMPIIO, Weight: mpiio},
-		dist.Weighted[darshan.ModuleID]{Value: darshan.ModuleSTDIO, Weight: stdio},
+func interfaceMix(posix, mpiio, stdio float64) *stats.Categorical[darshan.ModuleID] {
+	return stats.NewCategorical(
+		stats.Weighted[darshan.ModuleID]{Value: darshan.ModulePOSIX, Weight: posix},
+		stats.Weighted[darshan.ModuleID]{Value: darshan.ModuleMPIIO, Weight: mpiio},
+		stats.Weighted[darshan.ModuleID]{Value: darshan.ModuleSTDIO, Weight: stdio},
 	)
 }
 
-func domainMix(pairs ...dist.Weighted[string]) *dist.Categorical[string] {
-	return dist.NewCategorical(pairs...)
+func domainMix(pairs ...stats.Weighted[string]) *stats.Categorical[string] {
+	return stats.NewCategorical(pairs...)
 }
 
 // Summit returns the calibrated profile of the Summit 2020 collection.
@@ -80,32 +80,32 @@ func Summit() Profile {
 		Jobs:           281600,
 		Users:          1100,
 
-		LogsPerJob:    dist.LogNormal{Median: 5, Sigma: 1.9},
+		LogsPerJob:    stats.LogNormal{Median: 5, Sigma: 1.9},
 		MaxLogsPerJob: 34341,
-		NProcs: dist.NewMixture(
-			dist.Component{Weight: 0.95, Sampler: dist.LogNormal{Median: 64, Sigma: 1.2}},
+		NProcs: stats.NewMixture(
+			stats.Component{Weight: 0.95, Sampler: stats.LogNormal{Median: 64, Sigma: 1.2}},
 			// Explicit capability-class component so Figure 5's >1024-process
 			// population is present even in small campaigns.
-			dist.Component{Weight: 0.05, Sampler: dist.LogNormal{Median: 2500, Sigma: 0.7}},
+			stats.Component{Weight: 0.05, Sampler: stats.LogNormal{Median: 2500, Sigma: 0.7}},
 		),
 		LargeJobProcs: 1024,
-		RuntimeSeconds: dist.LogNormal{
+		RuntimeSeconds: stats.LogNormal{
 			Median: 450, Sigma: 0.9,
 		},
 
 		Domains: domainMix(
-			dist.Weighted[string]{Value: "Physics", Weight: 0.24},
-			dist.Weighted[string]{Value: "Computer Science", Weight: 0.20},
-			dist.Weighted[string]{Value: "Materials", Weight: 0.11},
-			dist.Weighted[string]{Value: "Chemistry", Weight: 0.09},
-			dist.Weighted[string]{Value: "Biology", Weight: 0.07},
-			dist.Weighted[string]{Value: "Earth Science", Weight: 0.07},
-			dist.Weighted[string]{Value: "Engineering", Weight: 0.06},
-			dist.Weighted[string]{Value: "Lattice Theory", Weight: 0.05},
-			dist.Weighted[string]{Value: "Medical Science", Weight: 0.04},
-			dist.Weighted[string]{Value: "Nuclear", Weight: 0.04},
-			dist.Weighted[string]{Value: "Machine Learning", Weight: 0.02},
-			dist.Weighted[string]{Value: "Staff", Weight: 0.01},
+			stats.Weighted[string]{Value: "Physics", Weight: 0.24},
+			stats.Weighted[string]{Value: "Computer Science", Weight: 0.20},
+			stats.Weighted[string]{Value: "Materials", Weight: 0.11},
+			stats.Weighted[string]{Value: "Chemistry", Weight: 0.09},
+			stats.Weighted[string]{Value: "Biology", Weight: 0.07},
+			stats.Weighted[string]{Value: "Earth Science", Weight: 0.07},
+			stats.Weighted[string]{Value: "Engineering", Weight: 0.06},
+			stats.Weighted[string]{Value: "Lattice Theory", Weight: 0.05},
+			stats.Weighted[string]{Value: "Medical Science", Weight: 0.04},
+			stats.Weighted[string]{Value: "Nuclear", Weight: 0.04},
+			stats.Weighted[string]{Value: "Machine Learning", Weight: 0.02},
+			stats.Weighted[string]{Value: "Staff", Weight: 0.01},
 		),
 		DomainCoverage: 1.0, // OLCF scheduler logs record every job's domain
 		TunerFraction:  0.20,
@@ -122,14 +122,14 @@ func Summit() Profile {
 			"Chemistry": WriteOnly,
 		},
 
-		JobClassMix: dist.NewCategorical(
-			dist.Weighted[JobLayerClass]{Value: PFSOnly, Weight: 241.5},
-			dist.Weighted[JobLayerClass]{Value: InSystemOnly, Weight: 0},
-			dist.Weighted[JobLayerClass]{Value: BothLayers, Weight: 3.42},
+		JobClassMix: stats.NewCategorical(
+			stats.Weighted[JobLayerClass]{Value: PFSOnly, Weight: 241.5},
+			stats.Weighted[JobLayerClass]{Value: InSystemOnly, Weight: 0},
+			stats.Weighted[JobLayerClass]{Value: BothLayers, Weight: 3.42},
 		),
 
 		PFS: LayerProfile{
-			FilesPerLog:  dist.LogNormal{Median: 40, Sigma: 1.63},
+			FilesPerLog:  stats.LogNormal{Median: 40, Sigma: 1.63},
 			InterfaceMix: interfaceMix(743, 157, 404),
 			Interfaces: map[darshan.ModuleID]InterfaceProfile{
 				darshan.ModulePOSIX: {
@@ -157,7 +157,7 @@ func Summit() Profile {
 		},
 
 		InSystem: LayerProfile{
-			FilesPerJob:  dist.LogNormal{Median: 54400, Sigma: 0.9},
+			FilesPerJob:  stats.LogNormal{Median: 54400, Sigma: 0.9},
 			InterfaceMix: interfaceMix(52, 0.006, 227),
 			Interfaces: map[darshan.ModuleID]InterfaceProfile{
 				darshan.ModulePOSIX: {
@@ -189,19 +189,19 @@ func Summit() Profile {
 		},
 
 		StdioExtensions: domainMix(
-			dist.Weighted[string]{Value: "rst", Weight: 0.30},
-			dist.Weighted[string]{Value: "dat", Weight: 0.25},
-			dist.Weighted[string]{Value: "vol", Weight: 0.15},
-			dist.Weighted[string]{Value: "log", Weight: 0.15},
-			dist.Weighted[string]{Value: "txt", Weight: 0.10},
-			dist.Weighted[string]{Value: "out", Weight: 0.05},
+			stats.Weighted[string]{Value: "rst", Weight: 0.30},
+			stats.Weighted[string]{Value: "dat", Weight: 0.25},
+			stats.Weighted[string]{Value: "vol", Weight: 0.15},
+			stats.Weighted[string]{Value: "log", Weight: 0.15},
+			stats.Weighted[string]{Value: "txt", Weight: 0.10},
+			stats.Weighted[string]{Value: "out", Weight: 0.05},
 		),
 		DataExtensions: domainMix(
-			dist.Weighted[string]{Value: "h5", Weight: 0.35},
-			dist.Weighted[string]{Value: "nc", Weight: 0.20},
-			dist.Weighted[string]{Value: "bin", Weight: 0.20},
-			dist.Weighted[string]{Value: "chk", Weight: 0.15},
-			dist.Weighted[string]{Value: "dat", Weight: 0.10},
+			stats.Weighted[string]{Value: "h5", Weight: 0.35},
+			stats.Weighted[string]{Value: "nc", Weight: 0.20},
+			stats.Weighted[string]{Value: "bin", Weight: 0.20},
+			stats.Weighted[string]{Value: "chk", Weight: 0.15},
+			stats.Weighted[string]{Value: "dat", Weight: 0.10},
 		),
 	}
 }
@@ -226,31 +226,31 @@ func Cori() Profile {
 		Jobs:           749500,
 		Users:          2300,
 
-		LogsPerJob:    dist.LogNormal{Median: 2, Sigma: 1.45},
+		LogsPerJob:    stats.LogNormal{Median: 2, Sigma: 1.45},
 		MaxLogsPerJob: 9999,
-		NProcs: dist.NewMixture(
-			dist.Component{Weight: 0.94, Sampler: dist.LogNormal{Median: 256, Sigma: 1.3}},
-			dist.Component{Weight: 0.06, Sampler: dist.LogNormal{Median: 3000, Sigma: 0.7}},
+		NProcs: stats.NewMixture(
+			stats.Component{Weight: 0.94, Sampler: stats.LogNormal{Median: 256, Sigma: 1.3}},
+			stats.Component{Weight: 0.06, Sampler: stats.LogNormal{Median: 3000, Sigma: 0.7}},
 		),
 		LargeJobProcs: 1024,
-		RuntimeSeconds: dist.LogNormal{
+		RuntimeSeconds: stats.LogNormal{
 			Median: 1800, Sigma: 0.9,
 		},
 
 		Domains: domainMix(
-			dist.Weighted[string]{Value: "Physics", Weight: 0.22},
-			dist.Weighted[string]{Value: "Materials", Weight: 0.15},
-			dist.Weighted[string]{Value: "Chemistry", Weight: 0.12},
-			dist.Weighted[string]{Value: "Earth Science", Weight: 0.10},
-			dist.Weighted[string]{Value: "Fusion", Weight: 0.08},
-			dist.Weighted[string]{Value: "Computer Science", Weight: 0.07},
-			dist.Weighted[string]{Value: "Biology", Weight: 0.06},
-			dist.Weighted[string]{Value: "Energy Sciences", Weight: 0.06},
-			dist.Weighted[string]{Value: "Engineering", Weight: 0.04},
-			dist.Weighted[string]{Value: "Machine Learning", Weight: 0.04},
-			dist.Weighted[string]{Value: "Nuclear Energy", Weight: 0.03},
-			dist.Weighted[string]{Value: "Mathematics", Weight: 0.02},
-			dist.Weighted[string]{Value: "Unknown", Weight: 0.01},
+			stats.Weighted[string]{Value: "Physics", Weight: 0.22},
+			stats.Weighted[string]{Value: "Materials", Weight: 0.15},
+			stats.Weighted[string]{Value: "Chemistry", Weight: 0.12},
+			stats.Weighted[string]{Value: "Earth Science", Weight: 0.10},
+			stats.Weighted[string]{Value: "Fusion", Weight: 0.08},
+			stats.Weighted[string]{Value: "Computer Science", Weight: 0.07},
+			stats.Weighted[string]{Value: "Biology", Weight: 0.06},
+			stats.Weighted[string]{Value: "Energy Sciences", Weight: 0.06},
+			stats.Weighted[string]{Value: "Engineering", Weight: 0.04},
+			stats.Weighted[string]{Value: "Machine Learning", Weight: 0.04},
+			stats.Weighted[string]{Value: "Nuclear Energy", Weight: 0.03},
+			stats.Weighted[string]{Value: "Mathematics", Weight: 0.02},
+			stats.Weighted[string]{Value: "Unknown", Weight: 0.01},
 		),
 		DomainCoverage: 0.9002, // NEWT project join covered 90.02% (§3.3.2)
 		TunerFraction:  0.25,
@@ -262,14 +262,14 @@ func Cori() Profile {
 			"Machine Learning": 1.5,
 		},
 
-		JobClassMix: dist.NewCategorical(
-			dist.Weighted[JobLayerClass]{Value: PFSOnly, Weight: 579.91},
-			dist.Weighted[JobLayerClass]{Value: InSystemOnly, Weight: 103.46},
-			dist.Weighted[JobLayerClass]{Value: BothLayers, Weight: 35.9},
+		JobClassMix: stats.NewCategorical(
+			stats.Weighted[JobLayerClass]{Value: PFSOnly, Weight: 579.91},
+			stats.Weighted[JobLayerClass]{Value: InSystemOnly, Weight: 103.46},
+			stats.Weighted[JobLayerClass]{Value: BothLayers, Weight: 35.9},
 		),
 
 		PFS: LayerProfile{
-			FilesPerLog:  dist.LogNormal{Median: 30, Sigma: 1.63},
+			FilesPerLog:  stats.LogNormal{Median: 30, Sigma: 1.63},
 			InterfaceMix: interfaceMix(313, 207, 89),
 			Interfaces: map[darshan.ModuleID]InterfaceProfile{
 				darshan.ModulePOSIX: {
@@ -297,7 +297,7 @@ func Cori() Profile {
 		},
 
 		InSystem: LayerProfile{
-			FilesPerLog:  dist.LogNormal{Median: 9, Sigma: 1.23},
+			FilesPerLog:  stats.LogNormal{Median: 9, Sigma: 1.23},
 			InterfaceMix: interfaceMix(13, 13, 0.65),
 			Interfaces: map[darshan.ModuleID]InterfaceProfile{
 				darshan.ModulePOSIX: {
@@ -329,19 +329,19 @@ func Cori() Profile {
 		},
 
 		StdioExtensions: domainMix(
-			dist.Weighted[string]{Value: "rst", Weight: 0.35},
-			dist.Weighted[string]{Value: "dat", Weight: 0.22},
-			dist.Weighted[string]{Value: "vol", Weight: 0.13},
-			dist.Weighted[string]{Value: "log", Weight: 0.15},
-			dist.Weighted[string]{Value: "txt", Weight: 0.10},
-			dist.Weighted[string]{Value: "out", Weight: 0.05},
+			stats.Weighted[string]{Value: "rst", Weight: 0.35},
+			stats.Weighted[string]{Value: "dat", Weight: 0.22},
+			stats.Weighted[string]{Value: "vol", Weight: 0.13},
+			stats.Weighted[string]{Value: "log", Weight: 0.15},
+			stats.Weighted[string]{Value: "txt", Weight: 0.10},
+			stats.Weighted[string]{Value: "out", Weight: 0.05},
 		),
 		DataExtensions: domainMix(
-			dist.Weighted[string]{Value: "h5", Weight: 0.35},
-			dist.Weighted[string]{Value: "nc", Weight: 0.25},
-			dist.Weighted[string]{Value: "bin", Weight: 0.15},
-			dist.Weighted[string]{Value: "chk", Weight: 0.15},
-			dist.Weighted[string]{Value: "dat", Weight: 0.10},
+			stats.Weighted[string]{Value: "h5", Weight: 0.35},
+			stats.Weighted[string]{Value: "nc", Weight: 0.25},
+			stats.Weighted[string]{Value: "bin", Weight: 0.15},
+			stats.Weighted[string]{Value: "chk", Weight: 0.15},
+			stats.Weighted[string]{Value: "dat", Weight: 0.10},
 		),
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"iolayers/internal/darshan"
-	"iolayers/internal/dist"
 	"iolayers/internal/iosim"
 	"iolayers/internal/iosim/systems"
+	"iolayers/internal/stats"
 	"iolayers/internal/units"
 )
 
@@ -385,11 +385,11 @@ func TestInSystemDomainClassOverrides(t *testing.T) {
 	// Summit §3.2.2: biology/materials use SCNL read-only, chemistry
 	// write-only. Verify via a profile forced onto the in-system layer.
 	p := Summit()
-	p.JobClassMix = dist.NewCategorical(
-		dist.Weighted[JobLayerClass]{Value: BothLayers, Weight: 1},
+	p.JobClassMix = stats.NewCategorical(
+		stats.Weighted[JobLayerClass]{Value: BothLayers, Weight: 1},
 	)
-	p.Domains = dist.NewCategorical(
-		dist.Weighted[string]{Value: "Biology", Weight: 1},
+	p.Domains = stats.NewCategorical(
+		stats.Weighted[string]{Value: "Biology", Weight: 1},
 	)
 	sys := systems.NewSummit()
 	g, err := NewGenerator(p, sys, Config{Seed: 5, JobScale: 0.0002, FileScale: 0.05})
