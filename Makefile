@@ -159,12 +159,14 @@ cluster-smoke:
 load-smoke:
 	scripts/load_smoke.sh
 
-## fuzz: short fuzzing smoke over the untrusted-input decoders, the durable
-## record log's reader, and the row-vs-columnar fold identity; -fuzz must
-## match exactly one target, hence one invocation each
+## fuzz: short fuzzing smoke over the untrusted-input decoders, the section
+## inflater against compress/zlib, the durable record log's reader, and the
+## row-vs-columnar fold identity; -fuzz must match exactly one target, hence
+## one invocation each
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=20s ./internal/darshan/logfmt
+	$(GO) test -fuzz=FuzzInflate -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzColumnRead -fuzztime=20s ./internal/darshan/colfmt
 	$(GO) test -fuzz=FuzzRecordLog -fuzztime=20s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/analysis

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -88,7 +87,7 @@ func convert(ctx context.Context, src, dst string, opts ConvertOptions, want str
 	if err != nil {
 		return ConvertResult{}, err
 	}
-	var br bytes.Reader
+	var dec itemDecoder
 	var bytesIn int64
 	for {
 		if err := ctx.Err(); err != nil {
@@ -101,7 +100,7 @@ func convert(ctx context.Context, src, dst string, opts ConvertOptions, want str
 		if !ok {
 			break
 		}
-		log, err := decodeItem(&br, opts.Limits, item)
+		log, err := dec.decode(opts.Limits, item)
 		if err != nil {
 			return ConvertResult{}, fmt.Errorf("core: %s: %w", item.source(), err)
 		}

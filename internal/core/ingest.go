@@ -257,14 +257,32 @@ func (q *quarantine) close() {
 	}
 }
 
-// decodeItem decodes one row-oriented item under lim: the log file at its
-// path, or the raw archive entry it carries.
-func decodeItem(br *bytes.Reader, lim logfmt.DecodeLimits, item ingestItem) (*darshan.Log, error) {
-	if item.path != "" {
-		return logfmt.ReadFileWithLimits(item.path, lim)
+// itemDecoder decodes row-oriented items one after another through one
+// logfmt.Decoder, so a log is valid only until the next item is decoded.
+type itemDecoder struct {
+	dec logfmt.Decoder
+	br  bytes.Reader
+}
+
+// decode decodes one row-oriented item under lim: the log file at its path,
+// or the raw archive entry it carries. A file's errors are wrapped as
+// logfmt.ReadFileWithLimits wraps them, since they reach IngestFailure and
+// the quarantine manifest.
+func (d *itemDecoder) decode(lim logfmt.DecodeLimits, item ingestItem) (*darshan.Log, error) {
+	if item.path == "" {
+		d.br.Reset(item.raw)
+		return d.dec.Decode(&d.br, lim)
 	}
-	br.Reset(item.raw)
-	return logfmt.ReadWithLimits(br, lim)
+	f, err := os.Open(item.path)
+	if err != nil {
+		return nil, fmt.Errorf("logfmt: opening %s: %w", item.path, err)
+	}
+	defer f.Close()
+	log, err := d.dec.Decode(f, lim)
+	if err != nil {
+		return nil, fmt.Errorf("logfmt: parsing %s: %w", item.path, err)
+	}
+	return log, nil
 }
 
 // consumeItem parses one item under lim and folds it into agg. Unlike
@@ -277,7 +295,7 @@ func decodeItem(br *bytes.Reader, lim logfmt.DecodeLimits, item ingestItem) (*da
 // It returns how many logs the item contributed (1 for a log, the segment's
 // log count for a columnar segment) plus the columns the segment's stats
 // block let the decoder skip.
-func consumeItem(br *bytes.Reader, agg *analysis.Aggregator, lim logfmt.DecodeLimits, item ingestItem) (logs int, colsPruned int, err error) {
+func consumeItem(d *itemDecoder, agg *analysis.Aggregator, lim logfmt.DecodeLimits, item ingestItem) (logs int, colsPruned int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			logs, colsPruned = 0, 0
@@ -294,7 +312,7 @@ func consumeItem(br *bytes.Reader, agg *analysis.Aggregator, lim logfmt.DecodeLi
 		}
 		return batch.NumLogs, batch.ColumnsPruned, nil
 	}
-	log, err := decodeItem(br, lim, item)
+	log, err := d.decode(lim, item)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -497,7 +515,7 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			var br bytes.Reader
+			var dec itemDecoder
 			for item := range work[wi] {
 				if ctx.Err() != nil {
 					continue // cancelled: drain without processing
@@ -507,7 +525,7 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 					metricsW[wi].rawBytes += n
 					metricsW[wi].rawHist[obsv.BucketOf(n)]++
 				}
-				logs, pruned, err := consumeItem(&br, res.aggs[wi], ic.lim, item)
+				logs, pruned, err := consumeItem(&dec, res.aggs[wi], ic.lim, item)
 				if err != nil {
 					failedW[wi]++
 					if metricsW != nil {

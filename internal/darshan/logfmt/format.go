@@ -16,7 +16,9 @@
 // self-describing: a reader confronted with records written by a newer
 // module revision remaps counters by name rather than by index.
 //
-// All integers are little-endian.
+// All integers are little-endian. Each zlib payload is a complete RFC 1950
+// stream, and the reader holds it to that: its adler32 trailer must match,
+// and it must inflate to exactly the section's uncompressedLen.
 package logfmt
 
 import (

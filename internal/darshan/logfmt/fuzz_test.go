@@ -68,21 +68,35 @@ func fuzzSeedBytes(f *testing.F) {
 // FuzzRead feeds arbitrary bytes to the single-log decoder. The properties
 // under test: no panic, no unbounded allocation (the limits above cap every
 // count the input controls), and every failure classified per the
-// *DecodeError taxonomy. Successful decodes must re-encode.
+// *DecodeError taxonomy. Successful decodes must re-encode. A Decoder
+// reused across inputs, failed ones included, must give the same result.
 func FuzzRead(f *testing.F) {
 	fuzzSeedBytes(f)
 	lim := fuzzLimits()
+	var reused Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, err := ReadWithLimits(bytes.NewReader(data), lim)
+		again, againErr := reused.Decode(bytes.NewReader(data), lim)
 		if err != nil {
 			checkDecodeErr(t, err)
+			if againErr == nil || againErr.Error() != err.Error() {
+				t.Fatalf("reused decoder: %v, ReadWithLimits: %v", againErr, err)
+			}
 			return
 		}
 		if log == nil {
 			t.Fatal("nil log with nil error")
 		}
-		if err := Write(io.Discard, log); err != nil {
+		if againErr != nil {
+			t.Fatalf("reused decoder failed where ReadWithLimits did not: %v", againErr)
+		}
+		// Encoded bytes compare NaN counters by their bits.
+		var want, got bytes.Buffer
+		if err := Write(&want, log); err != nil {
 			t.Fatalf("decoded log failed to re-encode: %v", err)
+		}
+		if err := Write(&got, again); err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("reused decoder's log differs from ReadWithLimits' (%v)", err)
 		}
 	})
 }

@@ -11,11 +11,12 @@ import (
 
 // Codec pooling. A campaign-scale ingest touches millions of logs, each a
 // handful of sections, and every section used to pay for a fresh
-// bytes.Buffer plus a fresh zlib writer or reader — the deflate/inflate
-// state alone is tens of kilobytes per codec. All of that state is
-// Reset-able, so writers and readers share it through the pools below:
-// Write and Read acquire one pooled state per call and the per-section cost
-// amortizes to (almost) zero steady-state allocations.
+// bytes.Buffer plus a fresh zlib writer — the deflate state alone is tens of
+// kilobytes per codec. All of that state is Reset-able, so writers share it
+// through the pools below, and ReadWithLimits borrows its section scratch
+// and inflate tables the same way: each call acquires one pooled state and
+// the per-section cost amortizes to (almost) zero steady-state allocations.
+// A Decoder keeps its own state instead, along with the log it decodes into.
 
 // maxPooledBuf caps the scratch capacity a pool will retain. A one-off
 // giant section should not pin its buffer forever.
@@ -78,18 +79,18 @@ func buffered(w io.Writer) (io.Writer, func() error) {
 	}
 }
 
-// readState is the reusable scratch a single Read call threads through its
-// sections: the section header, the raw compressed bytes, the inflated
-// payload, and the inflate state itself. Payload slices handed out by
-// readSection are valid only until the next readSection call; every decoder
-// copies what it keeps (strings via string(), numbers by value), so nothing
-// escapes.
+// readState is the reusable scratch one decode threads through its
+// sections: the stream position, the section header, the raw compressed
+// bytes, the inflated payload, and the inflater's tables. Payload slices
+// handed out by readSection are valid only until the next readSection call;
+// every decoder copies what it keeps (strings via string(), numbers by
+// value), so nothing escapes.
 type readState struct {
+	cr         countReader
 	hdr        [14]byte
 	compressed []byte
 	payload    []byte
-	br         bytes.Reader
-	zr         io.ReadCloser // also a zlib.Resetter once created
+	inf        inflater
 }
 
 var readStatePool = sync.Pool{New: func() any { readNews.Add(1); return new(readState) }}
@@ -98,11 +99,17 @@ func getReadState() *readState {
 	readGets.Add(1)
 	return readStatePool.Get().(*readState)
 }
+
 func putReadState(rs *readState) {
-	if cap(rs.compressed) > maxPooledBuf || cap(rs.payload) > maxPooledBuf {
-		return
+	if !rs.outgrown() {
+		readStatePool.Put(rs)
 	}
-	readStatePool.Put(rs)
+}
+
+// outgrown reports whether a section grew the scratch past what a pool or
+// a long-lived Decoder should keep.
+func (rs *readState) outgrown() bool {
+	return cap(rs.compressed) > maxPooledBuf || cap(rs.payload) > maxPooledBuf
 }
 
 // grow returns s resized to n bytes, reallocating only when capacity is
@@ -112,19 +119,4 @@ func grow(s []byte, n int) []byte {
 		return make([]byte, n)
 	}
 	return s[:n]
-}
-
-// reset re-targets the pooled inflater at the compressed scratch, creating
-// it on first use.
-func (rs *readState) resetInflater() error {
-	rs.br.Reset(rs.compressed)
-	if rs.zr == nil {
-		zr, err := zlib.NewReader(&rs.br)
-		if err != nil {
-			return err
-		}
-		rs.zr = zr
-		return nil
-	}
-	return rs.zr.(zlib.Resetter).Reset(&rs.br, nil)
 }

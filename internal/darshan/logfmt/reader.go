@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 
 	"iolayers/internal/darshan"
 )
@@ -44,31 +45,148 @@ func Read(r io.Reader) (*darshan.Log, error) {
 // but wrong — CRC mismatches, impossible counts, malformed payloads — are
 // KindCorrupt; well-formed input demanding more than lim allows is
 // KindLimitExceeded.
+//
+// The log is the caller's. A loop that is done with each log before it reads
+// the next can decode through a Decoder instead, which reuses the log.
 func ReadWithLimits(r io.Reader, lim DecodeLimits) (*darshan.Log, error) {
-	lim = lim.sanitize()
-	cr := &countReader{r: r}
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, decodeErrf(KindTruncated, "header", 0, "reading magic: %v", err)
-	}
-	if magic != Magic {
-		return nil, decodeErrf(KindBadMagic, "header", 0, "got %q", magic[:])
-	}
-	var version, sectionCount uint16
-	if err := binary.Read(cr, binary.LittleEndian, &version); err != nil {
-		return nil, decodeErrf(KindTruncated, "header", 0, "reading version: %v", err)
-	}
-	if version != Version {
-		return nil, decodeErrf(KindBadVersion, "header", 0, "version %d (supported: %d)", version, Version)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &sectionCount); err != nil {
-		return nil, decodeErrf(KindTruncated, "header", 0, "reading section count: %v", err)
-	}
-
-	log := &darshan.Log{Names: map[darshan.RecordID]string{}}
-	sawJob := false
 	rs := getReadState()
 	defer putReadState(rs)
+	return rs.decode(new(logStore), r, lim)
+}
+
+// Decoder decodes logs one after another into storage it reuses: the log,
+// its name and metadata maps, its file records and their counter arrays, and
+// the section scratch and inflate tables. Once warm it allocates, per log,
+// only the strings the log carries (and DXT traces, which it does not
+// reuse). The zero value is ready to use; a Decoder is not safe for
+// concurrent use.
+type Decoder struct {
+	rs readState
+	st *logStore
+}
+
+// Decode parses one log from r exactly as ReadWithLimits does, with the
+// same checks and errors. The log and every map, slice and record it holds
+// belong to d and are overwritten by the next Decode, so copy out whatever
+// must outlive it (its strings are never reused). A failed Decode leaves
+// nothing behind for the next one.
+func (d *Decoder) Decode(r io.Reader, lim DecodeLimits) (*darshan.Log, error) {
+	if d.st == nil {
+		d.st = new(logStore)
+	}
+	log, err := d.rs.decode(d.st, r, lim)
+	// An outsized log's storage is dropped rather than kept for every log
+	// after it; the log just decoded still holds it.
+	if d.st.outgrown() {
+		d.st = nil
+	}
+	if d.rs.outgrown() {
+		d.rs.compressed, d.rs.payload = nil, nil
+	}
+	return log, err
+}
+
+// logStore is the storage a decoded log lives in. A Decoder reuses one from
+// log to log; ReadWithLimits decodes into a fresh one that goes to the
+// caller with the log.
+type logStore struct {
+	log    darshan.Log
+	meta   map[string]string // Job.Metadata's map, kept while a log has none
+	ptrs   []*darshan.FileRecord
+	recs   []darshan.FileRecord
+	ints   []int64   // the records' Counters
+	floats []float64 // the records' FCounters
+}
+
+// reset empties the store for the next log. It first sizes the backing
+// arrays to hold the last log whole, so that a Decoder stops allocating once
+// it has seen its largest log: records takes what does not fit from arrays
+// of just the size one section needs.
+func (st *logStore) reset() {
+	nc, nf := 0, 0
+	for _, r := range st.ptrs {
+		nc += len(r.Counters)
+		nf += len(r.FCounters)
+	}
+	st.recs = reserve(st.recs[:0], len(st.ptrs))
+	st.ints = reserve(st.ints[:0], nc)
+	st.floats = reserve(st.floats[:0], nf)
+	st.ptrs = st.ptrs[:0]
+	clear(st.log.Names)
+	clear(st.meta)
+	st.log = darshan.Log{Names: st.log.Names}
+}
+
+// records returns n records with counter arrays of the given widths, taken
+// from the store's backing arrays. A short array is replaced rather than
+// grown: records already handed out keep pointing into the old one. Each
+// record's arrays are capped, so appending to one cannot reach the next
+// record's.
+func (st *logStore) records(n, nc, nf int) []darshan.FileRecord {
+	st.recs = reserve(st.recs, n)
+	st.ints = reserve(st.ints, n*nc)
+	st.floats = reserve(st.floats, n*nf)
+	recs := take(&st.recs, n)
+	for i := range recs {
+		recs[i].Counters = take(&st.ints, nc)
+		recs[i].FCounters = take(&st.floats, nf)
+	}
+	return recs
+}
+
+// outgrown reports whether one log grew the store past what a Decoder keeps
+// for the next: the bound pooled scratch has.
+func (st *logStore) outgrown() bool {
+	size := cap(st.recs)*int(unsafe.Sizeof(darshan.FileRecord{})) +
+		8*(cap(st.ptrs)+cap(st.ints)+cap(st.floats)) + 24*len(st.log.Names)
+	return size > maxPooledBuf
+}
+
+// reserve returns s if it has room for n more elements, else an empty slice
+// with room for n.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return make([]T, 0, n)
+}
+
+// take extends *s by n elements and returns them, capped.
+func take[T any](s *[]T, n int) []T {
+	if n == 0 {
+		return []T{}
+	}
+	l := len(*s)
+	*s = (*s)[:l+n]
+	return (*s)[l : l+n : l+n]
+}
+
+// decode parses one log from r into st, through rs's scratch: the one decode
+// behind ReadWithLimits and Decoder.Decode.
+func (rs *readState) decode(st *logStore, r io.Reader, lim DecodeLimits) (*darshan.Log, error) {
+	lim = lim.sanitize()
+	st.reset()
+	rs.cr = countReader{r: r}
+	defer func() { rs.cr.r = nil }()
+	cr := &rs.cr
+	if _, err := io.ReadFull(cr, rs.hdr[:4]); err != nil {
+		return nil, decodeErrf(KindTruncated, "header", 0, "reading magic: %v", err)
+	}
+	if [4]byte(rs.hdr[:4]) != Magic {
+		return nil, decodeErrf(KindBadMagic, "header", 0, "got %q", rs.hdr[:4])
+	}
+	if _, err := io.ReadFull(cr, rs.hdr[:2]); err != nil {
+		return nil, decodeErrf(KindTruncated, "header", 0, "reading version: %v", err)
+	}
+	if version := binary.LittleEndian.Uint16(rs.hdr[:]); version != Version {
+		return nil, decodeErrf(KindBadVersion, "header", 0, "version %d (supported: %d)", version, Version)
+	}
+	if _, err := io.ReadFull(cr, rs.hdr[:2]); err != nil {
+		return nil, decodeErrf(KindTruncated, "header", 0, "reading section count: %v", err)
+	}
+	sectionCount := binary.LittleEndian.Uint16(rs.hdr[:])
+
+	sawJob := false
 	for s := 0; s < int(sectionCount); s++ {
 		sectionStart := cr.n
 		sectionType, module, payload, err := rs.readSection(cr, lim, sectionStart)
@@ -77,28 +195,24 @@ func ReadWithLimits(r io.Reader, lim DecodeLimits) (*darshan.Log, error) {
 		}
 		switch sectionType {
 		case sectionJob:
-			job, err := decodeJob(payload, lim, sectionStart)
-			if err != nil {
+			if err := decodeJob(payload, lim, sectionStart, st); err != nil {
 				return nil, err
 			}
-			log.Job = job
 			sawJob = true
 		case sectionNames:
-			if err := decodeNames(payload, log.Names, lim, sectionStart); err != nil {
+			if err := decodeNames(payload, lim, sectionStart, st); err != nil {
 				return nil, err
 			}
 		case sectionModule:
-			recs, err := decodeModule(darshan.ModuleID(module), payload, lim, sectionStart)
-			if err != nil {
+			if err := decodeModule(darshan.ModuleID(module), payload, lim, sectionStart, st); err != nil {
 				return nil, err
 			}
-			log.Records = append(log.Records, recs...)
 		case sectionDXT:
 			traces, err := decodeDXT(payload, lim, sectionStart)
 			if err != nil {
 				return nil, err
 			}
-			log.DXT = append(log.DXT, traces...)
+			st.log.DXT = append(st.log.DXT, traces...)
 		default:
 			// Unknown section type: skipped for forward compatibility.
 		}
@@ -106,7 +220,13 @@ func ReadWithLimits(r io.Reader, lim DecodeLimits) (*darshan.Log, error) {
 	if !sawJob {
 		return nil, decodeErrf(KindCorrupt, "header", 0, "no job section among %d sections", sectionCount)
 	}
-	return log, nil
+	if st.log.Names == nil {
+		st.log.Names = map[darshan.RecordID]string{}
+	}
+	if len(st.ptrs) > 0 {
+		st.log.Records = st.ptrs
+	}
+	return &st.log, nil
 }
 
 // ReadFile reads and parses the log at path.
@@ -144,12 +264,12 @@ func sectionName(t uint8) string {
 	}
 }
 
-// readSection reads one section into the pooled scratch. The returned
-// payload aliases rs.payload and is valid only until the next readSection
-// call on the same state; decoders copy out everything they keep. The
-// declared sizes are validated against lim before any allocation, which is
-// what stops a zlib bomb: a section claiming a huge uncompressed size is
-// rejected without inflating a single byte.
+// readSection reads one section into the scratch. The returned payload
+// aliases rs.payload and is valid only until the next readSection call on
+// the same state; decoders copy out everything they keep. The declared sizes
+// are validated against lim before any allocation, which is what stops a
+// zlib bomb: a section claiming a huge uncompressed size is rejected without
+// inflating a single byte, and one that inflates past what it claims fails.
 func (rs *readState) readSection(r io.Reader, lim DecodeLimits, start int64) (sectionType, module uint8, payload []byte, err error) {
 	if _, err := io.ReadFull(r, rs.hdr[:]); err != nil {
 		return 0, 0, nil, decodeErrf(KindTruncated, "section", start, "section header: %v", err)
@@ -176,20 +296,17 @@ func (rs *readState) readSection(r io.Reader, lim DecodeLimits, start int64) (se
 		return 0, 0, nil, decodeErrf(KindCorrupt, name, start,
 			"crc mismatch (got %08x want %08x)", crc, wantCRC)
 	}
-	if err := rs.resetInflater(); err != nil {
-		return 0, 0, nil, decodeErrf(KindCorrupt, name, start, "zlib: %v", err)
-	}
 	rs.payload = grow(rs.payload, int(uncompressedLen))
-	if _, err := io.ReadFull(rs.zr, rs.payload); err != nil {
-		return 0, 0, nil, decodeErrf(KindCorrupt, name, start, "decompressing: %v", err)
+	if err := rs.inf.inflate(rs.payload, rs.compressed); err != nil {
+		return 0, 0, nil, decodeErrf(KindCorrupt, name, start, "inflating: %v", err)
 	}
 	return sectionType, module, rs.payload, nil
 }
 
-// decoder consumes little-endian primitives from a payload, reporting
+// cursor consumes little-endian primitives from a payload, reporting
 // malformed input through a sticky *DecodeError carrying the section name
 // and its byte offset in the stream.
-type decoder struct {
+type cursor struct {
 	buf     []byte
 	off     int
 	err     error
@@ -198,18 +315,18 @@ type decoder struct {
 	base    int64
 }
 
-func (d *decoder) fail(kind ErrorKind, format string, args ...any) {
-	if d.err == nil {
-		d.err = decodeErrf(kind, d.section, d.base, format, args...)
+func (c *cursor) fail(kind ErrorKind, format string, args ...any) {
+	if c.err == nil {
+		c.err = decodeErrf(kind, c.section, c.base, format, args...)
 	}
 }
 
-func (d *decoder) need(n int) bool {
-	if d.err != nil {
+func (c *cursor) need(n int) bool {
+	if c.err != nil {
 		return false
 	}
-	if d.off+n > len(d.buf) {
-		d.fail(KindCorrupt, "payload ends at %d, need %d more bytes", d.off, n)
+	if c.off+n > len(c.buf) {
+		c.fail(KindCorrupt, "payload ends at %d, need %d more bytes", c.off, n)
 		return false
 	}
 	return true
@@ -219,177 +336,185 @@ func (d *decoder) need(n int) bool {
 // cap and the payload bytes actually remaining (minSize bytes per element),
 // so a crafted count can neither allocate past the limits nor past what the
 // input could possibly hold.
-func (d *decoder) boundCount(what string, n, minSize, limit int) int {
-	if d.err != nil {
+func (c *cursor) boundCount(what string, n, minSize, limit int) int {
+	if c.err != nil {
 		return 0
 	}
 	if n > limit {
-		d.fail(KindLimitExceeded, "%s count %d exceeds limit %d", what, n, limit)
+		c.fail(KindLimitExceeded, "%s count %d exceeds limit %d", what, n, limit)
 		return 0
 	}
-	if remaining := (len(d.buf) - d.off) / minSize; n > remaining {
-		d.fail(KindCorrupt, "%s count %d impossible: %d bytes of payload remain",
-			what, n, len(d.buf)-d.off)
+	if remaining := (len(c.buf) - c.off) / minSize; n > remaining {
+		c.fail(KindCorrupt, "%s count %d impossible: %d bytes of payload remain",
+			what, n, len(c.buf)-c.off)
 		return 0
 	}
 	return n
 }
 
-func (d *decoder) u16() uint16 {
-	if !d.need(2) {
+func (c *cursor) u16() uint16 {
+	if !c.need(2) {
 		return 0
 	}
-	v := binary.LittleEndian.Uint16(d.buf[d.off:])
-	d.off += 2
+	v := binary.LittleEndian.Uint16(c.buf[c.off:])
+	c.off += 2
 	return v
 }
 
-func (d *decoder) u32() uint32 {
-	if !d.need(4) {
+func (c *cursor) u32() uint32 {
+	if !c.need(4) {
 		return 0
 	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
+	v := binary.LittleEndian.Uint32(c.buf[c.off:])
+	c.off += 4
 	return v
 }
 
-func (d *decoder) u64() uint64 {
-	if !d.need(8) {
+func (c *cursor) u64() uint64 {
+	if !c.need(8) {
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
+	v := binary.LittleEndian.Uint64(c.buf[c.off:])
+	c.off += 8
 	return v
 }
 
-func (d *decoder) i64() int64 { return int64(d.u64()) }
-func (d *decoder) i32() int32 { return int32(d.u32()) }
-func (d *decoder) f64() float64 {
-	return math.Float64frombits(d.u64())
+func (c *cursor) i64() int64 { return int64(c.u64()) }
+func (c *cursor) i32() int32 { return int32(c.u32()) }
+func (c *cursor) f64() float64 {
+	return math.Float64frombits(c.u64())
 }
 
-func (d *decoder) str() string {
-	n := int(d.u16())
-	if n > d.lim.MaxStringLen {
-		d.fail(KindLimitExceeded, "string of %d bytes exceeds limit %d", n, d.lim.MaxStringLen)
+func (c *cursor) str() string {
+	n := int(c.u16())
+	if n > c.lim.MaxStringLen {
+		c.fail(KindLimitExceeded, "string of %d bytes exceeds limit %d", n, c.lim.MaxStringLen)
 		return ""
 	}
-	if !d.need(n) {
+	if !c.need(n) {
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
+	s := string(c.buf[c.off : c.off+n])
+	c.off += n
 	return s
 }
 
 // strBytes returns a view of the next string without copying it out of the
 // payload. Valid until the payload scratch is reused (i.e. within one
 // section's decode).
-func (d *decoder) strBytes() []byte {
-	n := int(d.u16())
-	if n > d.lim.MaxStringLen {
-		d.fail(KindLimitExceeded, "string of %d bytes exceeds limit %d", n, d.lim.MaxStringLen)
+func (c *cursor) strBytes() []byte {
+	n := int(c.u16())
+	if n > c.lim.MaxStringLen {
+		c.fail(KindLimitExceeded, "string of %d bytes exceeds limit %d", n, c.lim.MaxStringLen)
 		return nil
 	}
-	if !d.need(n) {
+	if !c.need(n) {
 		return nil
 	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
+	b := c.buf[c.off : c.off+n]
+	c.off += n
 	return b
 }
 
-func decodeJob(payload []byte, lim DecodeLimits, base int64) (darshan.JobHeader, error) {
-	d := &decoder{buf: payload, lim: lim, section: "job", base: base}
+func decodeJob(payload []byte, lim DecodeLimits, base int64, st *logStore) error {
+	c := &cursor{buf: payload, lim: lim, section: "job", base: base}
 	job := darshan.JobHeader{
-		JobID:     d.u64(),
-		UserID:    d.u64(),
-		NProcs:    int(d.u32()),
-		StartTime: d.i64(),
-		EndTime:   d.i64(),
-		Exe:       d.str(),
+		JobID:     c.u64(),
+		UserID:    c.u64(),
+		NProcs:    int(c.u32()),
+		StartTime: c.i64(),
+		EndTime:   c.i64(),
+		Exe:       c.str(),
 	}
 	// A metadata pair is at least two empty strings (two u16 lengths).
-	n := d.boundCount("metadata pair", int(d.u16()), 4, lim.MaxMetadataPairs)
+	n := c.boundCount("metadata pair", int(c.u16()), 4, lim.MaxMetadataPairs)
 	if n > 0 {
-		job.Metadata = make(map[string]string, n)
+		if st.meta == nil {
+			st.meta = make(map[string]string, n)
+		}
+		clear(st.meta)
+		job.Metadata = st.meta
 		for i := 0; i < n; i++ {
-			k := d.str()
-			v := d.str()
-			if d.err != nil {
+			k := c.str()
+			v := c.str()
+			if c.err != nil {
 				break
 			}
 			job.Metadata[k] = v
 		}
 	}
-	if d.err != nil {
-		return darshan.JobHeader{}, d.err
+	if c.err != nil {
+		return c.err
 	}
-	return job, nil
+	st.log.Job = job
+	return nil
 }
 
-func decodeNames(payload []byte, into map[darshan.RecordID]string, lim DecodeLimits, base int64) error {
-	d := &decoder{buf: payload, lim: lim, section: "names", base: base}
+func decodeNames(payload []byte, lim DecodeLimits, base int64, st *logStore) error {
+	c := &cursor{buf: payload, lim: lim, section: "names", base: base}
 	// A name-table entry is at least a record ID plus an empty string.
-	n := d.boundCount("name-table entry", int(d.u32()), 10, lim.MaxNames)
-	for i := 0; i < n; i++ {
-		id := darshan.RecordID(d.u64())
-		path := d.str()
-		if d.err != nil {
-			return d.err
-		}
-		into[id] = path
+	n := c.boundCount("name-table entry", int(c.u32()), 10, lim.MaxNames)
+	if st.log.Names == nil {
+		st.log.Names = make(map[darshan.RecordID]string, n)
 	}
-	return d.err
+	for i := 0; i < n; i++ {
+		id := darshan.RecordID(c.u64())
+		path := c.str()
+		if c.err != nil {
+			return c.err
+		}
+		st.log.Names[id] = path
+	}
+	return c.err
 }
 
 func decodeDXT(payload []byte, lim DecodeLimits, base int64) ([]darshan.DXTTrace, error) {
-	d := &decoder{buf: payload, lim: lim, section: "dxt", base: base}
+	c := &cursor{buf: payload, lim: lim, section: "dxt", base: base}
 	// A trace is at least module + record + rank + segment count (17 bytes).
-	n := d.boundCount("DXT trace", int(d.u32()), 17, lim.MaxDXTTraces)
+	n := c.boundCount("DXT trace", int(c.u32()), 17, lim.MaxDXTTraces)
 	traces := make([]darshan.DXTTrace, 0, n)
 	for i := 0; i < n; i++ {
 		var b [1]byte
-		if d.need(1) {
-			b[0] = d.buf[d.off]
-			d.off++
+		if c.need(1) {
+			b[0] = c.buf[c.off]
+			c.off++
 		}
 		tr := darshan.DXTTrace{
 			Module: darshan.ModuleID(b[0]),
-			Record: darshan.RecordID(d.u64()),
-			Rank:   d.i32(),
+			Record: darshan.RecordID(c.u64()),
+			Rank:   c.i32(),
 		}
 		// A segment is 33 bytes; the count is bounded by the remaining
 		// payload and the configured cap before any allocation.
-		nSegs := d.boundCount("DXT segment", int(d.u32()), 33, lim.MaxDXTSegments)
-		if d.err != nil {
-			return nil, d.err
+		nSegs := c.boundCount("DXT segment", int(c.u32()), 33, lim.MaxDXTSegments)
+		if c.err != nil {
+			return nil, c.err
 		}
 		tr.Segments = make([]darshan.DXTSegment, 0, nSegs)
 		for s := 0; s < nSegs; s++ {
 			var kind [1]byte
-			if d.need(1) {
-				kind[0] = d.buf[d.off]
-				d.off++
+			if c.need(1) {
+				kind[0] = c.buf[c.off]
+				c.off++
 			}
 			tr.Segments = append(tr.Segments, darshan.DXTSegment{
 				Kind:   darshan.OpKind(kind[0]),
-				Offset: d.i64(),
-				Length: d.i64(),
-				Start:  d.f64(),
-				End:    d.f64(),
+				Offset: c.i64(),
+				Length: c.i64(),
+				Start:  c.f64(),
+				End:    c.f64(),
 			})
 		}
-		if d.err != nil {
-			return nil, d.err
+		if c.err != nil {
+			return nil, c.err
 		}
 		traces = append(traces, tr)
 	}
-	return traces, d.err
+	return traces, c.err
 }
 
-func decodeModule(m darshan.ModuleID, payload []byte, lim DecodeLimits, base int64) ([]*darshan.FileRecord, error) {
-	d := &decoder{buf: payload, lim: lim, section: "module", base: base}
+func decodeModule(m darshan.ModuleID, payload []byte, lim DecodeLimits, base int64, st *logStore) error {
+	c := &cursor{buf: payload, lim: lim, section: "module", base: base}
 	// Build index remaps from the on-disk layout to the current layout.
 	// Names absent from the current layout are dropped; current counters
 	// absent from the file stay zero. An entirely unknown module keeps the
@@ -397,85 +522,88 @@ func decodeModule(m darshan.ModuleID, payload []byte, lim DecodeLimits, base int
 	// self-description for downstream tools. A nil remap means identity —
 	// the common case (log written by this revision), detected without
 	// materializing a single name string.
-	nCounters := int(d.u16())
-	counterRemap := decodeNameTable(d, nCounters, darshan.CounterNames(m))
-	nFCounters := int(d.u16())
-	fcounterRemap := decodeNameTable(d, nFCounters, darshan.FCounterNames(m))
-	if d.err != nil {
-		return nil, d.err
+	nCounters := int(c.u16())
+	counterRemap := decodeNameTable(c, nCounters, darshan.CounterNames(m))
+	nFCounters := int(c.u16())
+	fcounterRemap := decodeNameTable(c, nFCounters, darshan.FCounterNames(m))
+	if c.err != nil {
+		return c.err
 	}
+	width, fwidth := nCounters, nFCounters
 	known := darshan.NumCounters(m) > 0
+	if known {
+		width, fwidth = darshan.NumCounters(m), darshan.NumFCounters(m)
+	} else {
+		counterRemap, fcounterRemap = nil, nil
+	}
 
 	// A record is id + rank plus its counters; bounding the declared record
 	// count by the remaining payload stops a crafted count from forcing a
-	// giant slice allocation out of a tiny file.
+	// giant allocation out of a tiny file.
 	recSize := 12 + 8*(nCounters+nFCounters)
-	nRecords := d.boundCount("record", int(d.u32()), recSize, lim.MaxRecords)
-	if d.err != nil {
-		return nil, d.err
+	nRecords := c.boundCount("record", int(c.u32()), recSize, lim.MaxRecords)
+	if c.err != nil {
+		return c.err
 	}
-	records := make([]*darshan.FileRecord, 0, nRecords)
-	for i := 0; i < nRecords; i++ {
-		id := darshan.RecordID(d.u64())
-		rank := d.i32()
-		var rec *darshan.FileRecord
-		if known {
-			rec = darshan.NewFileRecord(m, id, rank)
-		} else {
-			rec = &darshan.FileRecord{
-				Module:    m,
-				Record:    id,
-				Rank:      rank,
-				Counters:  make([]int64, nCounters),
-				FCounters: make([]float64, nFCounters),
-			}
+	recs := st.records(nRecords, width, fwidth)
+	for i := range recs {
+		rec := &recs[i]
+		rec.Module = m
+		rec.Record = darshan.RecordID(c.u64())
+		rec.Rank = c.i32()
+		// A remapped layout leaves the counters the file lacks at zero.
+		if counterRemap != nil {
+			clear(rec.Counters)
+		}
+		if fcounterRemap != nil {
+			clear(rec.FCounters)
 		}
 		for j := 0; j < nCounters; j++ {
-			v := d.i64()
-			if !known || counterRemap == nil {
+			v := c.i64()
+			if counterRemap == nil {
 				rec.Counters[j] = v
 			} else if dst := counterRemap[j]; dst >= 0 {
 				rec.Counters[dst] = v
 			}
 		}
 		for j := 0; j < nFCounters; j++ {
-			v := d.f64()
-			if !known || fcounterRemap == nil {
+			v := c.f64()
+			if fcounterRemap == nil {
 				rec.FCounters[j] = v
 			} else if dst := fcounterRemap[j]; dst >= 0 {
 				rec.FCounters[dst] = v
 			}
 		}
-		if d.err != nil {
-			return nil, d.err
+		if c.err != nil {
+			return c.err
 		}
-		records = append(records, rec)
+		st.ptrs = append(st.ptrs, rec)
 	}
-	return records, nil
+	return nil
 }
 
 // decodeNameTable consumes an n-entry name table and returns the remap
 // from on-disk indexes to dst's, or nil when the table matches dst exactly
 // (identity). The identity check compares name bytes in place, so the hot
 // path allocates nothing; only layout drift pays for strings and a map.
-func decodeNameTable(d *decoder, n int, dst []string) []int {
+func decodeNameTable(c *cursor, n int, dst []string) []int {
 	// A table entry is at least an empty string (one u16 length).
-	n = d.boundCount("counter name", n, 2, d.lim.MaxNames)
-	start := d.off
+	n = c.boundCount("counter name", n, 2, c.lim.MaxNames)
+	start := c.off
 	identity := n == len(dst)
 	for i := 0; i < n; i++ {
-		b := d.strBytes()
+		b := c.strBytes()
 		if identity && string(b) != dst[i] {
 			identity = false
 		}
 	}
-	if identity || d.err != nil {
+	if identity || c.err != nil {
 		return nil
 	}
-	d.off = start
+	c.off = start
 	names := make([]string, n)
 	for i := range names {
-		names[i] = d.str()
+		names[i] = c.str()
 	}
 	return remapIndexes(names, dst)
 }

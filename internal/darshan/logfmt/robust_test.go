@@ -13,7 +13,7 @@ import (
 )
 
 // encodeSample serializes one sample log and returns the bytes.
-func encodeSample(t *testing.T) []byte {
+func encodeSample(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, sampleLog()); err != nil {
@@ -295,5 +295,118 @@ func TestArchiveSkipsCorruptEntry(t *testing.T) {
 	}
 	if entryErrs[0].Kind != KindBadMagic {
 		t.Fatalf("garbage entry classified %v, want bad-magic", entryErrs[0].Kind)
+	}
+}
+
+// encodedSection is one section of an encoded log: its name, the offset of
+// its header, its declared uncompressed length, and its zlib stream.
+type encodedSection struct {
+	name   string
+	start  int
+	size   int
+	stream []byte
+}
+
+// sectionsOf walks the sections of an encoded log.
+func sectionsOf(t testing.TB, data []byte) []encodedSection {
+	t.Helper()
+	var secs []encodedSection
+	off := 8
+	for i := 0; i < int(binary.LittleEndian.Uint16(data[6:])); i++ {
+		n := int(binary.LittleEndian.Uint32(data[off+6:]))
+		size := int(binary.LittleEndian.Uint32(data[off+2:]))
+		secs = append(secs, encodedSection{sectionName(data[off]), off, size, data[off+14 : off+14+n]})
+		off += 14 + n
+	}
+	if off != len(data) {
+		t.Fatalf("sections end at %d of %d bytes", off, len(data))
+	}
+	return secs
+}
+
+// withStream returns a copy of the log with section k's zlib stream replaced
+// and its compressed length and CRC made to match; the declared
+// uncompressed length is kept.
+func withStream(t testing.TB, data []byte, k int, stream []byte) []byte {
+	t.Helper()
+	sec := sectionsOf(t, data)[k]
+	out := append(bytes.Clone(data[:sec.start+14]), stream...)
+	out = append(out, data[sec.start+14+len(sec.stream):]...)
+	binary.LittleEndian.PutUint32(out[sec.start+6:], uint32(len(stream)))
+	binary.LittleEndian.PutUint32(out[sec.start+10:], crc32.ChecksumIEEE(stream))
+	return out
+}
+
+// oneRecordLog encodes a log holding a single POSIX record.
+func oneRecordLog(t *testing.T) []byte {
+	t.Helper()
+	rt := darshan.NewRuntime(darshan.JobHeader{JobID: 5, NProcs: 1, Exe: "/bin/app",
+		Metadata: map[string]string{"domain": "Physics"}})
+	rt.Observe(darshan.Op{Module: darshan.ModulePOSIX, Path: "/gpfs/a",
+		Kind: darshan.OpWrite, Size: 4096, Start: 1, End: 2})
+	var buf bytes.Buffer
+	if err := Write(&buf, rt.Finalize()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wantCorruptAt requires err to report corruption of the section at start.
+func wantCorruptAt(t *testing.T, err error, sec encodedSection) {
+	t.Helper()
+	var de *DecodeError
+	if !errors.As(err, &de) {
+		t.Fatalf("%s section at %d: error = %v, want a corrupt *DecodeError", sec.name, sec.start, err)
+	}
+	if de.Kind != KindCorrupt || de.Section != sec.name || de.Offset != int64(sec.start) {
+		t.Fatalf("%s section at %d: got %v %s at %d (%v)", sec.name, sec.start,
+			de.Kind, de.Section, de.Offset, err)
+	}
+}
+
+// TestSectionBadAdlerIsCorrupt damages each section's adler32 trailer and
+// nothing else — the section CRC is recomputed — and requires the reader to
+// notice: compress/zlib reports the mismatch on the Read that returns the
+// last bytes, and io.ReadFull discards it.
+func TestSectionBadAdlerIsCorrupt(t *testing.T) {
+	data := oneRecordLog(t)
+	for k, sec := range sectionsOf(t, data) {
+		stream := bytes.Clone(sec.stream)
+		stream[len(stream)-1] ^= 0xff
+		_, err := Read(bytes.NewReader(withStream(t, data, k, stream)))
+		wantCorruptAt(t, err, sec)
+	}
+}
+
+// TestSectionLongerThanDeclaredIsCorrupt re-encodes each section's payload
+// 400 bytes longer, or one byte shorter, than the length its header keeps
+// declaring. Neither is the section the header describes.
+func TestSectionLongerThanDeclaredIsCorrupt(t *testing.T) {
+	data := oneRecordLog(t)
+	for _, tc := range []struct {
+		name   string
+		change func([]byte) []byte
+	}{
+		{"400 bytes longer", func(p []byte) []byte { return append(p, make([]byte, 400)...) }},
+		{"one byte short", func(p []byte) []byte { return p[:len(p)-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for k, sec := range sectionsOf(t, data) {
+				zr, err := zlib.NewReader(bytes.NewReader(sec.stream))
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload, err := io.ReadAll(zr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var stream bytes.Buffer
+				zw := zlib.NewWriter(&stream)
+				zw.Write(tc.change(payload))
+				zw.Close()
+				_, err = Read(bytes.NewReader(withStream(t, data, k, stream.Bytes())))
+				wantCorruptAt(t, err, sec)
+			}
+		})
 	}
 }

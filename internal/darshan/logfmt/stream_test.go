@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -138,5 +139,37 @@ func TestParallelRoundTripsShareCodecPools(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// A log that grows a Decoder's storage past what the pools keep leaves the
+// Decoder holding none of it, while the log itself stays intact.
+func TestDecoderDropsOutgrownStorage(t *testing.T) {
+	n := maxPooledBuf/(8*(darshan.NumPosixCounters+darshan.NumPosixFCounters)) + 1
+	rt := darshan.NewRuntime(darshan.JobHeader{JobID: 1, NProcs: 1})
+	for i := 0; i < n; i++ {
+		rt.Observe(darshan.Op{Module: darshan.ModulePOSIX, Path: fmt.Sprintf("/gpfs/f%d", i),
+			Kind: darshan.OpWrite, Size: 1, Start: 1, End: 2})
+	}
+	var big bytes.Buffer
+	if err := Write(&big, rt.Finalize()); err != nil {
+		t.Fatal(err)
+	}
+	var d Decoder
+	log, err := d.Decode(bytes.NewReader(big.Bytes()), DefaultLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.st != nil {
+		t.Fatalf("decoder kept %d records' storage", cap(d.st.recs))
+	}
+	if len(log.Records) != n || len(log.Names) != n {
+		t.Fatalf("outsized log decoded to %d records and %d names, want %d", len(log.Records), len(log.Names), n)
+	}
+	if _, err := d.Decode(bytes.NewReader(encodeSample(t)), DefaultLimits()); err != nil {
+		t.Fatal(err)
+	}
+	if d.st == nil || cap(d.st.recs) >= n {
+		t.Fatal("the next log did not start a fresh store")
 	}
 }
