@@ -45,13 +45,24 @@ apilint:
 ## .dgc/.dgar suffix test, or a comparison against a format magic is a
 ## second dispatcher growing back, so non-test code under internal/ and
 ## cmd/ may not contain one (code that is handed a path of a known kind
-## opens it; it does not choose)
+## opens it; it does not choose). Likewise there is one driver: a campaign
+## is one more source behind the ingest coordinator, so in non-test
+## internal/core a `go func(`, a `sync.WaitGroup` or a `checkpoint.Save(`
+## outside ingest.go is a second worker pool or batch loop growing back
 ingestlint:
 	@bad=$$(grep -rnE 'SniffFile\(|HasSuffix\([^)]*"\.(dgc|dgar)"|[!=]= *(logfmt\.(Archive)?Magic|colfmt\.Magic)|(logfmt\.(Archive)?Magic|colfmt\.Magic)(\[:\])? *[!=]=' \
 		internal cmd --include='*.go' --exclude='*_test.go' \
 		| grep -vE '^internal/(core/source\.go|darshan/(logfmt|colfmt)/)' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "ingestlint: source-kind dispatch outside core.Open (call core.Ingest/core.Convert with the path):"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi; \
+	bad=$$(grep -rnE 'go func\(|sync\.WaitGroup|checkpoint\.Save\(' \
+		internal/core --include='*.go' --exclude='*_test.go' \
+		| grep -v '^internal/core/ingest\.go:' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "ingestlint: a worker pool or checkpoint writer outside the one driver (make the work a source behind ingestCoordinator in internal/core/ingest.go):"; \
 		echo "$$bad"; \
 		exit 1; \
 	fi; \

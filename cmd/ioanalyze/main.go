@@ -146,15 +146,17 @@ func analyze(args []string) {
 			fmt.Fprintln(os.Stderr, "ioanalyze:", err)
 			os.Exit(2)
 		}
+		if ck.Mode == "campaign" {
+			fmt.Fprintf(os.Stderr, "ioanalyze: %s is a campaign checkpoint; resume it with iostudy -resume %[1]s\n",
+				common.ResumePath)
+			os.Exit(2)
+		}
 		opts.Resume = ck
 		// The checkpoint pins the source and system; flags must not
 		// silently redirect a resumed pass.
 		*system, source = ck.System, ck.Source
 		if opts.CheckpointPath == "" {
 			opts.CheckpointPath = common.ResumePath
-		}
-		if opts.LargeJobProcs == 0 {
-			opts.LargeJobProcs = ck.LargeJobProcs
 		}
 		fmt.Fprintf(os.Stderr, "ioanalyze: resuming %s pass over %s (%d logs done)\n",
 			ck.Mode, ck.Source, ck.EntriesDone)

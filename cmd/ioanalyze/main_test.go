@@ -10,9 +10,12 @@ import (
 	"strings"
 	"testing"
 
+	"iolayers/internal/checkpoint"
+	"iolayers/internal/core"
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/units"
+	"iolayers/internal/workload"
 )
 
 // TestMain makes the test binary double as ioanalyze: run re-executes it
@@ -167,5 +170,20 @@ func TestPerLogExitStatus(t *testing.T) {
 		if !strings.Contains(stdout, tc.shows) {
 			t.Errorf("ioanalyze %s: stdout lacks %q", strings.Join(tc.args, " "), tc.shows)
 		}
+	}
+}
+
+// -resume takes only an ingest pass's checkpoint: a campaign's is iostudy's
+// to resume.
+func TestResumeRefusesCampaignCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ck := &core.IngestCheckpoint{System: "Summit", Mode: "campaign",
+		Config: workload.Config{Seed: 1, JobScale: 0.0002, FileScale: 0.02}}
+	if err := checkpoint.Save(filepath.Join(dir, "run.ckpt"), ck); err != nil {
+		t.Fatal(err)
+	}
+	const want = "resume it with iostudy -resume run.ckpt"
+	if _, stderr, code := run(t, dir, "-resume", "run.ckpt"); code != 2 || !strings.Contains(stderr, want) {
+		t.Errorf("ioanalyze -resume run.ckpt: exit %d, stderr %q; want 2 and %q", code, stderr, want)
 	}
 }

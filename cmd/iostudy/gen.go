@@ -85,7 +85,7 @@ func runGen(args []string) {
 	act := common.Activate(ctx, name)
 	defer act.Close()
 	metrics := act.Metrics
-	rep, err := campaign.RunCheckpointed(ctx, core.RunOptions{Sink: sink, Metrics: metrics})
+	rep, err := campaign.RunContext(ctx, core.RunOptions{Sink: sink, Metrics: metrics})
 	interrupted := cli.Interrupted(err)
 	if err != nil && !interrupted {
 		fmt.Fprintln(os.Stderr, name+":", err)

@@ -26,13 +26,17 @@
 //
 // Crash safety: SIGINT/SIGTERM stops the campaign at a job boundary and
 // still renders a valid partial report; an archive being saved is still
-// terminated, so it holds a complete archive of the jobs that ran. With
-// -checkpoint, progress persists atomically every -checkpoint-every jobs and
-// an interrupted run continues with -resume — the resumed run's report is
-// byte-identical to an uninterrupted one. A campaign checkpoint pins the
-// system, seed, and scales, so -resume needs no other flags; a run that was
-// saving an archive needs -save again (the archive is truncated to the
-// checkpoint's durable offset and appended to).
+// terminated, so it holds a complete archive of the jobs that ran. The
+// campaign runs through the same driver as ioanalyze's ingestion, with the
+// same checkpoint: with -checkpoint, progress persists atomically every
+// -checkpoint-every jobs and an interrupted run continues with -resume from
+// the last completed batch — the resumed run's report is byte-identical to
+// an uninterrupted one. A campaign checkpoint pins the system, seed, and
+// scales, so -resume needs no other flags (-workers defaults to GOMAXPROCS
+// again); a run that was saving an archive needs -save again (the archive
+// is truncated to the offset recorded at the last completed batch and
+// appended to). An ingest pass's checkpoint is refused: ioanalyze resumes
+// it.
 //
 // Fault injection: -faults takes "production" (a production-like mixture of
 // server slowdowns, outages, and metadata storms over the campaign year) or
@@ -125,7 +129,17 @@ func study(args []string) {
 	var names []string
 	var cfg workload.Config
 	if common.ResumePath != "" {
-		ck, err := core.LoadCampaignCheckpoint(common.ResumePath)
+		ck, err := core.LoadIngestCheckpoint(common.ResumePath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "iostudy:", err)
+			os.Exit(2)
+		}
+		if ck.Mode != "campaign" {
+			fmt.Fprintf(os.Stderr, "iostudy: %s is an ingest checkpoint (%s mode); resume it with ioanalyze -resume %[1]s\n",
+				common.ResumePath, ck.Mode)
+			os.Exit(2)
+		}
+		jobs, err := campaignJobs(ck)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iostudy:", err)
 			os.Exit(2)
@@ -139,17 +153,14 @@ func study(args []string) {
 			fmt.Fprintln(os.Stderr, "iostudy: checkpoint has no archive state; -save cannot be added on resume")
 			os.Exit(2)
 		}
-		names, cfg, opts.Resume = []string{ck.Meta.SystemName}, ck.Meta.Config, ck
+		names, cfg, opts.Resume = []string{ck.System}, ck.Config, ck
 		if opts.CheckpointPath == "" {
 			opts.CheckpointPath = common.ResumePath
-		}
-		if common.Workers == 0 {
-			common.Workers = ck.Meta.Workers
 		}
 		// Server-side collectors cannot span an interrupted run.
 		*serverSide = false
 		fmt.Fprintf(os.Stderr, "iostudy: resuming %s campaign, %d of %d jobs done\n",
-			ck.Meta.SystemName, ck.JobsDone(), len(ck.Done))
+			ck.System, ck.EntriesDone, jobs)
 	} else {
 		cfg = workload.Config{Seed: *seed, JobScale: *scale, FileScale: *fileScale,
 			ExtendedStdio: *extended}
@@ -210,7 +221,7 @@ func study(args []string) {
 			}
 			opts.Sink, opts.SyncSink = arch.sink, arch.sync
 		}
-		rep, err := campaign.RunCheckpointed(ctx, opts)
+		rep, err := campaign.RunContext(ctx, opts)
 		interrupted := cli.Interrupted(err)
 		if err != nil && !interrupted {
 			fmt.Fprintln(os.Stderr, "iostudy:", err)
@@ -245,7 +256,7 @@ func study(args []string) {
 				os.Exit(1)
 			}
 			alt.Workers = common.Workers
-			altRep, err := alt.RunContext(ctx, nil)
+			altRep, err := alt.RunContext(ctx, core.RunOptions{})
 			if err != nil {
 				if cli.Interrupted(err) {
 					os.Exit(cli.ExitInterrupted)
@@ -257,6 +268,19 @@ func study(args []string) {
 		}
 	}
 	emitMetrics(metrics, common.MetricsOut)
+}
+
+// campaignJobs is the job count of the campaign a checkpoint belongs to.
+func campaignJobs(ck *core.IngestCheckpoint) (int, error) {
+	c, err := core.NewCampaign(ck.System, ck.Config)
+	if err != nil {
+		return 0, err
+	}
+	gen, err := workload.NewGenerator(c.Profile, c.System, c.Config)
+	if err != nil {
+		return 0, err
+	}
+	return gen.Jobs(), nil
 }
 
 // publishCollectors folds per-server load tallies into the metrics registry

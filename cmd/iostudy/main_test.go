@@ -10,13 +10,18 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"iolayers/internal/analysis"
+	"iolayers/internal/checkpoint"
 	"iolayers/internal/cli"
 	"iolayers/internal/core"
 	"iolayers/internal/iosim/systems"
+	"iolayers/internal/obsv"
 	"iolayers/internal/report"
+	"iolayers/internal/workload"
 )
 
 // TestMain makes the test binary double as iostudy: command re-executes it
@@ -250,5 +255,50 @@ func TestInterruptedSaveResumes(t *testing.T) {
 	}
 	if archiveReport(t, filepath.Join(dir, "part.dgar")) != archiveReport(t, filepath.Join(dir, "full.dgar")) {
 		t.Error("the resumed archive's report differs from the uninterrupted archive's")
+	}
+}
+
+// -resume takes only a campaign's checkpoint: an ingest pass's is
+// ioanalyze's to resume, and a campaign checkpoint in the older per-job
+// done-set format is refused by name, with the way out.
+func TestResumeRefusesOtherCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	ingest := &core.IngestCheckpoint{System: "Summit", Mode: "archive", Source: "x.dgar"}
+	if err := checkpoint.Save(filepath.Join(dir, "ingest.ckpt"), ingest); err != nil {
+		t.Fatal(err)
+	}
+	// The field names of the older campaign checkpoint.
+	type campaignMeta struct {
+		SystemName string
+		Config     workload.Config
+		Workers    int
+	}
+	old := struct {
+		Meta           campaignMeta
+		Done           []bool
+		FailedJobs     []int
+		Fault          workload.FaultOutcome
+		Agg            *analysis.AggregatorState
+		ArchiveBytes   int64
+		ArchiveEntries int
+		Metrics        *obsv.State
+	}{
+		Meta: campaignMeta{SystemName: "Summit", Config: workload.Config{Seed: 1, JobScale: 0.0002, FileScale: 0.02}},
+		Done: []bool{true, false},
+		Agg:  analysis.NewAggregator(systems.NewSummit()).State(),
+	}
+	if err := checkpoint.Save(filepath.Join(dir, "old.ckpt"), &old); err != nil {
+		t.Fatal(err)
+	}
+	for ckpt, want := range map[string]string{
+		"ingest.ckpt": "resume it with ioanalyze -resume ingest.ckpt",
+		"old.ckpt":    "retired per-job format, which cannot be resumed: restart the run",
+	} {
+		cmd, _ := command(t, dir, "-resume", ckpt)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if code := exitCode(t, cmd.Run()); code != 2 || !strings.Contains(stderr.String(), want) {
+			t.Errorf("iostudy -resume %s: exit %d, stderr %q; want 2 and %q", ckpt, code, stderr.String(), want)
+		}
 	}
 }

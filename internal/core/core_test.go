@@ -1,12 +1,18 @@
 package core
 
 import (
+	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"sync/atomic"
 	"testing"
 
 	"iolayers/internal/darshan"
+	"iolayers/internal/obsv"
+	"iolayers/internal/report"
 	"iolayers/internal/workload"
 )
 
@@ -138,5 +144,60 @@ func TestBadConfigSurfacesError(t *testing.T) {
 	}
 	if _, err := c.Run(nil); err == nil {
 		t.Error("expected error from invalid workload config")
+	}
+}
+
+// TestCampaignPinned pins a campaign's output bytes, not just their
+// agreement across worker counts: the sha256 of the full text report and
+// of the stripped metrics snapshot, for a plain campaign, a fault-injected
+// one and one whose generator fails some jobs, at one and at four workers.
+func TestCampaignPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign generation in -short mode")
+	}
+	// A PFS profile without MPI-IO: every job that draws an MPI-IO file
+	// dies in generation and is reported as a failed job.
+	noMPIIO := func(c *Campaign) {
+		ifaces := maps.Clone(c.Profile.PFS.Interfaces)
+		delete(ifaces, darshan.ModuleMPIIO)
+		c.Profile.PFS.Interfaces = ifaces
+	}
+	for _, tc := range []struct {
+		name                  string
+		cfg                   workload.Config
+		mutate                func(*Campaign)
+		reportSHA, metricsSHA string
+	}{
+		{"resume", resumeCfg, nil,
+			"da9a0440dfd15294b48aa03868ae05eea84b6f2dc701a159424b323a03db9451",
+			"a4dedd36946639b6829cede248a5c19ba6c716b7e9dc5849b02da5bc14e6365e"},
+		{"faulty", faultyCfg(), nil,
+			"9435e8c0f0cf4bce8d9ff5f6b6ab5fe5a69f96ef8ec33f6209a22d63659056b3",
+			"f0dc11f888bcb1d72d801e5a054b44e4f993998cb0e252c8a2dca25a30c5d302"},
+		{"failing", resumeCfg, noMPIIO,
+			"f0828bc50c94ad41ff656fd82e52281bc5a4b166bf6c527f0712ebf638504bd2",
+			"f0469b4c7e6f22c5f61283d6cf6af482fb20f53b27e99f9b985027ffdfd50421"},
+	} {
+		for _, workers := range []int{1, 4} {
+			c, err := NewCampaign("Summit", tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.mutate != nil {
+				tc.mutate(c)
+			}
+			c.Workers = workers
+			m := obsv.New()
+			rep, err := c.RunContext(context.Background(), RunOptions{Metrics: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotReport := fmt.Sprintf("%x", sha256.Sum256([]byte(report.Everything(rep))))
+			gotMetrics := fmt.Sprintf("%x", sha256.Sum256([]byte(stripped(m))))
+			if gotReport != tc.reportSHA || gotMetrics != tc.metricsSHA {
+				t.Errorf("%s at %d workers: report sha256 %s, metrics sha256 %s; want %s, %s",
+					tc.name, workers, gotReport, gotMetrics, tc.reportSHA, tc.metricsSHA)
+			}
+		}
 	}
 }

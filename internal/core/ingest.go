@@ -3,23 +3,27 @@
 // analysis.Aggregator: Open decides what the path is and returns its
 // source, and one driver loop pulls batches from the source through a
 // fixed worker pool in which each worker owns a private
-// analysis.Aggregator; the partials merge via Aggregator.Merge — the same
-// deterministic model Run uses for synthesis (DESIGN.md §7).
+// analysis.Aggregator; the partials merge via Aggregator.Merge. A campaign
+// being synthesized is one more source (genSource, whose items are job
+// indices), so the deterministic model Run uses is this one (DESIGN.md §7).
 //
 // Determinism: within a batch, item k is assigned to worker k mod workers
 // (static sharding, one channel per worker), and partial aggregates merge
 // in worker-index order. The result for a given worker count is therefore
 // independent of goroutine scheduling, and the rendered report is identical
 // across worker counts (all discrete statistics are exact integer sums; see
-// TestIngestDeterministicAcrossWorkerCounts).
+// TestIngestDeterministicAcrossWorkerCounts). A campaign's jobs are shared
+// out dynamically instead — their cost is heavy-tailed — which leaves the
+// report unchanged for the same reason: no statistic depends on which
+// worker folded what, and failures are sorted by index.
 //
 // Robustness (DESIGN.md §9): ingestion treats its input as untrusted.
 // Decoding runs under logfmt.DecodeLimits, undecodable logs can be
 // quarantined aside with a manifest instead of silently skipped, progress
-// checkpoints atomically every CheckpointEvery entries (resume re-processes
-// nothing and reproduces the uninterrupted report byte-for-byte), and
-// context cancellation stops the pass at a batch boundary with a valid
-// partial report.
+// checkpoints atomically every CheckpointEvery items (resume re-processes
+// at most the batch a cancel interrupted and reproduces the uninterrupted
+// report byte-for-byte), and context cancellation stops the pass at a batch
+// boundary with a valid partial report.
 //
 // Memory: archives are streamed entry by entry — the dispatcher walks the
 // length-prefixed framing sequentially (cheap) and hands raw entries to the
@@ -48,15 +52,13 @@ import (
 	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/iosim"
 	"iolayers/internal/obsv"
+	"iolayers/internal/workload"
 )
 
 // IngestOptions configures a parallel ingestion pass.
 type IngestOptions struct {
 	// Workers is the pool size; 0 means GOMAXPROCS.
 	Workers int
-	// LargeJobProcs overrides the large-job threshold (0 keeps the
-	// aggregator default of 1024).
-	LargeJobProcs int
 	// Limits bounds what the decoder will allocate on behalf of each log;
 	// zero fields take logfmt.DefaultLimits.
 	Limits logfmt.DecodeLimits
@@ -88,14 +90,13 @@ type IngestOptions struct {
 	Into *analysis.Aggregator
 }
 
-// defaultIngestBatch is the checkpoint batch size when the caller enables
-// checkpointing without choosing one.
-const defaultIngestBatch = 4096
-
-// IngestFailure records one log that could not be parsed.
+// IngestFailure records one log that could not be parsed, or one job
+// whose generation failed.
 type IngestFailure struct {
+	// Index is the item's position in the source's order.
+	Index int
 	// Source identifies the log: a file path, or "<archive> entry N" /
-	// "<campaign> segment N" inside a campaign file.
+	// "<campaign> segment N" inside a campaign file; or "job N".
 	Source string
 	Err    error
 }
@@ -116,57 +117,82 @@ type IngestResult struct {
 
 // IngestFailureRecord is the serializable form of an IngestFailure.
 type IngestFailureRecord struct {
+	Index  int
 	Source string
 	Err    string
 }
 
-// IngestCheckpoint is the persisted state of a partially-complete
-// ingestion pass. EntriesDone is a strict prefix: every input with index
-// < EntriesDone is fully accounted (parsed, failed, or quarantined), and
-// none at or beyond it are.
+// IngestCheckpoint is the persisted state of a partially-complete pass —
+// an ingestion, or a campaign run (Campaign.RunContext). EntriesDone is a
+// strict prefix: every item with index < EntriesDone is fully accounted
+// (parsed, failed, or quarantined; for a campaign, generated, sunk and
+// aggregated, or failed), and none at or beyond it are. All statistics are
+// exact sums, counts, or sample multisets, and gob round-trips float64
+// bit-exactly, so a resumed pass's report is byte-identical to an
+// uninterrupted one at any worker count.
 type IngestCheckpoint struct {
 	System string
 	// Mode names the kind of source the pass walked: "dir" (a list of log
-	// files — a directory's, or one single log), "archive" or "columnar".
+	// files — a directory's, or one single log), "archive", "columnar", or
+	// "campaign" (the job indices of a synthesized campaign).
 	Mode string
 	// Source is the path the pass was given; Ingest(Source) resumes it.
+	// Empty for a campaign.
 	Source string
 	// Paths freezes "dir" mode's sorted input list: quarantined files
 	// are gone from the directory, so resume must not re-glob.
-	Paths         []string
-	EntriesDone   int
-	Parsed        int
-	Failed        int
-	Quarantined   int
-	Failures      []IngestFailureRecord
-	LargeJobProcs int
-	Agg           *analysis.AggregatorState
-	// Metrics is the deterministic slice of the pass's obsv registry (see
-	// CampaignCheckpoint.Metrics). Nil when the pass carried no registry.
+	Paths       []string
+	EntriesDone int
+	Parsed      int
+	Failed      int
+	Quarantined int
+	Failures    []IngestFailureRecord
+	// Config is a campaign's full workload config: with System it rebuilds
+	// the campaign (NewCampaign), so a resume needs no flags.
+	Config workload.Config
+	// Fault is a campaign's merged fault outcome over its completed jobs.
+	Fault workload.FaultOutcome
+	// ArchiveBytes and ArchiveEntries are a campaign sink's durable size
+	// (RunOptions.SyncSink) at the last completed batch boundary: resume
+	// truncates the archive to this offset before appending, and the jobs
+	// whose logs it cuts off are the ones at or past EntriesDone.
+	ArchiveBytes   int64
+	ArchiveEntries int
+	Agg            *analysis.AggregatorState
+	// Metrics is the deterministic slice of the pass's obsv registry, so a
+	// resumed pass's stripped metrics snapshot is byte-identical to an
+	// uninterrupted one. Nil when the pass carried no registry.
 	Metrics *obsv.State
 }
 
-// LoadIngestCheckpoint reads an ingestion checkpoint written by a prior
-// Ingest pass.
+// LoadIngestCheckpoint reads a checkpoint written by a prior pass, an
+// ingestion's or a campaign's; Mode says which.
 func LoadIngestCheckpoint(path string) (*IngestCheckpoint, error) {
 	var ck IngestCheckpoint
 	if err := checkpoint.Load(path, &ck); err != nil {
 		return nil, err
 	}
-	if ck.Mode != "dir" && ck.Mode != "archive" && ck.Mode != "columnar" {
-		return nil, fmt.Errorf("core: %s is not an ingestion checkpoint", path)
+	switch {
+	case ck.Mode == "dir" || ck.Mode == "archive" || ck.Mode == "columnar" || ck.Mode == "campaign":
+		return &ck, nil
+	case ck.Mode == "" && ck.Agg != nil:
+		// Campaign checkpoints of the older per-job done-set format decode
+		// to aggregator state and no Mode; nothing reads that format now.
+		return nil, fmt.Errorf("core: %s is a campaign checkpoint in the retired per-job format, which cannot be resumed: restart the run", path)
 	}
-	return &ck, nil
+	return nil, fmt.Errorf("core: %s is not a checkpoint", path)
 }
 
 // ingestItem is one unit of work: a log file to open (path), a raw
-// undecoded archive entry, or a raw undecoded columnar segment.
+// undecoded archive entry, a raw undecoded columnar segment, or a job to
+// generate.
 type ingestItem struct {
 	index    int
 	path     string
 	raw      []byte
-	in       string // for raw items, the campaign file and unit: "<path> entry "
+	in       string // for raw and job items, the unit: "<path> entry ", "job "
 	columnar bool
+	job      bool
 }
 
 // source names the item in failure reports and the quarantine manifest; it
@@ -178,12 +204,11 @@ func (it ingestItem) source() string {
 	return it.in + strconv.Itoa(it.index)
 }
 
-// indexedFailure keeps input order across workers for deterministic
-// reporting and carries the failed item for quarantining.
+// indexedFailure carries the failed item beside its failure, for
+// quarantining.
 type indexedFailure struct {
-	index int
-	f     IngestFailure
-	item  ingestItem
+	f    IngestFailure
+	item ingestItem
 }
 
 // quarantine moves undecodable logs aside and records each in a
@@ -224,15 +249,15 @@ func (q *quarantine) add(fail indexedFailure) error {
 	if fail.item.path != "" {
 		dst = filepath.Join(q.dir, filepath.Base(fail.item.path))
 		if _, err := os.Lstat(dst); err == nil {
-			dst = filepath.Join(q.dir, fmt.Sprintf("%06d-%s", fail.index, filepath.Base(fail.item.path)))
+			dst = filepath.Join(q.dir, fmt.Sprintf("%06d-%s", fail.f.Index, filepath.Base(fail.item.path)))
 		}
 		if err := os.Rename(fail.item.path, dst); err != nil {
 			return fmt.Errorf("core: quarantining %s: %w", fail.item.path, err)
 		}
 	} else {
-		name := fmt.Sprintf("entry-%06d.darshan", fail.index)
+		name := fmt.Sprintf("entry-%06d.darshan", fail.f.Index)
 		if fail.item.columnar {
-			name = fmt.Sprintf("segment-%06d.dgcseg", fail.index)
+			name = fmt.Sprintf("segment-%06d.dgcseg", fail.f.Index)
 		}
 		dst = filepath.Join(q.dir, name)
 		if err := os.WriteFile(dst, fail.item.raw, 0o644); err != nil {
@@ -285,23 +310,55 @@ func (d *itemDecoder) decode(lim logfmt.DecodeLimits, item ingestItem) (*darshan
 	return log, nil
 }
 
-// consumeItem parses one item under lim and folds it into agg. Unlike
-// synthesis, ingestion consumes external files, so invariant panics from
-// aggregation — iosim.System.LayerFor on a path outside the system's
-// mounts, as happens when a log is analyzed against the wrong -system — are
-// demoted to per-log errors rather than crashing the pass. AddLog and
-// FoldBatch route every path before they fold anything, so an item rejected
-// this way leaves agg exactly as it was.
+// jobWorker is a worker's campaign half: the source its jobs come from
+// (generator and sink), the fault outcome its jobs merged, and the first
+// sink failure, after which it runs nothing more.
+type jobWorker struct {
+	src     *genSource
+	fault   workload.FaultOutcome
+	sinkErr error
+}
+
+// consumeItem parses one item under lim — or, for a job, generates it and
+// hands each log to the sink — and folds it into agg. Ingestion consumes
+// external files, so invariant panics from aggregation —
+// iosim.System.LayerFor on a path outside the system's mounts, as happens
+// when a log is analyzed against the wrong -system — are demoted to per-log
+// errors rather than crashing the pass. AddLog and FoldBatch route every
+// path before they fold anything, so a log or segment rejected this way
+// leaves agg exactly as it was.
 // It returns how many logs the item contributed (1 for a log, the segment's
-// log count for a columnar segment) plus the columns the segment's stats
-// block let the decoder skip.
-func consumeItem(d *itemDecoder, agg *analysis.Aggregator, lim logfmt.DecodeLimits, item ingestItem) (logs int, colsPruned int, err error) {
+// log count for a columnar segment, the job's log count) plus the columns
+// the segment's stats block let the decoder skip. A job whose generation
+// dies is a counted failure; a sink failure is not an item's failure but
+// the pass's, so it lands in jw.sinkErr instead.
+func consumeItem(d *itemDecoder, jw *jobWorker, agg *analysis.Aggregator, lim logfmt.DecodeLimits, item ingestItem) (logs int, colsPruned int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			logs, colsPruned = 0, 0
 			err = fmt.Errorf("core: analyzing log: %v", r)
 		}
 	}()
+	if item.job {
+		if jw.sinkErr != nil {
+			return 0, 0, nil // the pass is failing: run nothing more
+		}
+		logs, fo, err := jw.src.gen.GenerateJobSafe(item.index)
+		if err != nil {
+			return 0, 0, err
+		}
+		jw.fault.Merge(&fo)
+		for li, log := range logs {
+			if jw.src.sink != nil {
+				if err := jw.src.sink(item.index, li, log); err != nil {
+					jw.sinkErr = fmt.Errorf("core: sink failed on job %d log %d: %w", item.index, li, err)
+					return 0, 0, nil
+				}
+			}
+			agg.AddLog(log)
+		}
+		return len(logs), 0, nil
+	}
 	if item.columnar {
 		batch, err := colfmt.DecodeSegment(item.raw, colfmt.ProjectAll, lim)
 		if err != nil {
@@ -336,6 +393,8 @@ func errClassName(k int) string {
 // batchResult carries one batch's outcome back to the coordinator.
 type batchResult struct {
 	aggs      []*analysis.Aggregator
+	jobs      []jobWorker // a campaign's, one per worker beside aggs; nil otherwise
+	sinkErr   error       // the first jobs[i].sinkErr, in worker order
 	parsed    int
 	failures  []indexedFailure // all of the batch's failures, index-sorted
 	failed    int
@@ -359,6 +418,15 @@ type ingestCoordinator struct {
 	src  source
 	path string // what the caller asked for; the checkpoint's Source
 
+	// A campaign pass has campaign == src. It keeps the merged fault
+	// outcome, and the sink's durable size taken through syncSink before
+	// the first batch and at each completed boundary.
+	campaign       *genSource
+	syncSink       func() (bytes int64, entries int, err error)
+	fault          workload.FaultOutcome
+	archiveBytes   int64
+	archiveEntries int
+
 	total       *analysis.Aggregator
 	parsed      int
 	failed      int
@@ -375,6 +443,9 @@ type ingestCoordinator struct {
 func (ic *ingestCoordinator) begin() error {
 	sys, opts := ic.sys, ic.opts
 	ic.total = analysis.NewAggregator(sys)
+	if ic.campaign != nil {
+		ic.total.LargeJobProcs = ic.campaign.gen.Profile().LargeJobProcs
+	}
 	if opts.Into != nil {
 		if opts.Resume != nil {
 			return fmt.Errorf("core: IngestOptions.Into cannot be combined with Resume")
@@ -384,9 +455,6 @@ func (ic *ingestCoordinator) begin() error {
 				opts.Into.SystemName(), sys.Name)
 		}
 		ic.total = opts.Into
-	}
-	if opts.LargeJobProcs > 0 {
-		ic.total.LargeJobProcs = opts.LargeJobProcs
 	}
 	if ck := opts.Resume; ck != nil {
 		if ck.System != sys.Name {
@@ -403,8 +471,10 @@ func (ic *ingestCoordinator) begin() error {
 		ic.failed = ck.Failed
 		ic.quarantined = ck.Quarantined
 		for _, f := range ck.Failures {
-			ic.failures = append(ic.failures, IngestFailure{Source: f.Source, Err: errors.New(f.Err)})
+			ic.failures = append(ic.failures, IngestFailure{Index: f.Index, Source: f.Source, Err: errors.New(f.Err)})
 		}
+		ic.fault = ck.Fault
+		ic.archiveBytes, ic.archiveEntries = ck.ArchiveBytes, ck.ArchiveEntries
 		if ck.Agg != nil {
 			var err error
 			if ic.total, err = analysis.NewAggregatorFromState(sys, ck.Agg); err != nil {
@@ -443,7 +513,24 @@ func (ic *ingestCoordinator) batchSize() int {
 	if ic.opts.CheckpointEvery > 0 {
 		return ic.opts.CheckpointEvery
 	}
-	return defaultIngestBatch
+	return ic.src.batch()
+}
+
+// sync flushes a checkpointed campaign's sink and records its durable
+// size. It runs before the first batch and at completed boundaries only —
+// never on a cancel, when the sink also holds logs of jobs that will
+// regenerate — so a checkpoint's archive offset always matches its
+// EntriesDone.
+func (ic *ingestCoordinator) sync() error {
+	if ic.syncSink == nil || ic.opts.CheckpointPath == "" {
+		return nil
+	}
+	b, e, err := ic.syncSink()
+	if err != nil {
+		return fmt.Errorf("core: syncing sink for checkpoint: %w", err)
+	}
+	ic.archiveBytes, ic.archiveEntries = b, e
+	return nil
 }
 
 // writeCheckpoint persists the coordinator's current (batch-boundary)
@@ -462,12 +549,15 @@ func (ic *ingestCoordinator) writeCheckpoint() error {
 		System: ic.sys.Name, Mode: ic.src.mode(), Source: ic.path,
 		Paths: ic.src.listing(), EntriesDone: ic.entriesDone,
 		Parsed: ic.parsed, Failed: ic.failed, Quarantined: ic.quarantined,
-		LargeJobProcs: ic.opts.LargeJobProcs,
-		Agg:           ic.total.State(),
-		Metrics:       ic.opts.Metrics.State(),
+		Fault: ic.fault, ArchiveBytes: ic.archiveBytes, ArchiveEntries: ic.archiveEntries,
+		Agg:     ic.total.State(),
+		Metrics: ic.opts.Metrics.State(),
+	}
+	if ic.campaign != nil {
+		ck.Config = ic.campaign.cfg
 	}
 	for _, f := range ic.failures {
-		ck.Failures = append(ck.Failures, IngestFailureRecord{Source: f.Source, Err: f.Err.Error()})
+		ck.Failures = append(ck.Failures, IngestFailureRecord{Index: f.Index, Source: f.Source, Err: f.Err.Error()})
 	}
 	return checkpoint.Save(ic.opts.CheckpointPath, ck)
 }
@@ -482,11 +572,18 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 	if max > 0 && w > max {
 		w = max
 	}
-	work := make([]chan ingestItem, w)
+	// One queue per worker, item k to queue k mod len(work); but a job's
+	// cost is as heavy-tailed as its log count, so a campaign's jobs share
+	// one queue that whichever worker is free drains. A shallow buffer, four
+	// items per worker, keeps workers fed without queueing unbounded
+	// undecoded entries.
+	queues := w
+	if ic.campaign != nil {
+		queues = 1
+	}
+	work := make([]chan ingestItem, queues)
 	for i := range work {
-		// A shallow buffer keeps workers fed without queueing unbounded
-		// undecoded entries.
-		work[i] = make(chan ingestItem, 4)
+		work[i] = make(chan ingestItem, 4*w/queues)
 	}
 
 	keepAll := ic.quar != nil
@@ -506,17 +603,23 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 	if ic.opts.Metrics != nil {
 		metricsW = make([]workerMetrics, w)
 	}
+	if ic.campaign != nil {
+		res.jobs = make([]jobWorker, w)
+	}
 	var wg sync.WaitGroup
 	for wi := 0; wi < w; wi++ {
 		res.aggs[wi] = analysis.NewAggregator(ic.sys)
-		if ic.opts.LargeJobProcs > 0 {
-			res.aggs[wi].LargeJobProcs = ic.opts.LargeJobProcs
+		res.aggs[wi].LargeJobProcs = ic.total.LargeJobProcs
+		var jw *jobWorker
+		if res.jobs != nil {
+			jw = &res.jobs[wi]
+			jw.src = ic.campaign
 		}
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
 			var dec itemDecoder
-			for item := range work[wi] {
+			for item := range work[wi%queues] {
 				if ctx.Err() != nil {
 					continue // cancelled: drain without processing
 				}
@@ -525,7 +628,7 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 					metricsW[wi].rawBytes += n
 					metricsW[wi].rawHist[obsv.BucketOf(n)]++
 				}
-				logs, pruned, err := consumeItem(&dec, res.aggs[wi], ic.lim, item)
+				logs, pruned, err := consumeItem(&dec, jw, res.aggs[wi], ic.lim, item)
 				if err != nil {
 					failedW[wi]++
 					if metricsW != nil {
@@ -537,9 +640,8 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 					}
 					if keepAll || len(failsW[wi]) < MaxRecordedFailures {
 						failsW[wi] = append(failsW[wi], indexedFailure{
-							index: item.index,
-							f:     IngestFailure{Source: item.source(), Err: err},
-							item:  item,
+							f:    IngestFailure{Index: item.index, Source: item.source(), Err: err},
+							item: item,
 						})
 					}
 					continue
@@ -567,7 +669,7 @@ dispatch:
 			break
 		}
 		select {
-		case work[res.count%w] <- item:
+		case work[res.count%queues] <- item:
 			res.count++
 		case <-ctx.Done():
 			res.cancelled = true
@@ -586,6 +688,9 @@ dispatch:
 		res.parsed += parsedW[wi]
 		res.failed += failedW[wi]
 		res.failures = append(res.failures, failsW[wi]...)
+		if res.jobs != nil && res.sinkErr == nil {
+			res.sinkErr = res.jobs[wi].sinkErr
+		}
 		if metricsW != nil {
 			for k, n := range metricsW[wi].errClasses {
 				res.errClasses[k] += n
@@ -598,15 +703,19 @@ dispatch:
 			res.colsPruned += metricsW[wi].colsPruned
 		}
 	}
-	sort.Slice(res.failures, func(i, j int) bool { return res.failures[i].index < res.failures[j].index })
+	sort.Slice(res.failures, func(i, j int) bool { return res.failures[i].f.Index < res.failures[j].f.Index })
 	return res
 }
 
-// absorb merges what a batch analyzed — aggregates, counts, recorded
-// failures — into the running state.
+// absorb merges what a batch analyzed — aggregates and, for a campaign,
+// fault outcomes, both in worker order; counts; recorded failures — into
+// the running state.
 func (ic *ingestCoordinator) absorb(res *batchResult) {
-	for _, a := range res.aggs {
+	for wi, a := range res.aggs {
 		ic.total.Merge(a)
+		if res.jobs != nil {
+			ic.fault.Merge(&res.jobs[wi].fault)
+		}
 	}
 	ic.parsed += res.parsed
 	ic.failed += res.failed
@@ -622,7 +731,25 @@ func (ic *ingestCoordinator) absorb(res *batchResult) {
 // cancelled batch is absorbed but never folded (see run): the checkpoint
 // keeps pre-batch metrics, so resume reproduces them exactly.
 func (ic *ingestCoordinator) fold(res *batchResult) error {
-	if m := ic.opts.Metrics; m != nil {
+	if m := ic.opts.Metrics; m != nil && ic.campaign != nil {
+		// A campaign counts jobs, their logs and retries, and the bytes its
+		// jobs moved; it decodes nothing, so it has no ingest.* names.
+		jobs := int64(res.count - res.failed)
+		var retried, attempts int64
+		var moved float64
+		for wi, a := range res.aggs {
+			moved += a.TotalBytes()
+			retried += res.jobs[wi].fault.OpsRetried
+			attempts += res.jobs[wi].fault.RetryAttempts
+		}
+		m.Counter("run.jobs_done").Add(jobs)
+		m.Counter("run.jobs_failed").Add(int64(res.failed))
+		m.Counter("run.logs_generated").Add(int64(res.parsed))
+		m.Counter("run.ops_retried").Add(retried)
+		m.Counter("run.retry_attempts").Add(attempts)
+		ic.span.AddOps(jobs)
+		ic.span.AddBytes(int64(moved))
+	} else if m != nil {
 		m.Counter("ingest.logs_parsed").Add(int64(res.parsed))
 		m.Counter("ingest.logs_failed").Add(int64(res.failed))
 		for k, n := range res.errClasses {
@@ -673,8 +800,8 @@ func (ic *ingestCoordinator) result() (*analysis.Report, IngestResult) {
 	}
 }
 
-// run is the one driver loop: batch → cancelled? → fold → framing damage?
-// → checkpoint, until the source is exhausted.
+// run is the one driver loop: batch → sink failed? → cancelled? → fold →
+// framing damage? → checkpoint, until the source is exhausted.
 func (ic *ingestCoordinator) run(ctx context.Context) (*analysis.Report, IngestResult, error) {
 	// A worker outlives the source's next call, so it gets its own copy of
 	// the scratch bytes the source hands out.
@@ -685,6 +812,11 @@ func (ic *ingestCoordinator) run(ctx context.Context) (*analysis.Report, IngestR
 		}
 		return item, ok, err
 	}
+	// A cancel in the first batch checkpoints the sink's size before it:
+	// for an archive, its header and no entries.
+	if err := ic.sync(); err != nil {
+		return nil, IngestResult{}, err
+	}
 	for ic.src.remaining() != 0 {
 		// A source that knows its length caps the batch, and through it the
 		// pool: a one-log ingest runs one worker, not GOMAXPROCS of them.
@@ -693,6 +825,11 @@ func (ic *ingestCoordinator) run(ctx context.Context) (*analysis.Report, IngestR
 			max = rem
 		}
 		res := ic.runBatch(ctx, max, next)
+		if res.sinkErr != nil {
+			// A failed sink poisons what the campaign persisted: abort
+			// without checkpointing over it.
+			return nil, IngestResult{}, res.sinkErr
+		}
 		if res.cancelled {
 			// The checkpoint keeps the pre-batch state (the partial batch
 			// re-processes on resume — nothing from it is quarantined or
@@ -719,13 +856,16 @@ func (ic *ingestCoordinator) run(ctx context.Context) (*analysis.Report, IngestR
 			return rep, ir, res.streamErr
 		}
 		if ic.src.remaining() != 0 {
+			if err := ic.sync(); err != nil {
+				return nil, IngestResult{}, err
+			}
 			if err := ic.writeCheckpoint(); err != nil {
 				return nil, IngestResult{}, err
 			}
 		}
 	}
 	if ic.opts.CheckpointPath != "" {
-		removeCheckpoint(ic.opts.CheckpointPath) // nothing left to resume
+		os.Remove(ic.opts.CheckpointPath) // nothing left to resume; best effort
 	}
 	rep, ir := ic.result()
 	return rep, ir, nil
@@ -766,6 +906,12 @@ func ingest(ctx context.Context, sys *iosim.System, path string, opts IngestOpti
 		sys: sys, opts: opts, lim: opts.Limits, src: src, path: path,
 		span: opts.Metrics.Span(spanName),
 	}
+	return ic.drive(ctx)
+}
+
+// drive runs the pass: restore what a resume carries, run the driver loop
+// under the stage span, and on every exit close what the pass holds open.
+func (ic *ingestCoordinator) drive(ctx context.Context) (*analysis.Report, IngestResult, error) {
 	defer ic.close()
 	if err := ic.begin(); err != nil {
 		return nil, IngestResult{}, err

@@ -36,7 +36,7 @@ func TestCampaignMetricsDeterministicAcrossWorkers(t *testing.T) {
 		}
 		c.Workers = workers
 		m := obsv.New()
-		rep, err := c.RunCheckpointed(context.Background(), RunOptions{Metrics: m})
+		rep, err := c.RunContext(context.Background(), RunOptions{Metrics: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestCampaignMetricsContent(t *testing.T) {
 	c.Workers = 2
 	m := obsv.New()
 	var logs atomic.Int64
-	rep, err := c.RunCheckpointed(context.Background(), RunOptions{
+	rep, err := c.RunContext(context.Background(), RunOptions{
 		Metrics: m,
 		Sink:    func(_, _ int, _ *darshan.Log) error { logs.Add(1); return nil },
 	})
@@ -106,7 +106,7 @@ func TestCampaignMetricsKillAndResume(t *testing.T) {
 	}
 	var totalLogs atomic.Int64
 	mBase := obsv.New()
-	_, err = base.RunCheckpointed(context.Background(), RunOptions{
+	_, err = base.RunContext(context.Background(), RunOptions{
 		Metrics: mBase,
 		Sink:    func(_, _ int, _ *darshan.Log) error { totalLogs.Add(1); return nil },
 	})
@@ -137,7 +137,7 @@ func TestCampaignMetricsKillAndResume(t *testing.T) {
 			defer cancel()
 			m1 := obsv.New()
 			var seen atomic.Int64
-			_, err = c.RunCheckpointed(ctx, RunOptions{
+			_, err = c.RunContext(ctx, RunOptions{
 				Metrics: m1,
 				Sink: func(_, _ int, _ *darshan.Log) error {
 					if seen.Add(1) == tc.cancelAfter {
@@ -158,20 +158,20 @@ func TestCampaignMetricsKillAndResume(t *testing.T) {
 				t.Fatalf("interrupted run: %v", err)
 			}
 
-			ck, err := LoadCampaignCheckpoint(ckPath)
+			ck, err := LoadIngestCheckpoint(ckPath)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ck.Metrics == nil {
 				t.Fatal("checkpoint carries no metrics state")
 			}
-			c2, err := ResumeCampaign(ck)
+			c2, err := NewCampaign(ck.System, ck.Config)
 			if err != nil {
 				t.Fatal(err)
 			}
 			c2.Workers = tc.resumeWith
 			m2 := obsv.New() // fresh registry: resume restores from the checkpoint
-			if _, err := c2.RunCheckpointed(context.Background(), RunOptions{
+			if _, err := c2.RunContext(context.Background(), RunOptions{
 				Metrics:        m2,
 				CheckpointPath: ckPath, CheckpointEvery: 2, Resume: ck,
 			}); err != nil {

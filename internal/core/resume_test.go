@@ -28,16 +28,16 @@ var resumeCfg = workload.Config{Seed: 8, JobScale: 0.0002, FileScale: 0.02}
 // it to the end, returning the rendered report.
 func runToCompletion(t *testing.T, ckPath string, workers int) string {
 	t.Helper()
-	ck, err := LoadCampaignCheckpoint(ckPath)
+	ck, err := LoadIngestCheckpoint(ckPath)
 	if err != nil {
 		t.Fatalf("loading checkpoint: %v", err)
 	}
-	c, err := ResumeCampaign(ck)
+	c, err := NewCampaign(ck.System, ck.Config)
 	if err != nil {
 		t.Fatalf("rebuilding campaign: %v", err)
 	}
 	c.Workers = workers
-	rep, err := c.RunCheckpointed(context.Background(), RunOptions{
+	rep, err := c.RunContext(context.Background(), RunOptions{
 		CheckpointPath: ckPath, CheckpointEvery: 2, Resume: ck,
 	})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestCampaignKillAndResume(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var seen atomic.Int64
-			partial, err := c.RunCheckpointed(ctx, RunOptions{
+			partial, err := c.RunContext(ctx, RunOptions{
 				Sink: func(jobIdx, logIdx int, log *darshan.Log) error {
 					if seen.Add(1) == tc.cancelAfter {
 						cancel()
@@ -203,78 +203,93 @@ func TestCampaignResumeWithArchiveSink(t *testing.T) {
 	}
 	baseline := report.Everything(baseRep)
 
-	// Interrupted save.
-	dir := t.TempDir()
-	savePath := filepath.Join(dir, "save.dgar")
-	ckPath := filepath.Join(dir, "campaign.ckpt")
-	s := &archiveSink{}
-	if s.f, err = os.Create(savePath); err != nil {
-		t.Fatal(err)
-	}
-	if s.aw, err = logfmt.NewArchiveWriter(s.f); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := NewCampaign("Summit", resumeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.Workers = 3
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var seen atomic.Int64
-	cancelAt := int64(wantEntries / 2)
-	_, err = c2.RunCheckpointed(ctx, RunOptions{
-		Sink: func(jobIdx, logIdx int, log *darshan.Log) error {
-			if seen.Add(1) == cancelAt {
-				cancel()
+	for _, row := range []struct {
+		name     string
+		cancelAt int64 // the sunk log that cancels the run
+		every    int   // CheckpointEvery, in jobs
+	}{
+		{"mid-run", int64(wantEntries / 2), 2},
+		// One batch holds the whole campaign, so the only checkpoint is the
+		// cancel's, and the archive offset it records is the one taken
+		// before the first batch: the header, with no entries.
+		{"first-batch", 1, 1 << 20},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			// Interrupted save.
+			dir := t.TempDir()
+			savePath := filepath.Join(dir, "save.dgar")
+			ckPath := filepath.Join(dir, "campaign.ckpt")
+			s := &archiveSink{}
+			var err error
+			if s.f, err = os.Create(savePath); err != nil {
+				t.Fatal(err)
 			}
-			return s.sink(jobIdx, logIdx, log)
-		},
-		SyncSink:        s.sync,
-		CheckpointPath:  ckPath,
-		CheckpointEvery: 2,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run: %v", err)
-	}
-	// Simulate the crash: the writer is abandoned (tail past the durable
-	// offset may be torn), only the checkpoint knows the safe length.
-	s.f.Close()
+			if s.aw, err = logfmt.NewArchiveWriter(s.f); err != nil {
+				t.Fatal(err)
+			}
+			c2, err := NewCampaign("Summit", resumeCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c2.Workers = 3
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var seen atomic.Int64
+			_, err = c2.RunContext(ctx, RunOptions{
+				Sink: func(jobIdx, logIdx int, log *darshan.Log) error {
+					if seen.Add(1) == row.cancelAt {
+						cancel()
+					}
+					return s.sink(jobIdx, logIdx, log)
+				},
+				SyncSink:        s.sync,
+				CheckpointPath:  ckPath,
+				CheckpointEvery: row.every,
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run: %v", err)
+			}
+			// Simulate the crash: the writer is abandoned (tail past the
+			// durable offset may be torn), only the checkpoint knows the safe
+			// length.
+			s.f.Close()
 
-	ck, err := LoadCampaignCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aw2, f2, err := logfmt.OpenArchiveAppend(savePath, ck.ArchiveBytes, ck.ArchiveEntries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := &archiveSink{f: f2, aw: aw2}
-	c3, err := ResumeCampaign(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3.Workers = 2
-	if _, err := c3.RunCheckpointed(context.Background(), RunOptions{
-		Sink: s2.sink, SyncSink: s2.sync,
-		CheckpointPath: ckPath, CheckpointEvery: 2, Resume: ck,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	gotEntries := s2.aw.Count()
-	s2.close(t)
-	if gotEntries != wantEntries {
-		t.Fatalf("resumed archive has %d entries, want %d", gotEntries, wantEntries)
-	}
-	rep, res, err := IngestArchive(context.Background(), sys, savePath, IngestOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Parsed != wantEntries || res.Failed != 0 {
-		t.Fatalf("resumed archive: parsed %d failed %d, want %d/0", res.Parsed, res.Failed, wantEntries)
-	}
-	if report.Everything(rep) != baseline {
-		t.Error("analysis of resumed archive differs from uninterrupted archive")
+			ck, err := LoadIngestCheckpoint(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aw2, f2, err := logfmt.OpenArchiveAppend(savePath, ck.ArchiveBytes, ck.ArchiveEntries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2 := &archiveSink{f: f2, aw: aw2}
+			c3, err := NewCampaign(ck.System, ck.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c3.Workers = 2
+			if _, err := c3.RunContext(context.Background(), RunOptions{
+				Sink: s2.sink, SyncSink: s2.sync,
+				CheckpointPath: ckPath, CheckpointEvery: row.every, Resume: ck,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			gotEntries := s2.aw.Count()
+			s2.close(t)
+			if gotEntries != wantEntries {
+				t.Fatalf("resumed archive has %d entries, want %d", gotEntries, wantEntries)
+			}
+			rep, res, err := IngestArchive(context.Background(), sys, savePath, IngestOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Parsed != wantEntries || res.Failed != 0 {
+				t.Fatalf("resumed archive: parsed %d failed %d, want %d/0", res.Parsed, res.Failed, wantEntries)
+			}
+			if report.Everything(rep) != baseline {
+				t.Error("analysis of resumed archive differs from uninterrupted archive")
+			}
+		})
 	}
 }
 

@@ -1,9 +1,10 @@
 // Ingest sources. A source is one campaign input walked in a fixed order:
 // a frozen, sorted list of .darshan paths (a directory, or a single log as
-// a one-element list), the entries of a .dgar archive, or the segments of
-// a .dgc columnar campaign. Open is the only place a path's kind is
-// decided; everything downstream — the ingest driver, Convert — sees
-// items and never asks what file they came from.
+// a one-element list), the entries of a .dgar archive, the segments of a
+// .dgc columnar campaign, or the job indices of a campaign being
+// synthesized. Open is the only place a path's kind is decided;
+// everything downstream — the ingest driver, Convert — sees items and
+// never asks what file they came from.
 package core
 
 import (
@@ -16,6 +17,14 @@ import (
 
 	"iolayers/internal/darshan/colfmt"
 	"iolayers/internal/darshan/logfmt"
+	"iolayers/internal/workload"
+)
+
+// The default checkpoint batch, per kind of item, when the caller enables
+// checkpointing without choosing one.
+const (
+	defaultIngestBatch   = 4096 // logs, entries or segments
+	defaultCampaignBatch = 512  // jobs
 )
 
 // source hands the ingest driver its items in input order. The order is
@@ -33,6 +42,8 @@ type source interface {
 	// remaining is how many items are left, or -1 while only reaching the
 	// end of the stream will tell.
 	remaining() int
+	// batch is the checkpoint batch size for this kind of item.
+	batch() int
 	// next returns the next item, ok=false at end of input, or a non-nil
 	// error on stream-level damage (nothing beyond it is reachable). The
 	// item's raw bytes are the reader's scratch, good until the next call.
@@ -107,6 +118,7 @@ type pathSource struct {
 func (s *pathSource) mode() string      { return "dir" }
 func (s *pathSource) listing() []string { return s.paths }
 func (s *pathSource) remaining() int    { return len(s.paths) - s.pos }
+func (s *pathSource) batch() int        { return defaultIngestBatch }
 func (s *pathSource) close()            {}
 
 // resume adopts the checkpoint's listing rather than the fresh one:
@@ -145,6 +157,7 @@ type frameSource struct {
 
 func (s *frameSource) mode() string      { return s.kind }
 func (s *frameSource) listing() []string { return nil }
+func (s *frameSource) batch() int        { return defaultIngestBatch }
 func (s *frameSource) close()            { s.f.Close() }
 
 func (s *frameSource) remaining() int {
@@ -177,5 +190,40 @@ func (s *frameSource) next() (ingestItem, bool, error) {
 	}
 	item := ingestItem{index: s.idx, raw: raw, in: s.in, columnar: s.columnar}
 	s.idx++
+	return item, true, nil
+}
+
+// genSource walks the job indices of a campaign being synthesized. Job i is
+// a pure function of (Config.Seed, i), so the index is the whole item, and
+// a checkpoint's EntriesDone is all resume needs: at most the one batch in
+// flight at a cancel regenerates. Workers run each job through gen, hand
+// its logs to sink, and fold them into their own aggregators.
+type genSource struct {
+	gen  *workload.Generator
+	cfg  workload.Config // what a checkpoint rebuilds the campaign from
+	sink LogSink
+	pos  int
+}
+
+func (s *genSource) mode() string      { return "campaign" }
+func (s *genSource) listing() []string { return nil }
+func (s *genSource) remaining() int    { return s.gen.Jobs() - s.pos }
+func (s *genSource) batch() int        { return defaultCampaignBatch }
+func (s *genSource) close()            {}
+
+func (s *genSource) resume(ck *IngestCheckpoint) error {
+	if ck.EntriesDone > s.gen.Jobs() {
+		return fmt.Errorf("core: checkpoint claims %d of %d jobs done (config mismatch)", ck.EntriesDone, s.gen.Jobs())
+	}
+	s.pos = ck.EntriesDone
+	return nil
+}
+
+func (s *genSource) next() (ingestItem, bool, error) {
+	if s.pos >= s.gen.Jobs() {
+		return ingestItem{}, false, nil
+	}
+	item := ingestItem{index: s.pos, in: "job ", job: true}
+	s.pos++
 	return item, true, nil
 }
