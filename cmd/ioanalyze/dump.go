@@ -46,27 +46,19 @@ func dump(w io.Writer, path string, log *darshan.Log) {
 
 	for _, rec := range log.Records {
 		fmt.Fprintf(w, "%s\t%d\t%016x\t%s\n", rec.Module, rec.Rank, uint64(rec.Record), log.PathOf(rec.Record))
+		// A decoded record has its module's compiled-in layout: the reader
+		// refuses any other.
 		names := darshan.CounterNames(rec.Module)
 		for i, v := range rec.Counters {
-			if v == 0 {
-				continue
+			if v != 0 {
+				fmt.Fprintf(w, "\t%s\t%d\n", names[i], v)
 			}
-			name := fmt.Sprintf("COUNTER_%d", i)
-			if i < len(names) {
-				name = names[i]
-			}
-			fmt.Fprintf(w, "\t%s\t%d\n", name, v)
 		}
 		fnames := darshan.FCounterNames(rec.Module)
 		for i, v := range rec.FCounters {
-			if v == 0 {
-				continue
+			if v != 0 {
+				fmt.Fprintf(w, "\t%s\t%.6f\n", fnames[i], v)
 			}
-			name := fmt.Sprintf("F_COUNTER_%d", i)
-			if i < len(fnames) {
-				name = fnames[i]
-			}
-			fmt.Fprintf(w, "\t%s\t%.6f\n", name, v)
 		}
 	}
 }

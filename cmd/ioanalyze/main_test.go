@@ -79,16 +79,22 @@ func tracedLog() *darshan.Log {
 	return rt.Finalize()
 }
 
-// logDir holds golden_v1.darshan (the on-disk format golden) and
-// dxt.darshan (tracedLog), so outputs name them by their bare file names.
+// goldenName is the name logDir gives the on-disk format golden: the name
+// testdata/*.golden were captured under, which the outputs print. It decodes
+// to the same log in every version of the format.
+const goldenName = "golden_v1.darshan"
+
+// logDir holds the on-disk format golden (logfmt's golden_v2.darshan, as
+// goldenName) and dxt.darshan (tracedLog), so outputs name them by their
+// bare file names.
 func logDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "darshan", "logfmt", "testdata", "golden_v1.darshan"))
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "darshan", "logfmt", "testdata", "golden_v2.darshan"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "golden_v1.darshan"), golden, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, goldenName), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := logfmt.WriteFile(filepath.Join(dir, "dxt.darshan"), tracedLog()); err != nil {
@@ -107,7 +113,7 @@ func TestPerLogGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stderr, code := run(t, dir, sub, "golden_v1.darshan", "dxt.darshan")
+		got, stderr, code := run(t, dir, sub, goldenName, "dxt.darshan")
 		if code != 0 {
 			t.Fatalf("%s: exit %d: %s", sub, code, stderr)
 		}
@@ -155,12 +161,12 @@ func TestPerLogExitStatus(t *testing.T) {
 		code  int
 		shows string // a readable log's output that must still appear
 	}{
-		{[]string{"nosuch", "golden_v1.darshan"}, 2, ""},
+		{[]string{"nosuch", goldenName}, 2, ""},
 		{[]string{"dump"}, 2, ""},
 		{[]string{"summary", "-top"}, 2, ""},
 		{[]string{"dxt", "-nosuchflag", "dxt.darshan"}, 2, ""},
 		{[]string{"dump", "missing.darshan"}, 1, ""},
-		{[]string{"summary", "missing.darshan", "golden_v1.darshan"}, 1, "=== golden_v1.darshan ==="},
+		{[]string{"summary", "missing.darshan", goldenName}, 1, "=== " + goldenName + " ==="},
 		{[]string{"dxt", "dxt.darshan"}, 0, "DXT analysis: 2 traces"},
 	} {
 		stdout, stderr, code := run(t, dir, tc.args...)

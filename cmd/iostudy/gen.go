@@ -16,7 +16,7 @@ import (
 )
 
 // runGen is `iostudy gen`: it synthesizes a production campaign and writes
-// every Darshan log to disk in the self-describing compressed format, one
+// every Darshan log to disk in the versioned compressed format, one
 // file per log, the way a year of production collection would leave them.
 // With -archive the campaign lands in a single .dgar bundle instead — how
 // year-long collections are actually shipped.

@@ -1,6 +1,6 @@
 // Quickstart: instrument an application's I/O with the Darshan-equivalent
 // runtime, run it against the simulated Summit I/O subsystem, write the
-// resulting log in the self-describing compressed format, and parse it back.
+// resulting log in the versioned compressed format, and parse it back.
 //
 //	go run ./examples/quickstart
 package main

@@ -176,7 +176,7 @@ func TestAddLogDoesNotAllocate(t *testing.T) {
 // through a .dgc round trip, and the two aggregators must agree — both
 // reject it and stay empty, or both accept it and render the same bytes.
 func FuzzRowVsColumnar(f *testing.F) {
-	golden, err := os.ReadFile("../darshan/logfmt/testdata/golden_v1.darshan")
+	golden, err := os.ReadFile("../darshan/logfmt/testdata/golden_v2.darshan")
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -54,12 +54,8 @@ func TestDecoderReuseMatchesRead(t *testing.T) {
 		if i%7 == 3 {
 			bad := raw[:len(raw)-3]
 			if i%2 == 0 {
-				// The last byte is the last section's compressed payload,
-				// which its CRC covers. A section header is not covered: a
-				// flipped type byte makes an unknown section, which the
-				// format skips by design, so a flip there can decode.
 				bad = bytes.Clone(raw)
-				bad[len(bad)-1] ^= 0x5a
+				bad[len(bad)/2] ^= 0x5a
 			}
 			if _, err := d.decode(lim, ingestItem{raw: bad}); err == nil {
 				t.Fatalf("entry %d: damaged copy decoded", i)
@@ -75,6 +71,37 @@ func TestDecoderReuseMatchesRead(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("entry %d: reused decoder's log differs from ReadWithLimits'", i)
+		}
+	}
+}
+
+// TestEveryBitFlipFails flips each bit of a sample of corpus logs, decoding
+// every copy through one reused decoder as an ingest worker does. No flip
+// may decode: one in the magic is bad-magic, one in the version bad-version,
+// and any other is corrupt, wherever it lands.
+func TestEveryBitFlipFails(t *testing.T) {
+	raws := corpusEntries(t)
+	lim := logfmt.DefaultLimits()
+	var d itemDecoder
+	for i := 0; i < len(raws); i += len(raws)/32 + 1 {
+		raw := raws[i]
+		for off := range raw {
+			want := logfmt.KindCorrupt
+			switch {
+			case off < 4:
+				want = logfmt.KindBadMagic
+			case off < 6:
+				want = logfmt.KindBadVersion
+			}
+			for bit := 0; bit < 8; bit++ {
+				bad := bytes.Clone(raw)
+				bad[off] ^= 1 << bit
+				_, err := d.decode(lim, ingestItem{raw: bad})
+				if kind, ok := logfmt.KindOf(err); !ok || kind != want {
+					t.Fatalf("entry %d, byte %d of %d, bit %d: error %v, want %v",
+						i, off, len(raw), bit, err, want)
+				}
+			}
 		}
 	}
 }

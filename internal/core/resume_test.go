@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -429,10 +430,15 @@ func TestIngestDirQuarantine(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "aaa_trunc.darshan"), trunc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Zlib bomb: the first section claims a 4 GiB uncompressed size. The
-	// decoder must reject it before inflating anything.
+	// Zlib bomb: the first section claims a 4 GiB uncompressed size, under a
+	// section CRC that holds. The decoder must reject it before inflating
+	// anything. The section starts after the 14-byte file header; its CRC
+	// covers its first ten header bytes and its compressed bytes.
 	bomb := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(bomb[10:], 0xFFFFFFFF)
+	sec := bomb[14:]
+	binary.LittleEndian.PutUint32(sec[2:], 0xFFFFFFFF)
+	stream := sec[14 : 14+binary.LittleEndian.Uint32(sec[6:])]
+	binary.LittleEndian.PutUint32(sec[10:], crc32.Update(crc32.ChecksumIEEE(sec[:10]), crc32.IEEETable, stream))
 	if err := os.WriteFile(filepath.Join(dir, "aab_bomb.darshan"), bomb, 0o644); err != nil {
 		t.Fatal(err)
 	}

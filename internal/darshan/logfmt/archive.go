@@ -84,7 +84,7 @@ func OpenArchiveAppend(path string, offset int64, entries int) (*ArchiveWriter, 
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != Version {
 		f.Close()
-		return nil, nil, fmt.Errorf("%w: archive version %d (supported: %d)", ErrVersion, v, Version)
+		return nil, nil, fmt.Errorf("logfmt: %s: %w", path, versionErr("archive-header", "archive", v))
 	}
 	if err := f.Truncate(offset); err != nil {
 		f.Close()
@@ -196,8 +196,7 @@ func NewArchiveReaderWithLimits(r io.Reader, lim DecodeLimits) (*ArchiveReader, 
 		return nil, decodeErrf(KindTruncated, "archive-header", 0, "reading version: %v", err)
 	}
 	if version != Version {
-		return nil, decodeErrf(KindBadVersion, "archive-header", 0,
-			"archive version %d (supported: %d)", version, Version)
+		return nil, versionErr("archive-header", "archive", version)
 	}
 	return &ArchiveReader{r: br, lim: lim.sanitize(), off: archiveHeaderSize}, nil
 }

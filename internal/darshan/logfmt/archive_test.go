@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"iolayers/internal/darshan"
@@ -135,6 +136,29 @@ func TestArchiveRejectsWrongMagic(t *testing.T) {
 	}
 	if _, err := NewArchiveReader(&buf); !errors.Is(err, ErrNotArchive) {
 		t.Errorf("plain log accepted as archive: %v", err)
+	}
+}
+
+// A version-1 archive, read or reopened for append, is refused by name with
+// the way to a readable one.
+func TestArchiveRejectsVersion1(t *testing.T) {
+	const way = "run `iostudy -save` again"
+	v1 := append(ArchiveMagic[:], 1, 0, 0, 0, 0, 0)
+	_, err := NewArchiveReader(bytes.NewReader(v1))
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), way) {
+		t.Errorf("reading: err = %v, want ErrVersion saying %q", err, way)
+	}
+	path := filepath.Join(t.TempDir(), "v1.dgar")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	aw, f, err := OpenArchiveAppend(path, archiveHeaderSize, 0)
+	if err == nil {
+		aw.Close()
+		f.Close()
+	}
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), way) {
+		t.Errorf("appending: err = %v, want ErrVersion saying %q", err, way)
 	}
 }
 

@@ -2,7 +2,9 @@ package logfmt
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"iolayers/internal/darshan"
@@ -80,36 +82,63 @@ func TestLogWithoutDXTHasNoDXTSection(t *testing.T) {
 	}
 }
 
-// Forward compatibility: an unknown section type must be skipped, with the
-// rest of the log intact.
+// Forward compatibility: a section of a type this version does not know,
+// whose checksum holds, is skipped with the rest of the log intact. A known
+// section whose type byte is damaged is not such a section: it is corrupt.
 func TestUnknownSectionTypeSkipped(t *testing.T) {
+	log := dxtLog()
+	var buf bytes.Buffer
+	if err := Write(&buf, log); err != nil {
+		t.Fatal(err)
+	}
+	secs := splitLog(t, buf.Bytes())
+	last := secs[len(secs)-1]
+	if last.typ != sectionDXT {
+		t.Fatalf("expected trailing DXT section, found type %d", last.typ)
+	}
+	// A section from a later version, placed before the DXT section so the
+	// reader has to carry on past it.
+	future := rawSection{typ: 200}.withPayload([]byte("a section from a later version"))
+	secs = append(secs[:len(secs)-1], future, last)
+	got, err := Read(bytes.NewReader(joinLog(secs)))
+	if err != nil {
+		t.Fatalf("reader failed on unknown section: %v", err)
+	}
+	want := roundTrip(t, log)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("known sections changed when skipping an unknown one")
+	}
+
+	flipped := bytes.Clone(buf.Bytes())
+	flipped[last.start] = 200
+	_, err = Read(bytes.NewReader(flipped))
+	var de *DecodeError
+	if !errors.As(err, &de) || de.Kind != KindCorrupt || de.Offset != int64(last.start) {
+		t.Fatalf("flipped type byte: err = %v, want corrupt at %d", err, last.start)
+	}
+}
+
+// A module section whose checksum holds but whose module this build has no
+// layout for is refused as a version mismatch naming the module, not read
+// with a layout guessed from its bytes.
+func TestUnknownModuleIsBadVersion(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, dxtLog()); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	// The DXT section is the last one; rewrite its type byte to something
-	// from the future. Find it by scanning section frames.
-	off := 8 // file header
-	var lastSectionOff int
-	for off < len(b) {
-		lastSectionOff = off
-		compressedLen := int(uint32(b[off+6]) | uint32(b[off+7])<<8 | uint32(b[off+8])<<16 | uint32(b[off+9])<<24)
-		off += 14 + compressedLen
+	secs := splitLog(t, buf.Bytes())
+	for k := range secs {
+		if secs[k].typ == sectionModule {
+			secs[k].module = 9
+			break
+		}
 	}
-	if b[lastSectionOff] != sectionDXT {
-		t.Fatalf("expected trailing DXT section, found type %d", b[lastSectionOff])
+	_, err := Read(bytes.NewReader(joinLog(secs)))
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("err = %v, want ErrVersion", err)
 	}
-	b[lastSectionOff] = 200 // unknown future section type
-	got, err := Read(bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("reader failed on unknown section: %v", err)
-	}
-	if len(got.DXT) != 0 {
-		t.Error("unknown section was decoded as DXT")
-	}
-	if got.Job.JobID != 99 || len(got.Records) == 0 {
-		t.Error("known sections lost when skipping unknown one")
+	if !strings.Contains(err.Error(), "module MODULE(9)") {
+		t.Errorf("err = %v, want it to name MODULE(9)", err)
 	}
 }
 

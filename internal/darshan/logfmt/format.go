@@ -1,24 +1,36 @@
-// Package logfmt implements the self-describing, compressed, binary on-disk
-// format for Darshan-equivalent logs (paper §2.2, Figure 2).
+// Package logfmt implements the compressed, binary on-disk format for
+// Darshan-equivalent logs (paper §2.2, Figure 2).
 //
-// A log file is a fixed header followed by a sequence of sections. Each
-// section is independently zlib-compressed and CRC-checked, so a log remains
-// partially readable if one section is damaged, and readers can skip
-// sections they do not understand:
+// A log file is a checked header followed by a sequence of sections. Each
+// section is independently zlib-compressed and CRC-checked, and readers skip
+// section types they do not understand:
 //
-//	header:  magic "DGOL" | version u16 | section count u16
+//	header:  magic "DGOL" | version u16 | length u32 | crc32(magic..length) u32
 //	section: type u8 | module u8 | uncompressedLen u32 | compressedLen u32 |
-//	         crc32(compressed) u32 | zlib payload
+//	         crc32(type..compressedLen, compressed) u32 | zlib payload
+//
+// length is the byte length of the sections that follow the header. Every
+// header byte is checked: the file header's CRC covers the ten bytes before
+// it, and a section's CRC covers its own header fields as well as its
+// compressed bytes, so a flipped bit anywhere past the magic and version is
+// a corrupt log, never a log with a section silently dropped. The checked
+// length is what tells the two failures apart that a length field can
+// cause: a section claiming more bytes than the log holds is corrupt, while
+// a stream that ends before the log's length is truncated.
 //
 // Section types are job (the execution metadata record), names (the
-// RecordID→path table), and module (one per instrumentation module). Module
-// sections embed their counter-name tables, which is what makes the format
-// self-describing: a reader confronted with records written by a newer
-// module revision remaps counters by name rather than by index.
+// RecordID→path table), module (one per instrumentation module) and dxt.
+// The layout is versioned, not self-describing: a module section is a record
+// count followed by fixed-width records whose counters are the module's
+// compiled-in layout (darshan.CounterNames), as darshan-util maps a module
+// to the counter names it was built with. A module this build does not know
+// is refused as a version mismatch. The next change to a known section's
+// layout bumps Version; a new section type that readers may skip does not.
 //
 // All integers are little-endian. Each zlib payload is a complete RFC 1950
 // stream, and the reader holds it to that: its adler32 trailer must match,
-// and it must inflate to exactly the section's uncompressedLen.
+// it must inflate to exactly the section's uncompressedLen, and the section's
+// decoder must consume that payload to its last byte.
 package logfmt
 
 import (
@@ -39,10 +51,31 @@ import (
 // Magic identifies a Darshan-Go log file.
 var Magic = [4]byte{'D', 'G', 'O', 'L'}
 
-// Version is the current format version. Readers accept only versions they
-// know; the section framing lets future versions add section types without
-// breaking old readers of the same version.
-const Version uint16 = 1
+// Version is the format version, and it names the layout: version 2 is
+// every module's compiled-in counter layout with checked headers. Readers
+// accept only this version; version 1 (per-log counter-name tables, headers
+// outside every CRC) is refused with the way to regenerate it.
+const Version uint16 = 2
+
+// versionErr refuses a log or an archive of another format version. Version
+// 1 is refused by name, with the way to a readable copy: no reader for it is
+// kept.
+func versionErr(section, what string, v uint16) *DecodeError {
+	if v == 1 {
+		return decodeErrf(KindBadVersion, section, 0,
+			"%s format version 1 is no longer read (this build reads version %d): "+
+				"regenerate it with `iostudy gen`, or run `iostudy -save` again", what, Version)
+	}
+	return decodeErrf(KindBadVersion, section, 0, "%s version %d (supported: %d)", what, v, Version)
+}
+
+// fileHeaderSize is the byte length of a log's header: magic, version,
+// length and the CRC of those ten bytes. sectionHeaderSize is a section's:
+// type, module, both lengths and the CRC.
+const (
+	fileHeaderSize    = 14
+	sectionHeaderSize = 14
+)
 
 // Section types.
 const (
@@ -68,39 +101,32 @@ var (
 // Decode-side bounds (including tighter string limits) live in DecodeLimits.
 const maxStringLen = 1 << 16
 
-// Write serializes a log to w. All codec and scratch state is pooled, so
+// Write serializes a log to w in one Write call, or writes nothing if the
+// log cannot be encoded. All codec and scratch state is pooled, so
 // steady-state writing allocates almost nothing per log.
 func Write(w io.Writer, log *darshan.Log) error {
 	if log == nil {
 		return errors.New("logfmt: nil log")
 	}
-	modules := modulesInLog(log)
-	sectionCount := 2 + len(modules)
-	if len(log.DXT) > 0 {
-		sectionCount++
+	modules, err := modulesInLog(log)
+	if err != nil {
+		return err
 	}
 
-	bw, flush := buffered(w)
-	var hdr [8]byte
-	copy(hdr[:4], Magic[:])
-	binary.LittleEndian.PutUint16(hdr[4:], Version)
-	binary.LittleEndian.PutUint16(hdr[6:], uint16(sectionCount))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("logfmt: writing header: %w", err)
-	}
-
-	scratch := getBuf()    // section payload under construction
-	compressed := getBuf() // its deflated form
+	out := getBuf()     // the whole log, header first
+	scratch := getBuf() // section payload under construction
 	zw := getZlibWriter(io.Discard)
 	defer func() {
 		putZlibWriter(zw)
-		putBuf(compressed)
 		putBuf(scratch)
+		putBuf(out)
 	}()
+	var hdr [fileHeaderSize]byte
+	out.Write(hdr[:]) // filled in once the sections' length is known
 	e := encoder{buf: scratch}
 
 	section := func(sectionType, module uint8) error {
-		err := writeSection(bw, sectionType, module, scratch.Bytes(), compressed, zw)
+		err := appendSection(out, sectionType, module, scratch.Bytes(), zw)
 		scratch.Reset()
 		return err
 	}
@@ -125,7 +151,16 @@ func Write(w io.Writer, log *darshan.Log) error {
 			return err
 		}
 	}
-	return flush()
+
+	b := out.Bytes()
+	copy(b, Magic[:])
+	binary.LittleEndian.PutUint16(b[4:], Version)
+	binary.LittleEndian.PutUint32(b[6:], uint32(len(b)-fileHeaderSize))
+	binary.LittleEndian.PutUint32(b[10:], crc32.ChecksumIEEE(b[:10]))
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("logfmt: writing log: %w", err)
+	}
+	return nil
 }
 
 // WriteFile writes a log to path, creating or truncating it.
@@ -144,9 +179,17 @@ func WriteFile(path string, log *darshan.Log) error {
 	return nil
 }
 
-func modulesInLog(log *darshan.Log) []darshan.ModuleID {
+// modulesInLog returns the modules the log's records belong to, in order.
+// Every record must have its module's compiled-in layout: that layout is
+// all a reader is told.
+func modulesInLog(log *darshan.Log) ([]darshan.ModuleID, error) {
 	seen := map[darshan.ModuleID]bool{}
 	for _, r := range log.Records {
+		nc, nf := darshan.NumCounters(r.Module), darshan.NumFCounters(r.Module)
+		if nc == 0 || len(r.Counters) != nc || len(r.FCounters) != nf {
+			return nil, fmt.Errorf("logfmt: %s record %016x has %d+%d counters, the module's layout has %d+%d",
+				r.Module, uint64(r.Record), len(r.Counters), len(r.FCounters), nc, nf)
+		}
 		seen[r.Module] = true
 	}
 	mods := make([]darshan.ModuleID, 0, len(seen))
@@ -154,32 +197,34 @@ func modulesInLog(log *darshan.Log) []darshan.ModuleID {
 		mods = append(mods, m)
 	}
 	sort.Slice(mods, func(i, j int) bool { return mods[i] < mods[j] })
-	return mods
+	return mods, nil
 }
 
-func writeSection(w io.Writer, sectionType, module uint8, payload []byte,
-	compressed *bytes.Buffer, zw *zlib.Writer) error {
-	compressed.Reset()
-	zw.Reset(compressed)
+// appendSection compresses payload onto out as one section, header first.
+func appendSection(out *bytes.Buffer, sectionType, module uint8, payload []byte, zw *zlib.Writer) error {
+	start := out.Len()
+	var hdr [sectionHeaderSize]byte
+	out.Write(hdr[:]) // filled in once the compressed length is known
+	zw.Reset(out)
 	if _, err := zw.Write(payload); err != nil {
 		return fmt.Errorf("logfmt: compressing section %d: %w", sectionType, err)
 	}
 	if err := zw.Close(); err != nil {
 		return fmt.Errorf("logfmt: finishing compression: %w", err)
 	}
-	var hdr [14]byte
-	hdr[0] = sectionType
-	hdr[1] = module
-	binary.LittleEndian.PutUint32(hdr[2:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(compressed.Len()))
-	binary.LittleEndian.PutUint32(hdr[10:], crc32.ChecksumIEEE(compressed.Bytes()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("logfmt: writing section header: %w", err)
-	}
-	if _, err := w.Write(compressed.Bytes()); err != nil {
-		return fmt.Errorf("logfmt: writing section payload: %w", err)
-	}
+	sec := out.Bytes()[start:]
+	sec[0] = sectionType
+	sec[1] = module
+	binary.LittleEndian.PutUint32(sec[2:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(sec[6:], uint32(len(sec)-sectionHeaderSize))
+	binary.LittleEndian.PutUint32(sec[10:], sectionCRC(sec[:10], sec[sectionHeaderSize:]))
 	return nil
+}
+
+// sectionCRC is the checksum a section header carries: the header fields
+// before it, then the compressed payload.
+func sectionCRC(hdr, compressed []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, compressed)
 }
 
 // encoder accumulates little-endian primitives into a caller-owned (pooled)
@@ -265,19 +310,10 @@ func encodeDXT(e *encoder, traces []darshan.DXTTrace) {
 	}
 }
 
-// encodeModule serializes the records of one module, filtering allRecords in
-// place (no intermediate per-module slice).
+// encodeModule serializes the records of one module as a count and
+// fixed-width records, filtering allRecords in place (no intermediate
+// per-module slice).
 func encodeModule(e *encoder, m darshan.ModuleID, allRecords []*darshan.FileRecord) {
-	counterNames := darshan.CounterNames(m)
-	fcounterNames := darshan.FCounterNames(m)
-	e.u16(uint16(len(counterNames)))
-	for _, n := range counterNames {
-		e.str(n)
-	}
-	e.u16(uint16(len(fcounterNames)))
-	for _, n := range fcounterNames {
-		e.str(n)
-	}
 	count := uint32(0)
 	for _, r := range allRecords {
 		if r.Module == m {

@@ -50,7 +50,7 @@ func checkDecodeErr(t *testing.T, err error) {
 
 func fuzzSeedBytes(f *testing.F) {
 	f.Helper()
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v1.darshan"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v2.darshan"))
 	if err != nil {
 		f.Fatalf("reading golden seed: %v", err)
 	}
@@ -62,7 +62,7 @@ func fuzzSeedBytes(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add(Magic[:])
-	f.Add([]byte{'D', 'G', 'O', 'L', 1, 0, 0xFF, 0xFF})
+	f.Add([]byte{'D', 'G', 'O', 'L', 2, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 }
 
 // FuzzRead feeds arbitrary bytes to the single-log decoder. The properties
@@ -105,7 +105,7 @@ func FuzzRead(f *testing.F) {
 // no panic, iteration always terminates, framing errors end iteration while
 // per-entry parse errors do not, and every failure obeys the error taxonomy.
 func FuzzArchiveReader(f *testing.F) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v1.darshan"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v2.darshan"))
 	if err != nil {
 		f.Fatalf("reading golden seed: %v", err)
 	}

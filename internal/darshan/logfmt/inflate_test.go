@@ -89,7 +89,7 @@ func FuzzInflate(f *testing.F) {
 			f.Add(zlibCompress(f, data, level), uint32(size))
 		}
 	}
-	for _, sec := range sectionsOf(f, encodeSample(f)) {
+	for _, sec := range splitLog(f, encodeSample(f)) {
 		f.Add(bytes.Clone(sec.stream), uint32(sec.size))
 	}
 	var inf inflater

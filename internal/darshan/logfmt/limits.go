@@ -38,7 +38,7 @@ type DecodeLimits struct {
 	// per section and segments per trace.
 	MaxDXTTraces   int
 	MaxDXTSegments int
-	// MaxStringLen caps one decoded string (paths, counter names, metadata).
+	// MaxStringLen caps one decoded string (paths, the executable, metadata).
 	MaxStringLen int
 	// MaxMetadataPairs caps the job header's metadata map.
 	MaxMetadataPairs int

@@ -2,12 +2,14 @@ package logfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,11 +125,26 @@ func TestBadVersion(t *testing.T) {
 	if err := Write(&buf, sampleLog()); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	b[4] = 0xFF // version low byte
-	_, err := Read(bytes.NewReader(b))
-	if !errors.Is(err, ErrVersion) {
-		t.Errorf("err = %v, want ErrVersion", err)
+	for _, tc := range []struct {
+		name    string
+		version uint16
+		want    string
+	}{
+		{"future", 0xFF, "version 255 (supported: 2)"},
+		// Version 1 is refused by name, with the way to a readable log.
+		{"v1", 1, "regenerate it with `iostudy gen`, or run `iostudy -save` again"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := bytes.Clone(buf.Bytes())
+			binary.LittleEndian.PutUint16(b[4:], tc.version)
+			_, err := Read(bytes.NewReader(b))
+			if !errors.Is(err, ErrVersion) {
+				t.Fatalf("err = %v, want ErrVersion", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want it to say %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -152,8 +169,8 @@ func TestCorruptPayloadDetectedByCRC(t *testing.T) {
 	}
 	b := buf.Bytes()
 	// Flip one byte in the middle of the first section payload (after the
-	// 8-byte file header and 14-byte section header).
-	b[8+14+5] ^= 0x40
+	// file header and the section header).
+	b[fileHeaderSize+sectionHeaderSize+5] ^= 0x40
 	_, err := Read(bytes.NewReader(b))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
@@ -240,6 +257,32 @@ func TestWriteNilLog(t *testing.T) {
 	}
 }
 
+// The writer cannot produce what the reader refuses: a record whose module
+// has no layout, or whose counters are not its module's layout, fails the
+// Write and nothing is written.
+func TestWriteRefusesForeignLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*darshan.FileRecord)
+	}{
+		{"unknown module", func(r *darshan.FileRecord) { r.Module = 9 }},
+		{"short counters", func(r *darshan.FileRecord) { r.Counters = r.Counters[:3] }},
+		{"extra fcounters", func(r *darshan.FileRecord) { r.FCounters = append(r.FCounters, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := sampleLog()
+			tc.mutate(log.Records[0])
+			var buf bytes.Buffer
+			if err := Write(&buf, log); err == nil {
+				t.Fatal("Write accepted a record outside its module's layout")
+			}
+			if buf.Len() != 0 {
+				t.Errorf("a failed Write wrote %d bytes", buf.Len())
+			}
+		})
+	}
+}
+
 func TestCompressionActuallyShrinks(t *testing.T) {
 	// A log with many similar records should compress well below raw size.
 	rt := darshan.NewRuntime(darshan.JobHeader{JobID: 2, NProcs: 1, StartTime: 0, EndTime: 100})
@@ -261,8 +304,9 @@ func TestCompressionActuallyShrinks(t *testing.T) {
 
 func TestReadOnDiskGolden(t *testing.T) {
 	// Guard the on-disk layout: a byte-for-byte golden file must keep
-	// parsing. Regenerate with -update if the format version changes.
-	golden := filepath.Join("testdata", "golden_v1.darshan")
+	// parsing. Regenerate it (testdata/README.md) if the format version
+	// changes.
+	golden := filepath.Join("testdata", "golden_v2.darshan")
 	if _, err := os.Stat(golden); errors.Is(err, os.ErrNotExist) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

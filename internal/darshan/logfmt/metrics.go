@@ -19,8 +19,6 @@ var (
 	readNews atomic.Int64
 	zlibGets atomic.Int64
 	zlibNews atomic.Int64
-	bwGets   atomic.Int64
-	bwNews   atomic.Int64
 )
 
 // PublishMetrics copies the codec-pool tallies into the registry as
@@ -37,7 +35,6 @@ func PublishMetrics(r *obsv.Registry) {
 	pub("buf", bufGets.Load(), bufNews.Load())
 	pub("readstate", readGets.Load(), readNews.Load())
 	pub("zlib_writer", zlibGets.Load(), zlibNews.Load())
-	pub("bufio_writer", bwGets.Load(), bwNews.Load())
 }
 
 func hitRate(gets, news int64) float64 {

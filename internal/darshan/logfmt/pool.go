@@ -1,10 +1,8 @@
 package logfmt
 
 import (
-	"bufio"
 	"bytes"
 	"compress/zlib"
-	"fmt"
 	"io"
 	"sync"
 )
@@ -52,33 +50,6 @@ func getZlibWriter(w io.Writer) *zlib.Writer {
 
 func putZlibWriter(zw *zlib.Writer) { zlibWriterPool.Put(zw) }
 
-// bufioWriterPool holds the per-Write output buffer. Writes into an
-// in-memory *bytes.Buffer (the archive Append path and every benchmark)
-// skip it entirely — buffering a buffer is pure overhead.
-var bufioWriterPool = sync.Pool{New: func() any { bwNews.Add(1); return bufio.NewWriter(io.Discard) }}
-
-// buffered returns a buffered view of w plus a flush func. The release of
-// the pooled bufio.Writer happens inside flush, so callers must call it
-// exactly once on the success path (error paths may skip it; the writer is
-// re-pooled by the next Get's Reset).
-func buffered(w io.Writer) (io.Writer, func() error) {
-	if bb, ok := w.(*bytes.Buffer); ok {
-		return bb, func() error { return nil }
-	}
-	bwGets.Add(1)
-	bw := bufioWriterPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw, func() error {
-		err := bw.Flush()
-		bw.Reset(io.Discard) // drop the reference to w before pooling
-		bufioWriterPool.Put(bw)
-		if err != nil {
-			return fmt.Errorf("logfmt: flushing: %w", err)
-		}
-		return nil
-	}
-}
-
 // readState is the reusable scratch one decode threads through its
 // sections: the stream position, the section header, the raw compressed
 // bytes, the inflated payload, and the inflater's tables. Payload slices
@@ -87,7 +58,7 @@ func buffered(w io.Writer) (io.Writer, func() error) {
 // value), so nothing escapes.
 type readState struct {
 	cr         countReader
-	hdr        [14]byte
+	hdr        [max(fileHeaderSize, sectionHeaderSize)]byte
 	compressed []byte
 	payload    []byte
 	inf        inflater

@@ -26,9 +26,8 @@ func (cr *countReader) Read(p []byte) (int, error) {
 }
 
 // Read parses a log from r under DefaultLimits. Unknown section types are
-// skipped. For module sections, counters are remapped by name into the
-// current module layout, so logs written by older or newer revisions of a
-// module remain readable as long as counter names persist.
+// skipped once their checksum holds; a module section for a module this
+// build does not know, like a log of another version, is refused.
 func Read(r io.Reader) (*darshan.Log, error) {
 	return ReadWithLimits(r, DefaultLimits())
 }
@@ -44,7 +43,8 @@ func Read(r io.Reader) (*darshan.Log, error) {
 // before a structure it promised is KindTruncated; bytes that are present
 // but wrong — CRC mismatches, impossible counts, malformed payloads — are
 // KindCorrupt; well-formed input demanding more than lim allows is
-// KindLimitExceeded.
+// KindLimitExceeded; another format version, or a module this build has no
+// layout for, is KindBadVersion.
 //
 // The log is the caller's. A loop that is done with each log before it reads
 // the next can decode through a Decoder instead, which reuses the log.
@@ -175,21 +175,25 @@ func (rs *readState) decode(st *logStore, r io.Reader, lim DecodeLimits) (*darsh
 	if [4]byte(rs.hdr[:4]) != Magic {
 		return nil, decodeErrf(KindBadMagic, "header", 0, "got %q", rs.hdr[:4])
 	}
-	if _, err := io.ReadFull(cr, rs.hdr[:2]); err != nil {
+	if _, err := io.ReadFull(cr, rs.hdr[4:6]); err != nil {
 		return nil, decodeErrf(KindTruncated, "header", 0, "reading version: %v", err)
 	}
-	if version := binary.LittleEndian.Uint16(rs.hdr[:]); version != Version {
-		return nil, decodeErrf(KindBadVersion, "header", 0, "version %d (supported: %d)", version, Version)
+	if version := binary.LittleEndian.Uint16(rs.hdr[4:]); version != Version {
+		return nil, versionErr("header", "log", version)
 	}
-	if _, err := io.ReadFull(cr, rs.hdr[:2]); err != nil {
-		return nil, decodeErrf(KindTruncated, "header", 0, "reading section count: %v", err)
+	if _, err := io.ReadFull(cr, rs.hdr[6:fileHeaderSize]); err != nil {
+		return nil, decodeErrf(KindTruncated, "header", 0, "reading log length: %v", err)
 	}
-	sectionCount := binary.LittleEndian.Uint16(rs.hdr[:])
+	if crc, want := crc32.ChecksumIEEE(rs.hdr[:10]), binary.LittleEndian.Uint32(rs.hdr[10:]); crc != want {
+		return nil, decodeErrf(KindCorrupt, "header", 0, "crc mismatch (got %08x want %08x)", crc, want)
+	}
+	end := fileHeaderSize + int64(binary.LittleEndian.Uint32(rs.hdr[6:]))
 
 	sawJob := false
-	for s := 0; s < int(sectionCount); s++ {
+	sections := 0
+	for ; cr.n < end; sections++ {
 		sectionStart := cr.n
-		sectionType, module, payload, err := rs.readSection(cr, lim, sectionStart)
+		sectionType, module, payload, err := rs.readSection(cr, lim, sectionStart, end)
 		if err != nil {
 			return nil, err
 		}
@@ -214,11 +218,13 @@ func (rs *readState) decode(st *logStore, r io.Reader, lim DecodeLimits) (*darsh
 			}
 			st.log.DXT = append(st.log.DXT, traces...)
 		default:
-			// Unknown section type: skipped for forward compatibility.
+			// An unknown section type whose checksum holds is skipped: a
+			// section readers can do without is added without a version
+			// bump, which only a change to a known section's layout needs.
 		}
 	}
 	if !sawJob {
-		return nil, decodeErrf(KindCorrupt, "header", 0, "no job section among %d sections", sectionCount)
+		return nil, decodeErrf(KindCorrupt, "header", 0, "no job section among %d sections", sections)
 	}
 	if st.log.Names == nil {
 		st.log.Names = map[darshan.RecordID]string{}
@@ -266,12 +272,20 @@ func sectionName(t uint8) string {
 
 // readSection reads one section into the scratch. The returned payload
 // aliases rs.payload and is valid only until the next readSection call on
-// the same state; decoders copy out everything they keep. The declared sizes
-// are validated against lim before any allocation, which is what stops a
-// zlib bomb: a section claiming a huge uncompressed size is rejected without
-// inflating a single byte, and one that inflates past what it claims fails.
-func (rs *readState) readSection(r io.Reader, lim DecodeLimits, start int64) (sectionType, module uint8, payload []byte, err error) {
-	if _, err := io.ReadFull(r, rs.hdr[:]); err != nil {
+// the same state; decoders copy out everything they keep. Each declared size
+// is validated against lim before the allocation it sizes, which is what
+// stops a zlib bomb: a section claiming a huge uncompressed size is rejected
+// without inflating a single byte, and one that inflates past what it claims
+// fails. The compressed size is held to what is left of the log's checked
+// length, and the CRC, which covers the header's own fields, is checked
+// before the uncompressed size is trusted, so a damaged size reads as
+// corruption.
+func (rs *readState) readSection(r io.Reader, lim DecodeLimits, start, end int64) (sectionType, module uint8, payload []byte, err error) {
+	if end-start < sectionHeaderSize {
+		return 0, 0, nil, decodeErrf(KindCorrupt, "section", start,
+			"%d bytes left in the log, too few for a section header", end-start)
+	}
+	if _, err := io.ReadFull(r, rs.hdr[:sectionHeaderSize]); err != nil {
 		return 0, 0, nil, decodeErrf(KindTruncated, "section", start, "section header: %v", err)
 	}
 	sectionType = rs.hdr[0]
@@ -280,9 +294,9 @@ func (rs *readState) readSection(r io.Reader, lim DecodeLimits, start int64) (se
 	uncompressedLen := binary.LittleEndian.Uint32(rs.hdr[2:])
 	compressedLen := binary.LittleEndian.Uint32(rs.hdr[6:])
 	wantCRC := binary.LittleEndian.Uint32(rs.hdr[10:])
-	if int64(uncompressedLen) > int64(lim.MaxSectionBytes) {
-		return 0, 0, nil, decodeErrf(KindLimitExceeded, name, start,
-			"section claims %d uncompressed bytes (limit %d)", uncompressedLen, lim.MaxSectionBytes)
+	if left := end - start - sectionHeaderSize; int64(compressedLen) > left {
+		return 0, 0, nil, decodeErrf(KindCorrupt, name, start,
+			"section claims %d compressed bytes, %d are left in the log", compressedLen, left)
 	}
 	if int64(compressedLen) > int64(lim.MaxCompressedBytes) {
 		return 0, 0, nil, decodeErrf(KindLimitExceeded, name, start,
@@ -292,9 +306,13 @@ func (rs *readState) readSection(r io.Reader, lim DecodeLimits, start int64) (se
 	if _, err := io.ReadFull(r, rs.compressed); err != nil {
 		return 0, 0, nil, decodeErrf(KindTruncated, name, start, "section payload: %v", err)
 	}
-	if crc := crc32.ChecksumIEEE(rs.compressed); crc != wantCRC {
+	if crc := sectionCRC(rs.hdr[:10], rs.compressed); crc != wantCRC {
 		return 0, 0, nil, decodeErrf(KindCorrupt, name, start,
 			"crc mismatch (got %08x want %08x)", crc, wantCRC)
+	}
+	if int64(uncompressedLen) > int64(lim.MaxSectionBytes) {
+		return 0, 0, nil, decodeErrf(KindLimitExceeded, name, start,
+			"section claims %d uncompressed bytes (limit %d)", uncompressedLen, lim.MaxSectionBytes)
 	}
 	rs.payload = grow(rs.payload, int(uncompressedLen))
 	if err := rs.inf.inflate(rs.payload, rs.compressed); err != nil {
@@ -330,6 +348,15 @@ func (c *cursor) need(n int) bool {
 		return false
 	}
 	return true
+}
+
+// finish ends a section's decode: the payload must be consumed to its last
+// byte, so bytes after the last field are corruption, not padding.
+func (c *cursor) finish() error {
+	if c.err == nil && c.off != len(c.buf) {
+		c.fail(KindCorrupt, "%d bytes after the last field", len(c.buf)-c.off)
+	}
+	return c.err
 }
 
 // boundCount validates a declared element count against both the configured
@@ -399,23 +426,6 @@ func (c *cursor) str() string {
 	return s
 }
 
-// strBytes returns a view of the next string without copying it out of the
-// payload. Valid until the payload scratch is reused (i.e. within one
-// section's decode).
-func (c *cursor) strBytes() []byte {
-	n := int(c.u16())
-	if n > c.lim.MaxStringLen {
-		c.fail(KindLimitExceeded, "string of %d bytes exceeds limit %d", n, c.lim.MaxStringLen)
-		return nil
-	}
-	if !c.need(n) {
-		return nil
-	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
 func decodeJob(payload []byte, lim DecodeLimits, base int64, st *logStore) error {
 	c := &cursor{buf: payload, lim: lim, section: "job", base: base}
 	job := darshan.JobHeader{
@@ -443,8 +453,8 @@ func decodeJob(payload []byte, lim DecodeLimits, base int64, st *logStore) error
 			job.Metadata[k] = v
 		}
 	}
-	if c.err != nil {
-		return c.err
+	if err := c.finish(); err != nil {
+		return err
 	}
 	st.log.Job = job
 	return nil
@@ -465,7 +475,7 @@ func decodeNames(payload []byte, lim DecodeLimits, base int64, st *logStore) err
 		}
 		st.log.Names[id] = path
 	}
-	return c.err
+	return c.finish()
 }
 
 func decodeDXT(payload []byte, lim DecodeLimits, base int64) ([]darshan.DXTTrace, error) {
@@ -510,37 +520,23 @@ func decodeDXT(payload []byte, lim DecodeLimits, base int64) ([]darshan.DXTTrace
 		}
 		traces = append(traces, tr)
 	}
-	return traces, c.err
+	return traces, c.finish()
 }
 
+// decodeModule reads a module section: a record count and fixed-width
+// records in the module's compiled-in layout. A module without one is not a
+// damaged log but a log this build cannot read, named as such.
 func decodeModule(m darshan.ModuleID, payload []byte, lim DecodeLimits, base int64, st *logStore) error {
+	width, fwidth := darshan.NumCounters(m), darshan.NumFCounters(m)
+	if width == 0 {
+		return decodeErrf(KindBadVersion, "module", base,
+			"module %s has no layout in this build (format version %d)", m, Version)
+	}
 	c := &cursor{buf: payload, lim: lim, section: "module", base: base}
-	// Build index remaps from the on-disk layout to the current layout.
-	// Names absent from the current layout are dropped; current counters
-	// absent from the file stay zero. An entirely unknown module keeps the
-	// on-disk layout verbatim (identity remap), which preserves
-	// self-description for downstream tools. A nil remap means identity —
-	// the common case (log written by this revision), detected without
-	// materializing a single name string.
-	nCounters := int(c.u16())
-	counterRemap := decodeNameTable(c, nCounters, darshan.CounterNames(m))
-	nFCounters := int(c.u16())
-	fcounterRemap := decodeNameTable(c, nFCounters, darshan.FCounterNames(m))
-	if c.err != nil {
-		return c.err
-	}
-	width, fwidth := nCounters, nFCounters
-	known := darshan.NumCounters(m) > 0
-	if known {
-		width, fwidth = darshan.NumCounters(m), darshan.NumFCounters(m)
-	} else {
-		counterRemap, fcounterRemap = nil, nil
-	}
-
 	// A record is id + rank plus its counters; bounding the declared record
 	// count by the remaining payload stops a crafted count from forcing a
 	// giant allocation out of a tiny file.
-	recSize := 12 + 8*(nCounters+nFCounters)
+	recSize := 12 + 8*(width+fwidth)
 	nRecords := c.boundCount("record", int(c.u32()), recSize, lim.MaxRecords)
 	if c.err != nil {
 		return c.err
@@ -551,77 +547,13 @@ func decodeModule(m darshan.ModuleID, payload []byte, lim DecodeLimits, base int
 		rec.Module = m
 		rec.Record = darshan.RecordID(c.u64())
 		rec.Rank = c.i32()
-		// A remapped layout leaves the counters the file lacks at zero.
-		if counterRemap != nil {
-			clear(rec.Counters)
+		for j := range rec.Counters {
+			rec.Counters[j] = c.i64()
 		}
-		if fcounterRemap != nil {
-			clear(rec.FCounters)
-		}
-		for j := 0; j < nCounters; j++ {
-			v := c.i64()
-			if counterRemap == nil {
-				rec.Counters[j] = v
-			} else if dst := counterRemap[j]; dst >= 0 {
-				rec.Counters[dst] = v
-			}
-		}
-		for j := 0; j < nFCounters; j++ {
-			v := c.f64()
-			if fcounterRemap == nil {
-				rec.FCounters[j] = v
-			} else if dst := fcounterRemap[j]; dst >= 0 {
-				rec.FCounters[dst] = v
-			}
-		}
-		if c.err != nil {
-			return c.err
+		for j := range rec.FCounters {
+			rec.FCounters[j] = c.f64()
 		}
 		st.ptrs = append(st.ptrs, rec)
 	}
-	return nil
-}
-
-// decodeNameTable consumes an n-entry name table and returns the remap
-// from on-disk indexes to dst's, or nil when the table matches dst exactly
-// (identity). The identity check compares name bytes in place, so the hot
-// path allocates nothing; only layout drift pays for strings and a map.
-func decodeNameTable(c *cursor, n int, dst []string) []int {
-	// A table entry is at least an empty string (one u16 length).
-	n = c.boundCount("counter name", n, 2, c.lim.MaxNames)
-	start := c.off
-	identity := n == len(dst)
-	for i := 0; i < n; i++ {
-		b := c.strBytes()
-		if identity && string(b) != dst[i] {
-			identity = false
-		}
-	}
-	if identity || c.err != nil {
-		return nil
-	}
-	c.off = start
-	names := make([]string, n)
-	for i := range names {
-		names[i] = c.str()
-	}
-	return remapIndexes(names, dst)
-}
-
-// remapIndexes returns, for each source index, the destination index with
-// the same name, or −1 if the destination layout lacks that name.
-func remapIndexes(src, dst []string) []int {
-	dstIdx := make(map[string]int, len(dst))
-	for i, n := range dst {
-		dstIdx[n] = i
-	}
-	remap := make([]int, len(src))
-	for i, n := range src {
-		if j, ok := dstIdx[n]; ok {
-			remap[i] = j
-		} else {
-			remap[i] = -1
-		}
-	}
-	return remap
+	return c.finish()
 }

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"iolayers/internal/darshan"
@@ -115,12 +117,10 @@ func TestArchiveTruncationEveryByte(t *testing.T) {
 // claiming a huge uncompressed size is rejected before any inflation or
 // allocation happens, with a typed limit error locating the section.
 func TestZlibBombRejected(t *testing.T) {
-	data := encodeSample(t)
-	// First section header starts after magic(4)+version(2)+count(2); its
-	// uncompressedLen field sits 2 bytes in (after type and module).
-	bomb := bytes.Clone(data)
-	binary.LittleEndian.PutUint32(bomb[10:], 0xFFFFFFFF)
-	_, err := Read(bytes.NewReader(bomb))
+	// The job section claims 4 GiB, under a CRC that holds.
+	secs := splitLog(t, encodeSample(t))
+	secs[0].size = 0xFFFFFFFF
+	_, err := Read(bytes.NewReader(joinLog(secs)))
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("bomb decode error = %v, want ErrLimit", err)
 	}
@@ -128,9 +128,9 @@ func TestZlibBombRejected(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("bomb error is not *DecodeError: %v", err)
 	}
-	if de.Kind != KindLimitExceeded || de.Section != "job" || de.Offset != 8 {
-		t.Fatalf("bomb error = kind %v section %q offset %d, want limit-exceeded job 8",
-			de.Kind, de.Section, de.Offset)
+	if de.Kind != KindLimitExceeded || de.Section != "job" || de.Offset != fileHeaderSize {
+		t.Fatalf("bomb error = kind %v section %q offset %d, want limit-exceeded job %d",
+			de.Kind, de.Section, de.Offset, fileHeaderSize)
 	}
 }
 
@@ -144,21 +144,11 @@ func TestZlibBombRealPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	zw.Close()
-
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	binary.Write(&buf, binary.LittleEndian, Version)
-	binary.Write(&buf, binary.LittleEndian, uint16(1))
-	buf.WriteByte(sectionJob)
-	buf.WriteByte(0)
-	binary.Write(&buf, binary.LittleEndian, uint32(inflated))
-	binary.Write(&buf, binary.LittleEndian, uint32(compressed.Len()))
-	binary.Write(&buf, binary.LittleEndian, crc32.ChecksumIEEE(compressed.Bytes()))
-	buf.Write(compressed.Bytes())
+	bomb := joinLog([]rawSection{{typ: sectionJob, size: inflated, stream: compressed.Bytes()}})
 
 	lim := DefaultLimits()
 	lim.MaxSectionBytes = 1 << 16
-	_, err := ReadWithLimits(bytes.NewReader(buf.Bytes()), lim)
+	_, err := ReadWithLimits(bytes.NewReader(bomb), lim)
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("real bomb error = %v, want ErrLimit", err)
 	}
@@ -221,9 +211,9 @@ func TestCorruptSectionOffset(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("error is not *DecodeError: %v", err)
 	}
-	if de.Kind != KindCorrupt || de.Offset != 8 {
-		t.Fatalf("corruption located at kind %v offset %d, want corrupt at 8 (%v)",
-			de.Kind, de.Offset, err)
+	if de.Kind != KindCorrupt || de.Offset != fileHeaderSize {
+		t.Fatalf("corruption located at kind %v offset %d, want corrupt at %d (%v)",
+			de.Kind, de.Offset, fileHeaderSize, err)
 	}
 }
 
@@ -298,43 +288,80 @@ func TestArchiveSkipsCorruptEntry(t *testing.T) {
 	}
 }
 
-// encodedSection is one section of an encoded log: its name, the offset of
-// its header, its declared uncompressed length, and its zlib stream.
-type encodedSection struct {
-	name   string
-	start  int
-	size   int
-	stream []byte
+// rawSection is one section of an encoded log as its header describes it:
+// type, module, declared uncompressed length and zlib stream, plus the
+// offset of its header in the log it was split from.
+type rawSection struct {
+	typ, module uint8
+	size        int
+	stream      []byte
+	start       int
 }
 
-// sectionsOf walks the sections of an encoded log.
-func sectionsOf(t testing.TB, data []byte) []encodedSection {
+// splitLog walks the sections of an encoded log.
+func splitLog(t testing.TB, data []byte) []rawSection {
 	t.Helper()
-	var secs []encodedSection
-	off := 8
-	for i := 0; i < int(binary.LittleEndian.Uint16(data[6:])); i++ {
+	var secs []rawSection
+	off := fileHeaderSize
+	for off < len(data) {
 		n := int(binary.LittleEndian.Uint32(data[off+6:]))
-		size := int(binary.LittleEndian.Uint32(data[off+2:]))
-		secs = append(secs, encodedSection{sectionName(data[off]), off, size, data[off+14 : off+14+n]})
-		off += 14 + n
+		secs = append(secs, rawSection{
+			typ:    data[off],
+			module: data[off+1],
+			size:   int(binary.LittleEndian.Uint32(data[off+2:])),
+			stream: data[off+sectionHeaderSize : off+sectionHeaderSize+n],
+			start:  off,
+		})
+		off += sectionHeaderSize + n
 	}
-	if off != len(data) {
-		t.Fatalf("sections end at %d of %d bytes", off, len(data))
+	if end := fileHeaderSize + int(binary.LittleEndian.Uint32(data[6:])); off != end || off != len(data) {
+		t.Fatalf("sections end at %d, the header says %d, the log has %d bytes", off, end, len(data))
 	}
 	return secs
 }
 
-// withStream returns a copy of the log with section k's zlib stream replaced
-// and its compressed length and CRC made to match; the declared
-// uncompressed length is kept.
-func withStream(t testing.TB, data []byte, k int, stream []byte) []byte {
-	t.Helper()
-	sec := sectionsOf(t, data)[k]
-	out := append(bytes.Clone(data[:sec.start+14]), stream...)
-	out = append(out, data[sec.start+14+len(sec.stream):]...)
-	binary.LittleEndian.PutUint32(out[sec.start+6:], uint32(len(stream)))
-	binary.LittleEndian.PutUint32(out[sec.start+10:], crc32.ChecksumIEEE(stream))
+// joinLog encodes sections as a log whose every checksum holds: the header's
+// length and CRC and each section's CRC are computed afresh.
+func joinLog(secs []rawSection) []byte {
+	out := make([]byte, fileHeaderSize)
+	for _, s := range secs {
+		var hdr [sectionHeaderSize]byte
+		hdr[0], hdr[1] = s.typ, s.module
+		binary.LittleEndian.PutUint32(hdr[2:], uint32(s.size))
+		binary.LittleEndian.PutUint32(hdr[6:], uint32(len(s.stream)))
+		binary.LittleEndian.PutUint32(hdr[10:], sectionCRC(hdr[:10], s.stream))
+		out = append(append(out, hdr[:]...), s.stream...)
+	}
+	copy(out, Magic[:])
+	binary.LittleEndian.PutUint16(out[4:], Version)
+	binary.LittleEndian.PutUint32(out[6:], uint32(len(out)-fileHeaderSize))
+	binary.LittleEndian.PutUint32(out[10:], crc32.ChecksumIEEE(out[:10]))
 	return out
+}
+
+// inflated returns a section's payload.
+func (s rawSection) inflated(t testing.TB) []byte {
+	t.Helper()
+	zr, err := zlib.NewReader(bytes.NewReader(s.stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// withPayload returns the section carrying payload, its declared length
+// made to match.
+func (s rawSection) withPayload(payload []byte) rawSection {
+	var stream bytes.Buffer
+	zw := zlib.NewWriter(&stream)
+	zw.Write(payload)
+	zw.Close()
+	s.stream, s.size = stream.Bytes(), len(payload)
+	return s
 }
 
 // oneRecordLog encodes a log holding a single POSIX record.
@@ -352,14 +379,15 @@ func oneRecordLog(t *testing.T) []byte {
 }
 
 // wantCorruptAt requires err to report corruption of the section at start.
-func wantCorruptAt(t *testing.T, err error, sec encodedSection) {
+func wantCorruptAt(t *testing.T, err error, sec rawSection) {
 	t.Helper()
+	name := sectionName(sec.typ)
 	var de *DecodeError
 	if !errors.As(err, &de) {
-		t.Fatalf("%s section at %d: error = %v, want a corrupt *DecodeError", sec.name, sec.start, err)
+		t.Fatalf("%s section at %d: error = %v, want a corrupt *DecodeError", name, sec.start, err)
 	}
-	if de.Kind != KindCorrupt || de.Section != sec.name || de.Offset != int64(sec.start) {
-		t.Fatalf("%s section at %d: got %v %s at %d (%v)", sec.name, sec.start,
+	if de.Kind != KindCorrupt || de.Section != name || de.Offset != int64(sec.start) {
+		t.Fatalf("%s section at %d: got %v %s at %d (%v)", name, sec.start,
 			de.Kind, de.Section, de.Offset, err)
 	}
 }
@@ -370,10 +398,12 @@ func wantCorruptAt(t *testing.T, err error, sec encodedSection) {
 // last bytes, and io.ReadFull discards it.
 func TestSectionBadAdlerIsCorrupt(t *testing.T) {
 	data := oneRecordLog(t)
-	for k, sec := range sectionsOf(t, data) {
+	for k, sec := range splitLog(t, data) {
+		secs := splitLog(t, data)
 		stream := bytes.Clone(sec.stream)
 		stream[len(stream)-1] ^= 0xff
-		_, err := Read(bytes.NewReader(withStream(t, data, k, stream)))
+		secs[k].stream = stream
+		_, err := Read(bytes.NewReader(joinLog(secs)))
 		wantCorruptAt(t, err, sec)
 	}
 }
@@ -391,22 +421,73 @@ func TestSectionLongerThanDeclaredIsCorrupt(t *testing.T) {
 		{"one byte short", func(p []byte) []byte { return p[:len(p)-1] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for k, sec := range sectionsOf(t, data) {
-				zr, err := zlib.NewReader(bytes.NewReader(sec.stream))
-				if err != nil {
-					t.Fatal(err)
-				}
-				payload, err := io.ReadAll(zr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var stream bytes.Buffer
-				zw := zlib.NewWriter(&stream)
-				zw.Write(tc.change(payload))
-				zw.Close()
-				_, err = Read(bytes.NewReader(withStream(t, data, k, stream.Bytes())))
+			for k, sec := range splitLog(t, data) {
+				secs := splitLog(t, data)
+				secs[k] = sec.withPayload(tc.change(sec.inflated(t)))
+				secs[k].size = sec.size
+				_, err := Read(bytes.NewReader(joinLog(secs)))
 				wantCorruptAt(t, err, sec)
 			}
 		})
+	}
+}
+
+// TestTrailingBytesAreCorrupt appends bytes to each section's payload and
+// declares them: the section is well framed and inflates, but its decoder
+// must end exactly at the payload's end. A module section gets both one
+// stray byte and a whole record's worth more than its count says.
+func TestTrailingBytesAreCorrupt(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, dxtLog()); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	recSize := 12 + 8*(darshan.NumCounters(darshan.ModulePOSIX)+darshan.NumFCounters(darshan.ModulePOSIX))
+	seen := map[uint8]bool{}
+	for k, sec := range splitLog(t, data) {
+		extra := []int{1}
+		if sec.typ == sectionModule && darshan.ModuleID(sec.module) == darshan.ModulePOSIX {
+			extra = append(extra, recSize)
+		}
+		for _, n := range extra {
+			secs := splitLog(t, data)
+			secs[k] = sec.withPayload(append(sec.inflated(t), make([]byte, n)...))
+			_, err := Read(bytes.NewReader(joinLog(secs)))
+			wantCorruptAt(t, err, sec)
+		}
+		seen[sec.typ] = true
+	}
+	for _, typ := range []uint8{sectionJob, sectionNames, sectionModule, sectionDXT} {
+		if !seen[typ] {
+			t.Errorf("no %s section was tested", sectionName(typ))
+		}
+	}
+}
+
+// TestEveryBitFlipIsAnError flips each bit of the golden log in turn. Every
+// flip must fail the decode: a flip in the magic is bad-magic, one in the
+// version is bad-version, and every other flip — a header field, a length,
+// a section type or module byte, a CRC, a compressed byte — is corrupt.
+func TestEveryBitFlipIsAnError(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v2.darshan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range golden {
+		want := KindCorrupt
+		switch {
+		case i < 4:
+			want = KindBadMagic
+		case i < 6:
+			want = KindBadVersion
+		}
+		for bit := 0; bit < 8; bit++ {
+			b := bytes.Clone(golden)
+			b[i] ^= 1 << bit
+			_, err := Read(bytes.NewReader(b))
+			if kind, ok := KindOf(err); !ok || kind != want {
+				t.Errorf("byte %d bit %d: error %v, want %v", i, bit, err, want)
+			}
+		}
 	}
 }

@@ -7,7 +7,7 @@
 // through each interface module (POSIX, MPI-IO, STDIO, plus a Lustre
 // file-system module), accumulates per-(file, rank) counter records, reduces
 // records for globally shared files to a single rank −1 record, and emits a
-// compressed self-describing log (package logfmt) when the job finalizes.
+// compressed, versioned log (package logfmt) when the job finalizes.
 package darshan
 
 import "fmt"
@@ -56,8 +56,9 @@ func InterfaceModules() []ModuleID {
 }
 
 // CounterNames returns the integer-counter name table for a module, in
-// counter-index order. The names follow Darshan's counter naming so that
-// logs are self-describing to anyone familiar with darshan-parser output.
+// counter-index order: the layout the module's records have on disk. The
+// names follow Darshan's counter naming, so dumps read like darshan-parser
+// output.
 func CounterNames(m ModuleID) []string {
 	switch m {
 	case ModulePOSIX:

@@ -9,7 +9,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-GOLDEN=internal/darshan/logfmt/testdata/golden_v1.darshan
+GOLDEN=internal/darshan/logfmt/testdata/golden_v2.darshan
 TMP=$(mktemp -d)
 PIDS=()
 cleanup() {
