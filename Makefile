@@ -48,7 +48,10 @@ apilint:
 ## opens it; it does not choose). Likewise there is one driver: a campaign
 ## is one more source behind the ingest coordinator, so in non-test
 ## internal/core a `go func(`, a `sync.WaitGroup` or a `checkpoint.Save(`
-## outside ingest.go is a second worker pool or batch loop growing back
+## outside ingest.go is a second worker pool or batch loop growing back;
+## and its workers pull their items under one lock, so a `make(chan`
+## anywhere in non-test internal/core, ingest.go included, is a dispatcher
+## growing back
 ingestlint:
 	@bad=$$(grep -rnE 'SniffFile\(|HasSuffix\([^)]*"\.(dgc|dgar)"|[!=]= *(logfmt\.(Archive)?Magic|colfmt\.Magic)|(logfmt\.(Archive)?Magic|colfmt\.Magic)(\[:\])? *[!=]=' \
 		internal cmd --include='*.go' --exclude='*_test.go' \
@@ -58,11 +61,12 @@ ingestlint:
 		echo "$$bad"; \
 		exit 1; \
 	fi; \
-	bad=$$(grep -rnE 'go func\(|sync\.WaitGroup|checkpoint\.Save\(' \
+	bad=$$( (grep -rnE 'go func\(|sync\.WaitGroup|checkpoint\.Save\(' \
 		internal/core --include='*.go' --exclude='*_test.go' \
-		| grep -v '^internal/core/ingest\.go:' || true); \
+		| grep -v '^internal/core/ingest\.go:'; \
+		grep -rnF 'make(chan' internal/core --include='*.go' --exclude='*_test.go') || true); \
 	if [ -n "$$bad" ]; then \
-		echo "ingestlint: a worker pool or checkpoint writer outside the one driver (make the work a source behind ingestCoordinator in internal/core/ingest.go):"; \
+		echo "ingestlint: a worker pool, channel or checkpoint writer outside the one driver (make the work a source behind ingestCoordinator in internal/core/ingest.go, whose workers pull from it):"; \
 		echo "$$bad"; \
 		exit 1; \
 	fi; \

@@ -477,12 +477,12 @@ func BenchmarkLogFormat(b *testing.B) {
 // entry and never materialized (see logfmt.ArchiveReader/core.IngestArchive).
 //
 // The parallel variants only show wall-clock speedup when GOMAXPROCS > 1:
-// the dispatcher does the cheap framing walk while workers pay for inflate
-// and decode, so on N cores the workers=N variant approaches N× until the
-// dispatcher's read bandwidth saturates. On a single hardware thread the
-// variants tie (modulo channel overhead) — compare ns/op here only on
-// multi-core hosts, and rely on the -race determinism tests for the
-// concurrency guarantees themselves.
+// each worker takes one cheap framing step under the source's lock and
+// pays for inflate and decode outside it, so on N cores the workers=N
+// variant approaches N× until the locked framing walk saturates. On a
+// single hardware thread the variants tie (modulo lock overhead) — compare
+// ns/op here only on multi-core hosts, and rely on the -race determinism
+// tests for the concurrency guarantees themselves.
 func BenchmarkArchiveIngest(b *testing.B) {
 	sys := systems.NewSummit()
 	path, nLogs := buildBenchArchive(b)

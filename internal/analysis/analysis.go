@@ -18,6 +18,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"iolayers/internal/darshan"
@@ -110,7 +111,9 @@ type LayerStats struct {
 	Perf map[darshan.ModuleID]*[numDirections][units.NumTransferBins][]float64
 
 	// IOTime[d] sums per-file read/write busy time in seconds — the
-	// campaign's aggregate I/O cost, used by the what-if comparisons.
+	// campaign's aggregate I/O cost, used by the what-if comparisons. Each
+	// file's time is rounded to ioTimeQuantum first, so the sum is exact,
+	// and the same however the logs were split and merged.
 	IOTime [numDirections]float64
 
 	// StdioXRequestHist[d] sums the extended-STDIO access-size histograms —
@@ -221,10 +224,12 @@ type Aggregator struct {
 	// requests feed the large-job histograms (the paper uses 1024).
 	LargeJobProcs int
 
-	logs      int64
-	nodeHours float64
-	jobs      map[uint64]*jobView
-	tuning    map[uint64]*userTuning
+	logs int64
+	// nodeSeconds sums darshan.JobHeader.NodeSeconds, whole numbers, so
+	// that — unlike a sum of node-hours — it is exact in any order.
+	nodeSeconds float64
+	jobs        map[uint64]*jobView
+	tuning      map[uint64]*userTuning
 	// monthly[m] holds per-calendar-month log counts and transferred bytes
 	// — the "year in the life" seasonality view ([11], [19]).
 	monthlyLogs  [12]int64
@@ -296,7 +301,7 @@ type logContext struct {
 // per-file accounting needs.
 func (a *Aggregator) beginLog(job darshan.JobHeader, domain string) logContext {
 	a.logs++
-	a.nodeHours += job.NodeHours(a.sys.ProcsPerNode)
+	a.nodeSeconds += job.NodeSeconds(a.sys.ProcsPerNode)
 	month := int(time.Unix(job.StartTime, 0).UTC().Month()) - 1
 	a.monthlyLogs[month]++
 
@@ -412,6 +417,13 @@ func (a *Aggregator) AddLog(log *darshan.Log) {
 	}
 }
 
+// ioTimeQuantum is the resolution IOTime sums at, about a microsecond. It
+// is a power of two, so rounding to it is exact arithmetic, and any sum of
+// its multiples below 2^33 s is exact in float64.
+const ioTimeQuantum = 1.0 / (1 << 20)
+
+func quantizeIOTime(t float64) float64 { return math.Round(t/ioTimeQuantum) * ioTimeQuantum }
+
 // accountFile applies the paper's accounting rules to one file.
 func (a *Aggregator) accountFile(ls *LayerStats, ds *DomainStats, f *darshan.FileRow, kind iosim.LayerKind) {
 	acct, perfIface := f.Accounted()
@@ -423,8 +435,8 @@ func (a *Aggregator) accountFile(ls *LayerStats, ds *DomainStats, f *darshan.Fil
 	ls.Files++
 	ls.Bytes[Read] += readB
 	ls.Bytes[Write] += writeB
-	ls.IOTime[Read] += readTime
-	ls.IOTime[Write] += writeTime
+	ls.IOTime[Read] += quantizeIOTime(readTime)
+	ls.IOTime[Write] += quantizeIOTime(writeTime)
 
 	// Interface attribution (Table 6): MPI-IO wins over its POSIX
 	// substrate; STDIO files are those with STDIO records.
@@ -512,7 +524,7 @@ func (a *Aggregator) Merge(other *Aggregator) {
 		panic(fmt.Sprintf("analysis: merging %s aggregator into %s", other.sys.Name, a.sys.Name))
 	}
 	a.logs += other.logs
-	a.nodeHours += other.nodeHours
+	a.nodeSeconds += other.nodeSeconds
 	for id, ov := range other.jobs {
 		jv, ok := a.jobs[id]
 		if !ok {

@@ -300,13 +300,8 @@ func TestMergeEquivalentToSequential(t *testing.T) {
 	}
 	a1.Merge(a2)
 	rs, rm := seq.Report(), a1.Report()
-	// Node-hours are floats whose summation order differs across merge
-	// topologies; compare with a relative tolerance and the rest exactly.
-	if diff := rs.Summary.NodeHours - rm.Summary.NodeHours; diff > 1e-6*rs.Summary.NodeHours ||
-		-diff > 1e-6*rs.Summary.NodeHours {
-		t.Errorf("node-hours differ: %v vs %v", rs.Summary.NodeHours, rm.Summary.NodeHours)
-	}
-	rs.Summary.NodeHours, rm.Summary.NodeHours = 0, 0
+	// Node-hours are summed as whole node-seconds, so they match exactly
+	// across merge topologies, like everything else.
 	if rs.Summary != rm.Summary {
 		t.Errorf("summaries differ:\nseq %+v\nmrg %+v", rs.Summary, rm.Summary)
 	}

@@ -104,7 +104,7 @@ func (a *Aggregator) Report() *Report {
 		Logs:      a.logs,
 		Jobs:      int64(len(a.jobs)),
 		Files:     a.layers[0].Files + a.layers[1].Files,
-		NodeHours: a.nodeHours,
+		NodeHours: a.nodeSeconds / 3600,
 	}
 	r.Layers[0] = LayerReport{Layer: a.sys.PFS.Name(), Kind: iosim.ParallelFS, Stats: a.layers[0]}
 	r.Layers[1] = LayerReport{Layer: a.sys.InSystem.Name(), Kind: iosim.InSystem, Stats: a.layers[1]}

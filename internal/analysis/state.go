@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"iolayers/internal/darshan"
 	"iolayers/internal/iosim"
@@ -66,7 +67,7 @@ func (a *Aggregator) State() *AggregatorState {
 		System:          a.sys.Name,
 		LargeJobProcs:   a.LargeJobProcs,
 		Logs:            a.logs,
-		NodeHours:       a.nodeHours,
+		NodeHours:       a.nodeSeconds / 3600,
 		Jobs:            make(map[uint64]JobViewState, len(a.jobs)),
 		Tuning:          make(map[uint64]UserTuningState, len(a.tuning)),
 		MonthlyLogs:     a.monthlyLogs,
@@ -175,7 +176,7 @@ func NewAggregatorFromState(sys *iosim.System, st *AggregatorState) (*Aggregator
 		a.LargeJobProcs = st.LargeJobProcs
 	}
 	a.logs = st.Logs
-	a.nodeHours = st.NodeHours
+	a.nodeSeconds = math.Round(st.NodeHours * 3600) // exact below 2^51 node-seconds
 	a.monthlyLogs = st.MonthlyLogs
 	a.monthlyBytes = st.MonthlyBytes
 	for id, jv := range st.Jobs {

@@ -2,14 +2,19 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"iolayers/internal/analysis"
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
+	"iolayers/internal/iosim/systems"
 )
 
 // corpusEntries returns the shared corpus archive's raw entries.
@@ -160,4 +165,86 @@ func stringsIn(log *darshan.Log) int {
 		count(p)
 	}
 	return n
+}
+
+// TestIngestAllocsPerEntry pins what the driver itself costs per archive
+// entry: nothing. Ingesting 2N entries at one worker may allocate more than
+// ingesting N only by what walking, decoding and folding the extra N cost
+// on their own — logfmt.ArchiveReader's framing walk, a fresh
+// logfmt.Decoder and aggregator, as a worker's — plus half an allocation
+// per entry of slack for the runtime's own.
+func TestIngestAllocsPerEntry(t *testing.T) {
+	raws := corpusEntries(t)
+	n := len(raws) / 2
+	sys := systems.NewSummit()
+	lim := logfmt.DefaultLimits()
+
+	write := func(entries [][]byte) string {
+		var buf bytes.Buffer
+		aw, err := logfmt.NewArchiveWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := aw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		head := buf.Bytes()[:buf.Len()-4] // an empty archive, less its terminator
+		out := append([]byte(nil), head...)
+		for _, raw := range entries {
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(raw)))
+			out = append(out, raw...)
+		}
+		out = binary.LittleEndian.AppendUint32(out, 0)
+		path := filepath.Join(t.TempDir(), "a.dgar")
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	ingestAllocs := func(path string, want int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, res, err := IngestArchive(context.Background(), sys, path, IngestOptions{Workers: 1}); err != nil || res.Parsed != want {
+				t.Fatalf("parsed %d of %d: %v", res.Parsed, want, err)
+			}
+		})
+	}
+	foldAllocs := func(path string) float64 {
+		return testing.AllocsPerRun(3, func() {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			ar, err := logfmt.NewArchiveReaderWithLimits(f, lim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d logfmt.Decoder
+			var br bytes.Reader
+			agg := analysis.NewAggregator(sys)
+			for {
+				raw, err := ar.NextRaw()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				br.Reset(raw)
+				log, err := d.Decode(&br, lim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agg.AddLog(log)
+			}
+		})
+	}
+	half, whole := write(raws[:n]), write(raws[:2*n])
+	driver := (ingestAllocs(whole, 2*n) - ingestAllocs(half, n)) / float64(n)
+	fold := (foldAllocs(whole) - foldAllocs(half)) / float64(n)
+	t.Logf("per entry: ingest %.3f, walk+decode+fold %.3f allocations", driver, fold)
+	if driver > fold+0.5 {
+		t.Errorf("IngestArchive allocates %.2f per entry against walk+decode+fold's %.2f: the driver adds %.2f",
+			driver, fold, driver-fold)
+	}
 }

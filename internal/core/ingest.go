@@ -7,15 +7,15 @@
 // being synthesized is one more source (genSource, whose items are job
 // indices), so the deterministic model Run uses is this one (DESIGN.md §7).
 //
-// Determinism: within a batch, item k is assigned to worker k mod workers
-// (static sharding, one channel per worker), and partial aggregates merge
-// in worker-index order. The result for a given worker count is therefore
-// independent of goroutine scheduling, and the rendered report is identical
-// across worker counts (all discrete statistics are exact integer sums; see
-// TestIngestDeterministicAcrossWorkerCounts). A campaign's jobs are shared
-// out dynamically instead — their cost is heavy-tailed — which leaves the
-// report unchanged for the same reason: no statistic depends on which
-// worker folded what, and failures are sorted by index.
+// Determinism: workers pull their items from the source as they free up —
+// an item's cost is heavy-tailed, so a static deal would leave workers idle
+// behind one slow entry or job — and which worker folds which item is left
+// to the scheduler. The rendered report is nevertheless identical at any
+// worker count and on every run, because the fold is partition-invariant:
+// no statistic depends on which aggregator folded what or the order the
+// partials merge in (analysis.TestFoldIsPartitionInvariant,
+// TestIngestDeterministicAcrossWorkerCounts), and failures are sorted by
+// index.
 //
 // Robustness (DESIGN.md §9): ingestion treats its input as untrusted.
 // Decoding runs under logfmt.DecodeLimits, undecodable logs can be
@@ -25,12 +25,12 @@
 // report byte-for-byte), and context cancellation stops the pass at a batch
 // boundary with a valid partial report.
 //
-// Memory: archives are streamed entry by entry — the dispatcher walks the
-// length-prefixed framing sequentially (cheap) and hands raw entries to the
-// workers, which pay the expensive inflate+decode in parallel. Per-worker
-// channels are shallow, so at any moment the process holds O(workers)
-// undecoded entries plus one decoded log per worker, never the whole
-// archive.
+// Memory: archives are streamed entry by entry — a worker walks the
+// length-prefixed framing one step under the source's lock (cheap), copies
+// the raw entry into a buffer it reuses, and pays the expensive
+// inflate+decode in parallel with the others. At any moment the process
+// holds one undecoded entry and one decoded log per worker, never the
+// whole archive.
 package core
 
 import (
@@ -398,14 +398,13 @@ type batchResult struct {
 	parsed    int
 	failures  []indexedFailure // all of the batch's failures, index-sorted
 	failed    int
-	count     int // items dispatched
+	count     int // items pulled
 	cancelled bool
 	streamErr error // framing error from the item source
 	// Metric tallies, merged from per-worker shards after the pool drains.
 	errClasses [numErrClasses]int64
 	rawBytes   int64
 	rawHist    [obsv.NumBuckets]uint64
-	rawHistSum int64
 	colsPruned int64
 }
 
@@ -562,30 +561,14 @@ func (ic *ingestCoordinator) writeCheckpoint() error {
 	return checkpoint.Save(ic.opts.CheckpointPath, ck)
 }
 
-// runBatch pulls up to max items (0 = unlimited) from next and runs them
-// through a fresh worker pool. next returns ok=false at end of input and a
-// non-nil error on a stream-level failure (archive framing damage).
-func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
-	next func() (ingestItem, bool, error)) batchResult {
-
+// runBatch runs up to max items (0 = unlimited) from the source through a
+// fresh worker pool. Each worker pulls its own next item, so a slow item
+// delays only the worker folding it.
+func (ic *ingestCoordinator) runBatch(ctx context.Context, max int) batchResult {
 	w := ic.workers()
 	if max > 0 && w > max {
 		w = max
 	}
-	// One queue per worker, item k to queue k mod len(work); but a job's
-	// cost is as heavy-tailed as its log count, so a campaign's jobs share
-	// one queue that whichever worker is free drains. A shallow buffer, four
-	// items per worker, keeps workers fed without queueing unbounded
-	// undecoded entries.
-	queues := w
-	if ic.campaign != nil {
-		queues = 1
-	}
-	work := make([]chan ingestItem, queues)
-	for i := range work {
-		work[i] = make(chan ingestItem, 4*w/queues)
-	}
-
 	keepAll := ic.quar != nil
 	res := batchResult{aggs: make([]*analysis.Aggregator, w)}
 	parsedW := make([]int, w)
@@ -606,6 +589,30 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 	if ic.campaign != nil {
 		res.jobs = make([]jobWorker, w)
 	}
+	// pull hands a worker the source's next item under mu, which guards the
+	// source, res.count and res.streamErr. The source's raw bytes are its
+	// scratch, so they are copied into the worker's own buf; that copy stays
+	// good until the worker pulls again, by when it has folded the item.
+	// ok=false stops the worker: the batch is full, the pass is cancelled,
+	// or the stream has ended or broken.
+	var mu sync.Mutex
+	pull := func(buf *[]byte) (item ingestItem, ok bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ctx.Err() != nil || res.streamErr != nil || (max > 0 && res.count >= max) {
+			return item, false
+		}
+		item, ok, res.streamErr = ic.src.next()
+		if !ok {
+			return item, false
+		}
+		if item.raw != nil {
+			*buf = append((*buf)[:0], item.raw...)
+			item.raw = *buf
+		}
+		res.count++
+		return item, true
+	}
 	var wg sync.WaitGroup
 	for wi := 0; wi < w; wi++ {
 		res.aggs[wi] = analysis.NewAggregator(ic.sys)
@@ -619,9 +626,11 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 		go func(wi int) {
 			defer wg.Done()
 			var dec itemDecoder
-			for item := range work[wi%queues] {
-				if ctx.Err() != nil {
-					continue // cancelled: drain without processing
+			var buf []byte
+			for {
+				item, ok := pull(&buf)
+				if !ok {
+					return
 				}
 				if metricsW != nil && item.raw != nil {
 					n := int64(len(item.raw))
@@ -639,6 +648,7 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 						metricsW[wi].errClasses[class]++
 					}
 					if keepAll || len(failsW[wi]) < MaxRecordedFailures {
+						item.raw = bytes.Clone(item.raw) // buf is overwritten by the next pull
 						failsW[wi] = append(failsW[wi], indexedFailure{
 							f:    IngestFailure{Index: item.index, Source: item.source(), Err: err},
 							item: item,
@@ -654,35 +664,8 @@ func (ic *ingestCoordinator) runBatch(ctx context.Context, max int,
 		}(wi)
 	}
 
-dispatch:
-	for max <= 0 || res.count < max {
-		if ctx.Err() != nil {
-			res.cancelled = true
-			break
-		}
-		item, ok, err := next()
-		if err != nil {
-			res.streamErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		select {
-		case work[res.count%queues] <- item:
-			res.count++
-		case <-ctx.Done():
-			res.cancelled = true
-			break dispatch
-		}
-	}
-	for _, ch := range work {
-		close(ch)
-	}
 	wg.Wait()
-	if ctx.Err() != nil {
-		res.cancelled = true
-	}
+	res.cancelled = ctx.Err() != nil
 
 	for wi := 0; wi < w; wi++ {
 		res.parsed += parsedW[wi]
@@ -696,7 +679,6 @@ dispatch:
 				res.errClasses[k] += n
 			}
 			res.rawBytes += metricsW[wi].rawBytes
-			res.rawHistSum += metricsW[wi].rawBytes
 			for i, n := range metricsW[wi].rawHist {
 				res.rawHist[i] += n
 			}
@@ -765,7 +747,7 @@ func (ic *ingestCoordinator) fold(res *batchResult) error {
 					h.AddBucket(i, n)
 				}
 			}
-			h.AddSum(res.rawHistSum)
+			h.AddSum(res.rawBytes)
 		}
 		ic.span.AddOps(int64(res.count))
 		ic.span.AddBytes(res.rawBytes)
@@ -803,15 +785,6 @@ func (ic *ingestCoordinator) result() (*analysis.Report, IngestResult) {
 // run is the one driver loop: batch → sink failed? → cancelled? → fold →
 // framing damage? → checkpoint, until the source is exhausted.
 func (ic *ingestCoordinator) run(ctx context.Context) (*analysis.Report, IngestResult, error) {
-	// A worker outlives the source's next call, so it gets its own copy of
-	// the scratch bytes the source hands out.
-	next := func() (ingestItem, bool, error) {
-		item, ok, err := ic.src.next()
-		if item.raw != nil {
-			item.raw = append([]byte(nil), item.raw...)
-		}
-		return item, ok, err
-	}
 	// A cancel in the first batch checkpoints the sink's size before it:
 	// for an archive, its header and no entries.
 	if err := ic.sync(); err != nil {
@@ -824,7 +797,7 @@ func (ic *ingestCoordinator) run(ctx context.Context) (*analysis.Report, IngestR
 		if rem := ic.src.remaining(); rem > 0 && (max <= 0 || max > rem) {
 			max = rem
 		}
-		res := ic.runBatch(ctx, max, next)
+		res := ic.runBatch(ctx, max)
 		if res.sinkErr != nil {
 			// A failed sink poisons what the campaign persisted: abort
 			// without checkpointing over it.
@@ -939,10 +912,10 @@ func (ic *ingestCoordinator) drive(ctx context.Context) (*analysis.Report, Inges
 // resumable, by calling Ingest again on the checkpoint's Source with the
 // checkpoint as opts.Resume.
 //
-// Determinism is the same for every kind: item k of a batch goes to worker
-// k mod workers and partials merge in worker order, so the same campaign
-// offered as a directory, an archive or a columnar file renders the same
-// bytes at any worker count.
+// Determinism is the same for every kind: workers pull items as they free
+// up, and since the fold is partition-invariant the same campaign offered
+// as a directory, an archive or a columnar file renders the same bytes at
+// any worker count.
 func Ingest(ctx context.Context, sys *iosim.System, path string, opts IngestOptions) (*analysis.Report, IngestResult, error) {
 	return ingest(ctx, sys, path, opts, "")
 }

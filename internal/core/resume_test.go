@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -490,7 +491,10 @@ func TestIngestDirQuarantine(t *testing.T) {
 // TestIngestArchiveQuarantine checks archive mode extracts undecodable
 // entries into the quarantine directory: a well-framed garbage entry is
 // skipped, extracted byte-for-byte, and manifested; the rest of the
-// archive ingests normally.
+// archive ingests normally. Workers copy each entry into a buffer they
+// reuse for their next one, so the garbage is placed both last and first —
+// first, and larger than every entry after it, so that a worker's next
+// pull would overwrite it in place had the failure not kept its own copy.
 func TestIngestArchiveQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign generation in -short mode")
@@ -501,42 +505,57 @@ func TestIngestArchiveQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Splice a well-framed garbage entry in front of the terminator.
-	garbage := []byte("XXXX this is not a darshan log, framing intact")
-	var frame [4]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(len(garbage)))
-	mutated := append([]byte(nil), raw[:len(raw)-4]...)
-	mutated = append(mutated, frame[:]...)
-	mutated = append(mutated, garbage...)
-	mutated = append(mutated, raw[len(raw)-4:]...)
-	path := filepath.Join(t.TempDir(), "mixed.dgar")
-	if err := os.WriteFile(path, mutated, 0o644); err != nil {
-		t.Fatal(err)
+	largest := 0
+	for _, e := range corpusEntries(t) {
+		largest = max(largest, len(e))
 	}
+	const header = len(logfmt.ArchiveMagic) + 2 // magic, u16 version
+	for _, tc := range []struct {
+		name    string
+		garbage []byte
+		at      int // byte offset of the spliced frame
+		index   int // its entry index
+	}{
+		{"last", []byte("XXXX this is not a darshan log, framing intact"), len(raw) - 4, count},
+		{"first-and-largest", append([]byte("XXXX"), bytes.Repeat([]byte{'x'}, largest+1024)...), header, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var frame [4]byte
+			binary.LittleEndian.PutUint32(frame[:], uint32(len(tc.garbage)))
+			mutated := append([]byte(nil), raw[:tc.at]...)
+			mutated = append(mutated, frame[:]...)
+			mutated = append(mutated, tc.garbage...)
+			mutated = append(mutated, raw[tc.at:]...)
+			path := filepath.Join(t.TempDir(), "mixed.dgar")
+			if err := os.WriteFile(path, mutated, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	qdir := filepath.Join(t.TempDir(), "quarantine")
-	_, res, err := IngestArchive(context.Background(), sys, path, IngestOptions{
-		Workers: 3, QuarantineDir: qdir,
-	})
-	if err != nil {
-		t.Fatalf("framing is intact, ingest should not fail terminally: %v", err)
-	}
-	if res.Parsed != count || res.Failed != 1 || res.Quarantined != 1 {
-		t.Fatalf("parsed %d failed %d quarantined %d, want %d/1/1",
-			res.Parsed, res.Failed, res.Quarantined, count)
-	}
-	extracted, err := os.ReadFile(filepath.Join(qdir, fmt.Sprintf("entry-%06d.darshan", count)))
-	if err != nil {
-		t.Fatalf("quarantined entry missing: %v", err)
-	}
-	if string(extracted) != string(garbage) {
-		t.Error("quarantined entry does not match the original bytes")
-	}
-	manifest, err := os.ReadFile(filepath.Join(qdir, "MANIFEST.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(manifest), "\tbad-magic\t") {
-		t.Errorf("manifest = %q, want a bad-magic entry", manifest)
+			qdir := filepath.Join(t.TempDir(), "quarantine")
+			_, res, err := IngestArchive(context.Background(), sys, path, IngestOptions{
+				Workers: 3, QuarantineDir: qdir,
+			})
+			if err != nil {
+				t.Fatalf("framing is intact, ingest should not fail terminally: %v", err)
+			}
+			if res.Parsed != count || res.Failed != 1 || res.Quarantined != 1 {
+				t.Fatalf("parsed %d failed %d quarantined %d, want %d/1/1",
+					res.Parsed, res.Failed, res.Quarantined, count)
+			}
+			extracted, err := os.ReadFile(filepath.Join(qdir, fmt.Sprintf("entry-%06d.darshan", tc.index)))
+			if err != nil {
+				t.Fatalf("quarantined entry missing: %v", err)
+			}
+			if !bytes.Equal(extracted, tc.garbage) {
+				t.Errorf("quarantined entry does not match the original bytes: starts %q", extracted[:min(8, len(extracted))])
+			}
+			manifest, err := os.ReadFile(filepath.Join(qdir, "MANIFEST.tsv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(manifest), "\tbad-magic\t") {
+				t.Errorf("manifest = %q, want a bad-magic entry", manifest)
+			}
+		})
 	}
 }

@@ -27,9 +27,10 @@ const (
 	defaultCampaignBatch = 512  // jobs
 )
 
-// source hands the ingest driver its items in input order. The order is
-// part of the determinism contract: item k of a batch goes to worker
-// k mod workers, and a checkpoint's EntriesDone counts a prefix of it.
+// source hands the ingest driver its items in input order, one next call
+// at a time: the driver's workers take turns calling it under one lock.
+// The order is part of the resume contract — a checkpoint's EntriesDone
+// counts a prefix of it — and an item's index is its place in it.
 type source interface {
 	// mode is the IngestCheckpoint.Mode string of passes over this source.
 	mode() string
@@ -109,7 +110,7 @@ func Open(path string, lim logfmt.DecodeLimits) (source, error) {
 }
 
 // pathSource walks a frozen list of log files; each worker opens and
-// decodes the paths it is dealt.
+// decodes the paths it pulls.
 type pathSource struct {
 	paths []string
 	pos   int

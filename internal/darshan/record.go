@@ -48,10 +48,12 @@ func (j JobHeader) Runtime() float64 {
 	return float64(j.EndTime - j.StartTime)
 }
 
-// NodeHours returns the node-hours consumed, assuming the conventional
+// NodeSeconds returns the node-seconds consumed, assuming the conventional
 // processes-per-node density for the system (supplied by the caller since it
-// is a machine property, not a log property).
-func (j JobHeader) NodeHours(procsPerNode int) float64 {
+// is a machine property, not a log property). It is a whole number, so a sum
+// of them is exact in float64 whatever order it is taken in; node-hours are
+// that sum over 3600.
+func (j JobHeader) NodeSeconds(procsPerNode int) float64 {
 	if procsPerNode <= 0 {
 		panic(fmt.Sprintf("darshan: procsPerNode %d must be positive", procsPerNode))
 	}
@@ -59,7 +61,7 @@ func (j JobHeader) NodeHours(procsPerNode int) float64 {
 	if nodes < 1 {
 		nodes = 1
 	}
-	return float64(nodes) * j.Runtime() / 3600
+	return float64(nodes) * j.Runtime()
 }
 
 // FileRecord is one module's counter record for one (file, rank) pair. A

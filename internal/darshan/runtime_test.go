@@ -107,14 +107,14 @@ func TestHashPathStable(t *testing.T) {
 	}
 }
 
-func TestJobHeaderRuntimeAndNodeHours(t *testing.T) {
+func TestJobHeaderRuntimeAndNodeSeconds(t *testing.T) {
 	j := testJob(84)
 	if j.Runtime() != 600 {
 		t.Errorf("Runtime = %v, want 600", j.Runtime())
 	}
-	// 84 procs at 42 procs/node = 2 nodes, 600s = 1/6 h each.
-	if got := j.NodeHours(42); got != 2*600.0/3600 {
-		t.Errorf("NodeHours = %v", got)
+	// 84 procs at 42 procs/node = 2 nodes, 600 s each.
+	if got := j.NodeSeconds(42); got != 2*600.0 {
+		t.Errorf("NodeSeconds = %v", got)
 	}
 	j.EndTime = j.StartTime - 5
 	if j.Runtime() != 0 {
@@ -122,13 +122,13 @@ func TestJobHeaderRuntimeAndNodeHours(t *testing.T) {
 	}
 }
 
-func TestNodeHoursPanicsOnBadDensity(t *testing.T) {
+func TestNodeSecondsPanicsOnBadDensity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
 		}
 	}()
-	testJob(4).NodeHours(0)
+	testJob(4).NodeSeconds(0)
 }
 
 func TestObservePosixReadWrite(t *testing.T) {
