@@ -31,7 +31,6 @@ import (
 	"iolayers/internal/core"
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
-	"iolayers/internal/hlio"
 	"iolayers/internal/iosim"
 	"iolayers/internal/iosim/datawarp"
 	"iolayers/internal/iosim/lustre"
@@ -66,7 +65,7 @@ func study(b *testing.B) map[string]*analysis.Report {
 	b.Helper()
 	studyOnce.Do(func() {
 		var err error
-		studyReports, err = core.RunStudy(benchConfig)
+		studyReports, err = core.RunStudyContext(context.Background(), benchConfig)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +77,7 @@ func perfStudy(b *testing.B) map[string]*analysis.Report {
 	b.Helper()
 	perfOnce.Do(func() {
 		var err error
-		perfReports, err = core.RunStudy(perfConfig)
+		perfReports, err = core.RunStudyContext(context.Background(), perfConfig)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,37 +397,6 @@ func BenchmarkAblation_Contention(b *testing.B) {
 	}
 }
 
-// A6: middleware optimizations (hlio) on/off for a small-write,
-// rewrite-heavy application — Recommendations 2–4 quantified.
-func BenchmarkAblation_Middleware(b *testing.B) {
-	sys := systems.NewSummit()
-	run := func(b *testing.B, opts hlio.Options) {
-		var sim float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt := darshan.NewRuntime(darshan.JobHeader{
-				JobID: uint64(i + 1), NProcs: 42, StartTime: 0, EndTime: 86400,
-			})
-			client := iosim.NewClient(sys, rt, rand.New(rand.NewPCG(6, uint64(i))))
-			lib := hlio.New(client, sys, opts)
-			ds := lib.CreateDataset("out", hlio.Persistent, false, 0)
-			for ts := 0; ts < 100; ts++ {
-				sim += ds.Write(0, 64*units.KiB) // rewritten header
-				sim += ds.Write(int64(64*units.KiB)+int64(ts)*32768, 32*units.KiB)
-			}
-			sim += ds.Close()
-		}
-		reportSimSeconds(b, sim)
-	}
-	b.Run("raw", func(b *testing.B) { run(b, hlio.Options{}) })
-	b.Run("aggregated", func(b *testing.B) {
-		run(b, hlio.Options{AggregationBuffer: 4 * units.MiB})
-	})
-	b.Run("aggregated+rewritecache", func(b *testing.B) {
-		run(b, hlio.Options{AggregationBuffer: 4 * units.MiB, RewriteCache: true})
-	})
-}
-
 // BenchmarkLogFormat measures the serialization substrate: write+parse of a
 // representative log (one job, ~200 file records).
 func BenchmarkLogFormat(b *testing.B) {
@@ -640,7 +608,7 @@ func BenchmarkScheduler(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sched.Simulate(sched.Config{
+		if _, _, err := sched.SimulateContext(context.Background(), sched.Config{
 			Nodes: 9688, BBNodes: 288, OverlapStaging: true,
 		}, jobs); err != nil {
 			b.Fatal(err)
@@ -665,7 +633,7 @@ func BenchmarkProbes(b *testing.B) {
 func BenchmarkStudyPipeline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunStudy(benchConfig); err != nil {
+		if _, err := core.RunStudyContext(context.Background(), benchConfig); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -678,7 +646,7 @@ func TestBenchCampaignsProduceAllArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign generation in -short mode")
 	}
-	reports, err := core.RunStudy(benchConfig)
+	reports, err := core.RunStudyContext(context.Background(), benchConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

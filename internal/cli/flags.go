@@ -3,8 +3,6 @@ package cli
 import (
 	"context"
 	"flag"
-	"fmt"
-	"os"
 	"sync"
 
 	"iolayers/internal/iosim/faults"
@@ -157,15 +155,4 @@ func (c *CommonFlags) FaultSchedule(defaultSeed uint64, periodSeconds float64) (
 		return nil, err
 	}
 	return faults.Generate(gc), nil
-}
-
-// Fatal prints a name-prefixed error and exits with the usage status when
-// usage is true, 1 otherwise — the shared error-exit convention of the
-// binaries.
-func Fatal(name string, usage bool, err error) {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-	if usage {
-		os.Exit(2)
-	}
-	os.Exit(1)
 }

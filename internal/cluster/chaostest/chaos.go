@@ -82,9 +82,9 @@ type Controller struct {
 	done chan struct{}
 }
 
-// NewController binds a schedule to the valves. tick is the scan cadence
+// newController binds a schedule to the valves. tick is the scan cadence
 // (how quickly a window edge takes effect); 0 means 5ms.
-func NewController(sched *faults.Schedule, valves []*Valve, tick time.Duration) *Controller {
+func newController(sched *faults.Schedule, valves []*Valve, tick time.Duration) *Controller {
 	if tick <= 0 {
 		tick = 5 * time.Millisecond
 	}
@@ -160,13 +160,13 @@ func (c *Controller) After(t float64) bool {
 	return true
 }
 
-// FindSeed searches for a schedule seed under which every window affects
+// findSeed searches for a schedule seed under which every window affects
 // exactly one of n replicas — the harness's "at most one replica down at
 // a time (per window)" guarantee — and at least two distinct replicas are
 // hit across the schedule, so failover is actually exercised in both
 // directions. Membership is a pure function of (seed, layer, window,
 // replica), so the returned seed reproduces the same fault plan forever.
-func FindSeed(sched faults.Schedule, n int) (uint64, bool) {
+func findSeed(sched faults.Schedule, n int) (uint64, bool) {
 	for seed := uint64(1); seed < 10_000; seed++ {
 		sched.Seed = seed
 		inj := faults.NewInjector(&sched, "cluster", n)

@@ -194,7 +194,7 @@ func TestClusterSurvivesSeededChaos(t *testing.T) {
 
 	// Phase 2 — chaos. The schedule: three windows over ~1.5s of wall
 	// time — outage, stall (a wedged replica, via a MetaStorm window),
-	// outage — each hitting exactly one replica (FindSeed guarantees it),
+	// outage — each hitting exactly one replica (findSeed guarantees it),
 	// with at least two distinct replicas hit across the run.
 	sched := faults.Schedule{
 		Windows: []faults.Window{
@@ -203,12 +203,12 @@ func TestClusterSurvivesSeededChaos(t *testing.T) {
 			{Kind: faults.Outage, Start: 1.10, End: 1.50, ServerFrac: 0.34},
 		},
 	}
-	seed, ok := FindSeed(sched, nReplicas)
+	seed, ok := findSeed(sched, nReplicas)
 	if !ok {
 		t.Fatal("no seed gives one-replica-per-window membership")
 	}
 	sched.Seed = seed
-	ctrl := NewController(&sched, valves, 5*time.Millisecond)
+	ctrl := newController(&sched, valves, 5*time.Millisecond)
 	t.Logf("chaos seed %d", seed)
 	for wi, w := range sched.Windows {
 		for i := 0; i < nReplicas; i++ {

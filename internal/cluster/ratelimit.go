@@ -66,6 +66,9 @@ func (k *Keyring) Add(key string, t Tenant) error {
 	if t.Rate <= 0 || math.IsNaN(t.Rate) || math.IsInf(t.Rate, 0) {
 		return fmt.Errorf("cluster: tenant %q rate %v must be a positive rate/s", t.Name, t.Rate)
 	}
+	if math.IsNaN(t.Burst) || math.IsInf(t.Burst, 0) {
+		return fmt.Errorf("cluster: tenant %q burst %v must be finite", t.Name, t.Burst)
+	}
 	if t.Burst < 1 {
 		t.Burst = 1
 	}
@@ -113,8 +116,9 @@ func (k *Keyring) Check(key string) (tenant string, retryAfter time.Duration, er
 }
 
 // ParseKeySpec parses one "key=tenant:rate:burst" spec (the -apikey
-// flag). rate is requests/second; burst defaults to max(rate, 1) when the
-// third field is omitted.
+// flag). rate is a positive, finite requests/second; burst is finite and
+// defaults to max(rate, 1) when the third field is omitted (Add raises a
+// burst below 1 to 1).
 func ParseKeySpec(spec string) (string, Tenant, error) {
 	key, rest, ok := strings.Cut(spec, "=")
 	if !ok || key == "" || rest == "" {
@@ -124,17 +128,20 @@ func ParseKeySpec(spec string) (string, Tenant, error) {
 	if len(parts) < 2 || len(parts) > 3 {
 		return "", Tenant{}, fmt.Errorf("cluster: bad key spec %q, want key=tenant:rate[:burst]", spec)
 	}
+	if parts[0] == "" {
+		return "", Tenant{}, fmt.Errorf("cluster: bad key spec %q: empty tenant name", spec)
+	}
 	t := Tenant{Name: parts[0]}
 	rate, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return "", Tenant{}, fmt.Errorf("cluster: bad rate in key spec %q: %v", spec, err)
+	if err != nil || !(rate > 0) || math.IsInf(rate, 0) {
+		return "", Tenant{}, fmt.Errorf("cluster: bad rate in key spec %q, want a positive finite requests/second", spec)
 	}
 	t.Rate = rate
 	t.Burst = math.Max(rate, 1)
 	if len(parts) == 3 {
 		burst, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return "", Tenant{}, fmt.Errorf("cluster: bad burst in key spec %q: %v", spec, err)
+		if err != nil || math.IsNaN(burst) || math.IsInf(burst, 0) {
+			return "", Tenant{}, fmt.Errorf("cluster: bad burst in key spec %q, want a finite number", spec)
 		}
 		t.Burst = burst
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,6 +19,11 @@ func TestKeyringValidation(t *testing.T) {
 	}
 	if err := k.Add("k", Tenant{Name: "t", Rate: 0}); err == nil {
 		t.Error("zero rate accepted")
+	}
+	for _, burst := range []float64{math.NaN(), math.Inf(1)} {
+		if err := NewKeyring(nil).Add("k", Tenant{Name: "t", Rate: 1, Burst: burst}); err == nil {
+			t.Errorf("burst %v accepted", burst)
+		}
 	}
 	if err := k.Add("k", Tenant{Name: "t", Rate: 5}); err != nil {
 		t.Fatal(err)
@@ -107,11 +113,43 @@ func TestParseKeySpec(t *testing.T) {
 	if err != nil || tenant.Burst != 1 {
 		t.Errorf("default burst for slow tenant = %v (err %v), want 1", tenant.Burst, err)
 	}
-	for _, bad := range []string{"", "noequals", "=t:1", "k=", "k=t", "k=t:abc", "k=t:1:x", "k=t:1:2:3"} {
+	for _, bad := range badKeySpecs {
 		if _, _, err := ParseKeySpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// badKeySpecs are key specs ParseKeySpec refuses; FuzzParseKeySpec starts
+// from them.
+var badKeySpecs = []string{
+	"", "noequals", "=t:1", "k=", "k=t", "k=t:abc", "k=t:1:x", "k=t:1:2:3", "k=:1",
+	// A NaN or infinite burst turned the key's rate limit off.
+	"k=t:1:NaN", "k=t:1:+Inf", "k=t:1:-Inf",
+	"k=t:NaN", "k=t:+Inf", "k=t:0", "k=t:-1",
+}
+
+// FuzzParseKeySpec: no spec panics ParseKeySpec, every accepted one has a
+// positive finite rate and a finite burst, and the keyring takes it.
+func FuzzParseKeySpec(f *testing.F) {
+	f.Add("s3cr3t=acme:2.5:10")
+	f.Add("k=t:4")
+	f.Add("k=t:4:0")
+	for _, s := range badKeySpecs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		key, tenant, err := ParseKeySpec(spec)
+		if err != nil {
+			return
+		}
+		if !(tenant.Rate > 0) || math.IsInf(tenant.Rate, 0) || math.IsNaN(tenant.Burst) || math.IsInf(tenant.Burst, 0) {
+			t.Fatalf("ParseKeySpec(%q) accepted %+v", spec, tenant)
+		}
+		if err := NewKeyring(nil).Add(key, tenant); err != nil {
+			t.Fatalf("ParseKeySpec(%q) accepted %+v, which Add refuses: %v", spec, tenant, err)
+		}
+	})
 }
 
 func TestLoadKeyFile(t *testing.T) {

@@ -147,15 +147,10 @@ func buildFaultReport(sched *faults.Schedule, fo *workload.FaultOutcome, res Ing
 	return fr
 }
 
-// RunStudy runs the standard two-system study (Summit and Cori) at the
-// given configuration and returns the reports keyed by system name.
-func RunStudy(cfg workload.Config) (map[string]*analysis.Report, error) {
-	return RunStudyContext(context.Background(), cfg)
-}
-
-// RunStudyContext is RunStudy under a context. Cancellation aborts between
-// (or within) campaigns; partial per-system reports are not returned — a
-// study is only meaningful complete.
+// RunStudyContext runs the standard two-system study (Summit and Cori) at
+// the given configuration and returns the reports keyed by system name.
+// Cancellation aborts between (or within) campaigns; partial per-system
+// reports are not returned — a study is only meaningful complete.
 func RunStudyContext(ctx context.Context, cfg workload.Config) (map[string]*analysis.Report, error) {
 	out := make(map[string]*analysis.Report, 2)
 	for _, name := range []string{"Summit", "Cori"} {

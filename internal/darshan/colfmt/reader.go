@@ -2,12 +2,10 @@ package colfmt
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"iolayers/internal/darshan/logfmt"
 )
@@ -428,36 +426,4 @@ func decodeStrings(src []byte, lim logfmt.DecodeLimits) ([]string, error) {
 			"entry 0 must be the empty string")
 	}
 	return out, nil
-}
-
-// ScanFile walks every segment of the file at path sequentially, decoding
-// under proj and calling fn with each batch. A non-nil error from fn ends
-// the scan and is returned as is, so a caller stops early by returning a
-// sentinel of its own.
-func ScanFile(path string, proj Projection, lim logfmt.DecodeLimits, fn func(seg int, b *Batch) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := NewReaderWithLimits(f, lim)
-	if err != nil {
-		return err
-	}
-	for seg := 0; ; seg++ {
-		raw, err := r.NextRaw()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		b, err := DecodeSegment(raw, proj, lim)
-		if err != nil {
-			return err
-		}
-		if err := fn(seg, b); err != nil {
-			return err
-		}
-	}
 }

@@ -1,16 +1,10 @@
-// Quickstart: instrument an application's I/O with the Darshan-equivalent
-// runtime, run it against the simulated Summit I/O subsystem, write the
-// resulting log in the versioned compressed format, and parse it back.
-//
-//	go run ./examples/quickstart
-package main
+package logfmt_test
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
@@ -19,7 +13,11 @@ import (
 	"iolayers/internal/units"
 )
 
-func main() {
+// Example_quickstart instruments an application's I/O with the
+// Darshan-equivalent runtime, runs it against the simulated Summit I/O
+// subsystem, encodes the resulting log in the versioned compressed format,
+// and parses it back.
+func Example_quickstart() {
 	// 1. A "job" starts: the runtime plays the role of the Darshan core
 	//    library loaded at MPI_Init.
 	summit := systems.NewSummit()
@@ -63,23 +61,16 @@ func main() {
 	client.SharedTransfer(darshan.ModuleMPIIO, chkPath, iosim.Write, 512*units.MiB, true)
 	client.SharedClose(darshan.ModuleMPIIO, chkPath)
 
-	// 3. The job ends: the runtime reduces shared files and seals the log.
-	darshanLog := rt.Finalize()
-
-	dir, err := os.MkdirTemp("", "quickstart")
-	if err != nil {
+	// 3. The job ends: the runtime reduces shared files and seals the log,
+	//    which is encoded as a job424242.darshan file's bytes would be.
+	var buf bytes.Buffer
+	if err := logfmt.Write(&buf, rt.Finalize()); err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	logPath := filepath.Join(dir, "job424242.darshan")
-	if err := logfmt.WriteFile(logPath, darshanLog); err != nil {
-		log.Fatal(err)
-	}
-	info, _ := os.Stat(logPath)
-	fmt.Printf("wrote %s (%d bytes)\n\n", logPath, info.Size())
+	fmt.Printf("job424242.darshan: %d bytes\n\n", buf.Len())
 
 	// 4. Parse it back, as an analysis tool would.
-	parsed, err := logfmt.ReadFile(logPath)
+	parsed, err := logfmt.Read(&buf)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,4 +96,13 @@ func main() {
 				rec.Counters[darshan.MpiioBytesWritten])
 		}
 	}
+	// Output:
+	// job424242.darshan: 792 bytes
+	//
+	// job 424242: 84 processes, 5 file records
+	//   POSIX  rank  -1  /gpfs/alpine/cs/proj/ckpt.0001.h5    reads=0   writes=1   bytes R/W=0/536870912
+	//   POSIX  rank   0  /gpfs/alpine/cs/proj/input.h5        reads=64  writes=0   bytes R/W=67108864/0
+	//   POSIX  rank   0  /mnt/bb/u1001/scratch.dat            reads=0   writes=1   bytes R/W=0/16777216
+	//   MPI-IO rank  -1  /gpfs/alpine/cs/proj/ckpt.0001.h5    coll writes=1 bytes W=536870912
+	//   STDIO  rank   0  /gpfs/alpine/cs/proj/config.txt      reads=1   writes=0   bytes R/W=4096/0
 }

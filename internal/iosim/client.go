@@ -310,38 +310,10 @@ func (e *OpError) Error() string {
 // ClientOption customizes a Client.
 type ClientOption func(*Client)
 
-// WithInterfaceConfig overrides one interface's cost model.
-func WithInterfaceConfig(m darshan.ModuleID, cfg InterfaceConfig) ClientOption {
-	return func(c *Client) {
-		switch m {
-		case darshan.ModulePOSIX:
-			c.posix = cfg
-		case darshan.ModuleSTDIO:
-			c.stdio = cfg
-		case darshan.ModuleMPIIO:
-			c.mpiio = cfg
-		default:
-			panic(fmt.Sprintf("iosim: no interface config for module %v", m))
-		}
-	}
-}
-
 // WithBurstBufferNodes sets the job's burst-buffer allocation span, as a
 // DataWarp capacity directive would.
 func WithBurstBufferNodes(n int) ClientOption {
 	return func(c *Client) { c.bbNodes = n }
-}
-
-// WithRetryPolicy overrides the client's reaction to injected transient
-// errors and stalled operations.
-func WithRetryPolicy(p RetryPolicy) ClientOption {
-	return func(c *Client) { c.retry = p }
-}
-
-// WithJobStart anchors the client's clock at t0 seconds on the campaign
-// timeline, aligning its operations with the layers' fault windows.
-func WithJobStart(t0 float64) ClientOption {
-	return func(c *Client) { c.jobStart = t0 }
 }
 
 // NewClient builds a client for one application execution. The runtime's

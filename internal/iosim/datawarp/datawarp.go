@@ -64,20 +64,6 @@ func CoriCBB() Config {
 	}
 }
 
-// Directives mirror the #DW job-script directives of §2.1.2: a capacity
-// request plus optional stage-in/stage-out instructions executed by the
-// scheduler before the job starts and after it exits.
-type Directives struct {
-	// Capacity is the requested allocation size; it is rounded up to whole
-	// grains and determines how many burst-buffer nodes serve the job.
-	Capacity units.ByteSize
-	// StageIn lists PFS paths whose contents are copied into the allocation
-	// before job start.
-	StageIn []string
-	// StageOut lists allocation paths copied back to the PFS after exit.
-	StageOut []string
-}
-
 // FS is a DataWarp layer instance. It implements iosim.Layer. Per-job
 // allocations are modeled by AllocationFor, derived from the job's
 // directives; Transfer uses the default span, and TransferAlloc lets the

@@ -189,11 +189,45 @@ func TestParseSpec(t *testing.T) {
 	if _, err := ParseSpec("production", 5, 1000); err != nil {
 		t.Errorf("production preset: %v", err)
 	}
-	for _, bad := range []string{"nope=1", "slowdowns=x", "frac=2", "severity=1.5", "latfactor=0.5", "slowdowns"} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad, 5, 1000); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// badSpecs are fault specs ParseSpec refuses; FuzzParseSpec starts from
+// them.
+var badSpecs = []string{
+	"nope=1", "slowdowns=x", "frac=2", "severity=1.5", "latfactor=0.5", "slowdowns",
+	// A range check written as f <= 0 || f > 1 lets NaN through.
+	"frac=NaN", "severity=NaN", "latfactor=NaN", "duration=NaN", "errrate=NaN",
+	"latfactor=+Inf", "duration=+Inf",
+	"duration=1e306", // finite hours, infinite seconds
+}
+
+// FuzzParseSpec: no spec panics ParseSpec, and every accepted one yields
+// finite values inside the documented ranges.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("production")
+	f.Add("slowdowns=3,outages=1,storms=0,errrate=1e-4,frac=0.2,severity=0.8,latfactor=4,duration=2")
+	for _, s := range badSpecs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec, 5, 1000)
+		if err != nil {
+			return
+		}
+		if cfg.Slowdowns < 0 || cfg.Outages < 0 || cfg.Storms < 0 ||
+			!(cfg.ServerFrac > 0 && cfg.ServerFrac <= 1) ||
+			!(cfg.Severity > 0 && cfg.Severity < 1) ||
+			!(cfg.LatencyFactor >= 1 && !math.IsInf(cfg.LatencyFactor, 0)) ||
+			!(cfg.MeanDurationSeconds > 0 && !math.IsInf(cfg.MeanDurationSeconds, 0)) ||
+			!(cfg.TransientErrorRate >= 0 && cfg.TransientErrorRate <= 1) {
+			t.Errorf("ParseSpec(%q) accepted out-of-range %+v", spec, cfg)
+		}
+	})
 }
 
 func TestScheduleSlowdownAt(t *testing.T) {

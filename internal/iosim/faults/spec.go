@@ -125,8 +125,8 @@ func clamp(v, lo, hi float64) float64 {
 //	frac=F        mean affected-server fraction (0,1]
 //	severity=F    mean slowdown bandwidth loss (0,1)
 //	latfactor=F   mean meta-storm latency multiplier (≥1)
-//	duration=F    mean window length in hours
-//	errrate=F     background transient-error probability per op
+//	duration=F    mean window length in hours (>0)
+//	errrate=F     background transient-error probability per op [0,1]
 //
 // e.g. "slowdowns=12,outages=3,errrate=1e-4". Unlisted keys keep their
 // production defaults. Seed and period are supplied by the caller.
@@ -163,8 +163,8 @@ func ParseSpec(spec string, seed uint64, periodSeconds float64) (GenConfig, erro
 			}
 		case "frac", "severity", "latfactor", "duration", "errrate":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return cfg, fmt.Errorf("faults: %s=%q is not a number", k, v)
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+				return cfg, fmt.Errorf("faults: %s=%q is not a finite number", k, v)
 			}
 			switch {
 			case k == "frac" && (f <= 0 || f > 1):
@@ -173,8 +173,8 @@ func ParseSpec(spec string, seed uint64, periodSeconds float64) (GenConfig, erro
 				return cfg, fmt.Errorf("faults: severity=%v outside (0,1)", f)
 			case k == "latfactor" && f < 1:
 				return cfg, fmt.Errorf("faults: latfactor=%v below 1", f)
-			case k == "duration" && f <= 0:
-				return cfg, fmt.Errorf("faults: duration=%v must be positive hours", f)
+			case k == "duration" && (f <= 0 || math.IsInf(f*3600, 0)):
+				return cfg, fmt.Errorf("faults: duration=%v must be positive hours that fit in float64 seconds", f)
 			case k == "errrate" && (f < 0 || f > 1):
 				return cfg, fmt.Errorf("faults: errrate=%v outside [0,1]", f)
 			}

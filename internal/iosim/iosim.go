@@ -202,15 +202,6 @@ func AttachFaults(sys *System, s *faults.Schedule) {
 	}
 }
 
-// InjectorOf returns the fault injector bound to a layer, or nil when the
-// layer is not fault-aware or has no schedule attached.
-func InjectorOf(layer Layer) *faults.Injector {
-	if f, ok := layer.(Faulted); ok {
-		return f.FaultInjector()
-	}
-	return nil
-}
-
 // EffectAt resolves the fault effect a request would see on a layer, or the
 // zero effect for layers without fault awareness.
 func EffectAt(layer Layer, path string, rw RW, size units.ByteSize, procs int, t float64) faults.Effect {
@@ -235,18 +226,13 @@ func AttachCollectors(sys *System) map[string]*serverstats.Collector {
 	return out
 }
 
-// TransferTime is the shared service-time skeleton used by the layer
+// TransferTimeFaulty is the shared service-time skeleton used by the layer
 // implementations: latency plus size over delivered bandwidth, where
 // delivered bandwidth is the minimum of the clients' injection capability
-// and the servers' parallel capability, scaled by contention/noise.
-func TransferTime(size units.ByteSize, latency, clientBW, serverBW float64, v Variability, r *rand.Rand) float64 {
-	return TransferTimeFaulty(size, latency, clientBW, serverBW, v, faults.ZeroEffect(), r)
-}
-
-// TransferTimeFaulty is TransferTime under an injected fault effect: the
-// effect's bandwidth scale degrades the server side (slow or dark servers),
-// and its latency scale inflates the per-operation latency (metadata
-// storms). A zero effect reproduces TransferTime exactly.
+// and the servers' parallel capability, scaled by contention/noise. An
+// injected fault effect's bandwidth scale degrades the server side (slow or
+// dark servers), and its latency scale inflates the per-operation latency
+// (metadata storms); faults.ZeroEffect() changes neither.
 func TransferTimeFaulty(size units.ByteSize, latency, clientBW, serverBW float64, v Variability, eff faults.Effect, r *rand.Rand) float64 {
 	if size < 0 {
 		panic(fmt.Sprintf("iosim: negative transfer size %d", size))

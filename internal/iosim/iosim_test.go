@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"iolayers/internal/iosim/faults"
 	"iolayers/internal/units"
 )
 
@@ -53,16 +54,16 @@ func TestTransferTimePhysics(t *testing.T) {
 	r := rand.New(rand.NewPCG(4, 4))
 	var v Variability // deterministic
 	// 1 GiB at 1 GB/s with 1 ms latency ≈ 1.0747 s.
-	got := TransferTime(units.GiB, 1e-3, 1e9, 2e9, v, r)
+	got := TransferTimeFaulty(units.GiB, 1e-3, 1e9, 2e9, v, faults.ZeroEffect(), r)
 	want := 1e-3 + float64(units.GiB)/1e9
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("TransferTime = %v, want %v", got, want)
+		t.Errorf("TransferTimeFaulty = %v, want %v", got, want)
 	}
 	// Server-bound case uses the smaller bandwidth.
-	got = TransferTime(units.GiB, 0, 10e9, 1e9, v, r)
+	got = TransferTimeFaulty(units.GiB, 0, 10e9, 1e9, v, faults.ZeroEffect(), r)
 	want = float64(units.GiB) / 1e9
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("server-bound TransferTime = %v, want %v", got, want)
+		t.Errorf("server-bound TransferTimeFaulty = %v, want %v", got, want)
 	}
 }
 
@@ -71,9 +72,9 @@ func TestTransferTimeMonotoneInSize(t *testing.T) {
 	var v Variability
 	prev := -1.0
 	for _, size := range []units.ByteSize{0, units.KiB, units.MiB, units.GiB} {
-		got := TransferTime(size, 1e-4, 1e9, 1e9, v, r)
+		got := TransferTimeFaulty(size, 1e-4, 1e9, 1e9, v, faults.ZeroEffect(), r)
 		if got <= prev {
-			t.Errorf("TransferTime(%v) = %v not increasing (prev %v)", size, got, prev)
+			t.Errorf("TransferTimeFaulty(%v) = %v not increasing (prev %v)", size, got, prev)
 		}
 		prev = got
 	}
@@ -89,6 +90,6 @@ func TestTransferTimePanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("negative size", func() { TransferTime(-1, 0, 1, 1, Variability{}, r) })
-	mustPanic("zero bandwidth", func() { TransferTime(1, 0, 0, 1, Variability{}, r) })
+	mustPanic("negative size", func() { TransferTimeFaulty(-1, 0, 1, 1, Variability{}, faults.ZeroEffect(), r) })
+	mustPanic("zero bandwidth", func() { TransferTimeFaulty(1, 0, 0, 1, Variability{}, faults.ZeroEffect(), r) })
 }

@@ -20,6 +20,7 @@ package loadtest
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -136,8 +137,8 @@ func (s *Scenario) Validate() error {
 	if s.Clients <= 0 {
 		return fmt.Errorf("loadtest: scenario %q clients %d must be positive", s.Name, s.Clients)
 	}
-	if s.Mix.total() <= 0 {
-		return fmt.Errorf("loadtest: scenario %q has an all-zero mix", s.Name)
+	if total := s.Mix.total(); total <= 0 || math.IsInf(total, 0) {
+		return fmt.Errorf("loadtest: scenario %q mix weights sum to %v, want a positive finite total", s.Name, total)
 	}
 	for _, w := range []float64{s.Mix.Report, s.Mix.Compare, s.Mix.Predict, s.Mix.Datasets, s.Mix.Ingest} {
 		if w < 0 {
@@ -347,8 +348,8 @@ func parseString(val string) (string, error) {
 
 func parseNumber(val string) (float64, error) {
 	n, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return 0, fmt.Errorf("expected a number, got %q", val)
+	if err != nil || math.IsNaN(n) || math.IsInf(n, 0) {
+		return 0, fmt.Errorf("expected a finite number, got %q", val)
 	}
 	return n, nil
 }

@@ -1,6 +1,7 @@
 package loadtest
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -54,24 +55,62 @@ func TestParseScenario(t *testing.T) {
 	}
 }
 
+// scenarioRejects are scenario files ParseScenario refuses, by what is
+// wrong with them; FuzzParseScenario starts from them.
+var scenarioRejects = map[string]string{
+	"unknown key":         `nmae = "typo"`,
+	"unknown table":       "[mxi]\nreport = 1",
+	"unknown mix weight":  "[mix]\nreprot = 1",
+	"unquoted string":     `name = smoke`,
+	"bad number":          `rate = fast`,
+	"bad duration":        `duration = "10 parsecs"`,
+	"bare line":           `just some words`,
+	"malformed array":     `sections = ["a", 3]`,
+	"unterminated header": `[mix`,
+	"fractional seed":     `seed = 1.5`,
+	// Non-finite numbers passed Validate: every range check is false for NaN.
+	"nan rate":        `rate = nan`,
+	"inf rate":        `rate = inf`,
+	"nan mix weight":  "[mix]\nreport = nan",
+	"inf mix weight":  "[mix]\nreport = +Inf",
+	"-inf mix weight": "[mix]\nreport = 1\ncompare = -inf",
+}
+
 func TestParseScenarioRejects(t *testing.T) {
-	cases := map[string]string{
-		"unknown key":         `nmae = "typo"`,
-		"unknown table":       "[mxi]\nreport = 1",
-		"unknown mix weight":  "[mix]\nreprot = 1",
-		"unquoted string":     `name = smoke`,
-		"bad number":          `rate = fast`,
-		"bad duration":        `duration = "10 parsecs"`,
-		"bare line":           `just some words`,
-		"malformed array":     `sections = ["a", 3]`,
-		"unterminated header": `[mix`,
-		"fractional seed":     `seed = 1.5`,
-	}
-	for name, input := range cases {
+	for name, input := range scenarioRejects {
 		if _, err := ParseScenario(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: %q accepted", name, input)
 		}
 	}
+}
+
+// FuzzParseScenario: no input panics ParseScenario, and a scenario that
+// parses and validates has finite values inside their documented ranges.
+func FuzzParseScenario(f *testing.F) {
+	f.Add(sampleScenario)
+	// Whole scenarios with one non-finite number, which reach Validate.
+	f.Add(strings.Replace(sampleScenario, "rate = 500", "rate = nan", 1))
+	f.Add(strings.Replace(sampleScenario, "report = 8", "report = inf", 1))
+	for _, input := range scenarioRejects {
+		f.Add(input)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		s, err := ParseScenario(strings.NewReader(input))
+		if err != nil || s.Validate() != nil {
+			return
+		}
+		m := s.Mix
+		total := m.total()
+		if !(s.Rate > 0) || math.IsInf(s.Rate, 0) || s.Duration <= 0 || s.Clients <= 0 ||
+			!(total > 0) || math.IsInf(total, 0) {
+			t.Fatalf("accepted out-of-range scenario %+v", s)
+		}
+		for _, w := range []float64{m.Report, m.Compare, m.Predict, m.Datasets, m.Ingest} {
+			if !(w >= 0) || math.IsInf(w, 0) {
+				t.Fatalf("accepted mix weight %v in %+v", w, m)
+			}
+		}
+	})
 }
 
 func TestScenarioValidate(t *testing.T) {

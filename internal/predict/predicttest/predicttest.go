@@ -11,7 +11,6 @@ package predicttest
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"iolayers/internal/analysis"
@@ -50,10 +49,10 @@ type Outcome struct {
 	HoldoutErr float64
 }
 
-// Run builds the corpus under dir (a scratch directory the caller owns),
+// run builds the corpus under dir (a scratch directory the caller owns),
 // ingests it, converts it to columnar form, and measures everything the
 // checks pin.
-func Run(ctx context.Context, dir string) (*Outcome, error) {
+func run(ctx context.Context, dir string) (*Outcome, error) {
 	sys := systems.NewSummit()
 	logs := filepath.Join(dir, "logs")
 	if err := serve.WriteFixture(logs, sys, FixtureLogs, FixtureSeed); err != nil {
@@ -88,16 +87,6 @@ func Run(ctx context.Context, dir string) (*Outcome, error) {
 
 	out.HoldoutErr = predict.HoldoutMAPE(DiurnalSeries(24*28), 24*21)
 	return out, nil
-}
-
-// RunTemp is Run in a fresh temporary directory, removed afterwards.
-func RunTemp(ctx context.Context) (*Outcome, error) {
-	dir, err := os.MkdirTemp("", "predicttest")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	return Run(ctx, dir)
 }
 
 // DiurnalSeries synthesizes n hours of seasonal volume: an hour-of-day
@@ -208,8 +197,8 @@ func Checks() []Check {
 	}
 }
 
-// Evaluate runs every check against one outcome.
-func Evaluate(o *Outcome) []Result {
+// evaluate runs every check against one outcome.
+func evaluate(o *Outcome) []Result {
 	checks := Checks()
 	out := make([]Result, len(checks))
 	for i, c := range checks {
@@ -219,8 +208,8 @@ func Evaluate(o *Outcome) []Result {
 	return out
 }
 
-// Failures filters evaluated results down to the out-of-band rows.
-func Failures(results []Result) []Result {
+// failures filters evaluated results down to the out-of-band rows.
+func failures(results []Result) []Result {
 	var bad []Result
 	for _, r := range results {
 		if !r.OK {

@@ -8,11 +8,11 @@ import (
 )
 
 func TestClosedLoopBands(t *testing.T) {
-	o, err := Run(context.Background(), t.TempDir())
+	o, err := run(context.Background(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range Evaluate(o) {
+	for _, r := range evaluate(o) {
 		t.Log(r)
 		if !r.OK {
 			t.Errorf("out of band: %s", r)
@@ -33,11 +33,11 @@ func TestClosedLoopBands(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	ctx := context.Background()
-	a, err := Run(ctx, t.TempDir())
+	a, err := run(ctx, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(ctx, t.TempDir())
+	b, err := run(ctx, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRunDeterministic(t *testing.T) {
 // bands are live checks, not decoration: a broken recommender and a
 // scrambled forecast must both land outside their bands.
 func TestBandsCanFail(t *testing.T) {
-	o, err := Run(context.Background(), t.TempDir())
+	o, err := run(context.Background(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBandsCanFail(t *testing.T) {
 	brokenProfile := *o.Profile
 	brokenProfile.Replay = &brokenReplay
 	broken.Profile = &brokenProfile
-	if n := len(Failures(Evaluate(&broken))); n < 3 {
+	if n := len(failures(evaluate(&broken))); n < 3 {
 		t.Errorf("zero-improvement replay tripped %d checks, want >= 3 (improvement, ratio, moved files)", n)
 	}
 
@@ -86,7 +86,7 @@ func TestBandsCanFail(t *testing.T) {
 	scrambled := *o
 	scrambled.HoldoutErr = predict.HoldoutMAPE(series, 24*21)
 	failed := false
-	for _, r := range Evaluate(&scrambled) {
+	for _, r := range evaluate(&scrambled) {
 		if r.Check.Name == "seasonal holdout MAPE" && !r.OK {
 			failed = true
 		}

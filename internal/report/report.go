@@ -11,7 +11,6 @@ import (
 
 	"iolayers/internal/analysis"
 	"iolayers/internal/darshan"
-	"iolayers/internal/iosim"
 	"iolayers/internal/iosim/serverstats"
 	"iolayers/internal/units"
 )
@@ -559,6 +558,3 @@ func Everything(r *analysis.Report) string {
 	}
 	return strings.Join(parts, "\n")
 }
-
-// LayerKindName is a small helper for CLI output.
-func LayerKindName(k iosim.LayerKind) string { return k.String() }

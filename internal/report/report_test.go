@@ -126,9 +126,3 @@ func TestTableAlignment(t *testing.T) {
 		t.Errorf("missing separator row: %q", lines[2])
 	}
 }
-
-func TestLayerKindName(t *testing.T) {
-	if LayerKindName(iosim.ParallelFS) != "PFS" {
-		t.Error("LayerKindName(PFS)")
-	}
-}

@@ -99,19 +99,14 @@ func (h *eventHeap) Pop() any {
 	return x
 }
 
-// Simulate schedules jobs under EASY backfill and returns per-job
-// placements (in completion order) and aggregate metrics. Jobs larger than
-// the machine are rejected with an error.
-func Simulate(cfg Config, jobs []Job) ([]Placement, Metrics, error) {
-	return SimulateContext(context.Background(), cfg, jobs)
-}
-
 // cancelCheckInterval is how many clock events the simulation loop advances
 // between context checks — often enough that cancellation lands promptly,
 // rarely enough that the check costs nothing against heap operations.
 const cancelCheckInterval = 1024
 
-// SimulateContext is Simulate under a context: cancellation stops the event
+// SimulateContext schedules jobs under EASY backfill and returns per-job
+// placements (in completion order) and aggregate metrics. Jobs larger than
+// the machine are rejected with an error. Cancellation stops the event
 // loop and returns the placements completed so far, metrics over them, and
 // ctx's error. A partial schedule's metrics describe a truncated campaign
 // and are not comparable to a complete run's.

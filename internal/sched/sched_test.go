@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,17 +10,17 @@ import (
 )
 
 func TestSimulateEmptyMachineRejected(t *testing.T) {
-	if _, _, err := Simulate(Config{Nodes: 0}, nil); err == nil {
+	if _, _, err := SimulateContext(context.Background(), Config{Nodes: 0}, nil); err == nil {
 		t.Error("expected error for zero-node machine")
 	}
 }
 
 func TestSimulateRejectsOversizedJobs(t *testing.T) {
-	_, _, err := Simulate(Config{Nodes: 4}, []Job{{ID: 1, Nodes: 8, Runtime: 10}})
+	_, _, err := SimulateContext(context.Background(), Config{Nodes: 4}, []Job{{ID: 1, Nodes: 8, Runtime: 10}})
 	if err == nil {
 		t.Error("expected error for job larger than machine")
 	}
-	_, _, err = Simulate(Config{Nodes: 4, BBNodes: 0}, []Job{{ID: 1, Nodes: 1, BBNodes: 2, Runtime: 10}})
+	_, _, err = SimulateContext(context.Background(), Config{Nodes: 4, BBNodes: 0}, []Job{{ID: 1, Nodes: 1, BBNodes: 2, Runtime: 10}})
 	if err == nil {
 		t.Error("expected error for BB request on BB-less machine")
 	}
@@ -30,7 +31,7 @@ func TestFIFOOnEmptyMachine(t *testing.T) {
 		{ID: 1, Submit: 0, Nodes: 2, Runtime: 100},
 		{ID: 2, Submit: 10, Nodes: 2, Runtime: 100},
 	}
-	place, m, err := Simulate(Config{Nodes: 8}, jobs)
+	place, m, err := SimulateContext(context.Background(), Config{Nodes: 8}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestQueueingWhenFull(t *testing.T) {
 		{ID: 1, Submit: 0, Nodes: 4, Runtime: 100},
 		{ID: 2, Submit: 0, Nodes: 4, Runtime: 50},
 	}
-	place, m, err := Simulate(Config{Nodes: 4}, jobs)
+	place, m, err := SimulateContext(context.Background(), Config{Nodes: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestEASYBackfill(t *testing.T) {
 		{ID: 2, Submit: 1, Nodes: 4, Runtime: 100},
 		{ID: 3, Submit: 2, Nodes: 1, Runtime: 50},
 	}
-	place, _, err := Simulate(Config{Nodes: 4}, jobs)
+	place, _, err := SimulateContext(context.Background(), Config{Nodes: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestBackfillUsesIdleNodes(t *testing.T) {
 		{ID: 2, Submit: 1, Nodes: 4, Runtime: 100},
 		{ID: 3, Submit: 2, Nodes: 2, Runtime: 50},
 	}
-	place, _, err := Simulate(Config{Nodes: 4}, jobs)
+	place, _, err := SimulateContext(context.Background(), Config{Nodes: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestBackfillDoesNotDelayHead(t *testing.T) {
 		{ID: 2, Submit: 1, Nodes: 4, Runtime: 10},
 		{ID: 3, Submit: 2, Nodes: 2, Runtime: 200},
 	}
-	place, _, err := Simulate(Config{Nodes: 4}, jobs)
+	place, _, err := SimulateContext(context.Background(), Config{Nodes: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,11 @@ func TestOverlappedStagingHidesBehindQueueWait(t *testing.T) {
 		{ID: 1, Submit: 0, Nodes: 4, Runtime: 500},
 		{ID: 2, Submit: 0, Nodes: 4, Runtime: 100, BBNodes: 2, StageInSeconds: 300},
 	}
-	overlapped, mo, err := Simulate(Config{Nodes: 4, BBNodes: 8, OverlapStaging: true}, base)
+	overlapped, mo, err := SimulateContext(context.Background(), Config{Nodes: 4, BBNodes: 8, OverlapStaging: true}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline, mi, err := Simulate(Config{Nodes: 4, BBNodes: 8, OverlapStaging: false}, base)
+	inline, mi, err := SimulateContext(context.Background(), Config{Nodes: 4, BBNodes: 8, OverlapStaging: false}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestUtilizationBounded(t *testing.T) {
 	if len(jobs) < 100 {
 		t.Fatalf("job stream too small: %d", len(jobs))
 	}
-	_, m, err := Simulate(Config{Nodes: 9688, BBNodes: 288, OverlapStaging: true}, jobs)
+	_, m, err := SimulateContext(context.Background(), Config{Nodes: 9688, BBNodes: 288, OverlapStaging: true}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestDeterministicSchedule(t *testing.T) {
 			Scale: 0.0001, Seed: 5, PeriodSeconds: 7 * 86400,
 			ProcsPerNode: 42, MachineNodes: 4608,
 		})
-		_, m, err := Simulate(Config{Nodes: 4608}, jobs)
+		_, m, err := SimulateContext(context.Background(), Config{Nodes: 4608}, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,9 +120,29 @@ func TestParseFixtureSpec(t *testing.T) {
 	if err != nil || f.Name != "ds-1" || f.Logs != 4 || f.Seed != 1 {
 		t.Errorf("default seed: %+v (err %v)", f, err)
 	}
-	for _, bad := range []string{"", "noseparator", ":4", "name:", "name:0", "name:-2", "name:x", "name:4:x", "bad name:4"} {
+	for _, bad := range badFixtureSpecs {
 		if _, err := ParseFixtureSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+}
+
+// badFixtureSpecs are -fixture specs ParseFixtureSpec refuses;
+// FuzzParseFixtureSpec starts from them.
+var badFixtureSpecs = []string{"", "noseparator", ":4", "name:", "name:0", "name:-2", "name:x", "name:4:x", "bad name:4"}
+
+// FuzzParseFixtureSpec: no spec panics ParseFixtureSpec, and every accepted
+// one names a valid dataset with a positive log count.
+func FuzzParseFixtureSpec(f *testing.F) {
+	f.Add("golden:16:9")
+	f.Add("ds-1:4")
+	for _, s := range badFixtureSpecs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseFixtureSpec(spec)
+		if err == nil && (!ValidDatasetName(fs.Name) || fs.Logs <= 0) {
+			t.Fatalf("ParseFixtureSpec(%q) accepted %+v", spec, fs)
+		}
+	})
 }

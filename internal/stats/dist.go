@@ -33,27 +33,6 @@ type Sampler interface {
 	Sample(r *rand.Rand) float64
 }
 
-// SamplerFunc adapts a function to the Sampler interface.
-type SamplerFunc func(r *rand.Rand) float64
-
-// Sample calls f(r).
-func (f SamplerFunc) Sample(r *rand.Rand) float64 { return f(r) }
-
-// Constant is a Sampler that always returns the same value.
-type Constant float64
-
-// Sample returns the constant value.
-func (c Constant) Sample(*rand.Rand) float64 { return float64(c) }
-
-// Quantiler is implemented by distributions with a closed-form inverse CDF,
-// enabling stratified (quota) sampling: feeding a low-discrepancy sequence
-// of u values through Quantile yields samples whose running mean converges
-// far faster than independent draws — essential for heavy-tailed structural
-// counts in small synthetic campaigns.
-type Quantiler interface {
-	Quantile(u float64) float64
-}
-
 // LogNormal samples a lognormal distribution parameterized directly by its
 // median and the multiplicative spread sigma (the standard deviation of the
 // underlying normal in log space). Median must be positive and Sigma
@@ -140,19 +119,6 @@ func (p BoundedPareto) Sample(r *rand.Rand) float64 {
 	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
 	// Clamp against floating-point drift at the boundaries.
 	return math.Min(math.Max(x, p.Lo), p.Hi)
-}
-
-// UniformRange samples uniformly from [Lo, Hi).
-type UniformRange struct {
-	Lo, Hi float64
-}
-
-// Sample draws from the range.
-func (u UniformRange) Sample(r *rand.Rand) float64 {
-	if u.Hi < u.Lo {
-		panic(fmt.Sprintf("stats: invalid UniformRange [%v,%v)", u.Lo, u.Hi))
-	}
-	return u.Lo + (u.Hi-u.Lo)*r.Float64()
 }
 
 // Component is one weighted member of a Mixture.

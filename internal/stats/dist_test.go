@@ -108,17 +108,6 @@ func TestBoundedParetoPanicsOnBadParams(t *testing.T) {
 	BoundedPareto{Alpha: 1, Lo: 10, Hi: 5}.Sample(Stream(1, 4))
 }
 
-func TestUniformRange(t *testing.T) {
-	r := Stream(3, 1)
-	u := UniformRange{Lo: 5, Hi: 6}
-	for i := 0; i < 1000; i++ {
-		v := u.Sample(r)
-		if v < 5 || v >= 6 {
-			t.Fatalf("uniform sample %v outside [5,6)", v)
-		}
-	}
-}
-
 func TestMixtureWeights(t *testing.T) {
 	r := Stream(4, 1)
 	m := NewMixture(
@@ -342,9 +331,8 @@ func TestSampleQuantileQuotaProperty(t *testing.T) {
 	}
 }
 
-func TestSamplerFunc(t *testing.T) {
-	s := SamplerFunc(func(*rand.Rand) float64 { return 4.5 })
-	if got := s.Sample(nil); got != 4.5 {
-		t.Errorf("SamplerFunc sample = %v", got)
-	}
-}
+// Constant is a Sampler that always returns the same value.
+type Constant float64
+
+// Sample returns the constant value.
+func (c Constant) Sample(*rand.Rand) float64 { return float64(c) }

@@ -52,12 +52,6 @@ type Config struct {
 	Retry iosim.RetryPolicy
 }
 
-// DefaultConfig returns a campaign configuration sized for tests and
-// benchmarks: about 0.1% of the jobs with 5% of the per-log files.
-func DefaultConfig() Config {
-	return Config{Seed: 1, JobScale: 0.001, FileScale: 0.05}
-}
-
 func (c Config) validate() error {
 	if c.JobScale <= 0 || c.JobScale > 1 {
 		return fmt.Errorf("workload: JobScale %v outside (0,1]", c.JobScale)

@@ -69,10 +69,10 @@ func TestNewGeneratorValidation(t *testing.T) {
 			t.Errorf("config %+v: expected error", cfg)
 		}
 	}
-	if _, err := NewGenerator(Summit(), nil, DefaultConfig()); err == nil {
+	if _, err := NewGenerator(Summit(), nil, defaultConfig()); err == nil {
 		t.Error("nil system: expected error")
 	}
-	g, err := NewGenerator(Summit(), sys, DefaultConfig())
+	g, err := NewGenerator(Summit(), sys, defaultConfig())
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestGenerateJobDeterministic(t *testing.T) {
 }
 
 func TestGenerateJobIndexBounds(t *testing.T) {
-	g, _ := NewGenerator(Summit(), systems.NewSummit(), DefaultConfig())
+	g, _ := NewGenerator(Summit(), systems.NewSummit(), defaultConfig())
 	for _, i := range []int{-1, g.Jobs()} {
 		func() {
 			defer func() {
@@ -539,4 +539,10 @@ func TestWhatIfAggregation(t *testing.T) {
 	if aggLarge < 0.95 {
 		t.Errorf("what-if large-request share %.3f, want ≈1 (all aggregated)", aggLarge)
 	}
+}
+
+// defaultConfig returns a campaign configuration sized for tests and
+// benchmarks: about 0.1% of the jobs with 5% of the per-log files.
+func defaultConfig() Config {
+	return Config{Seed: 1, JobScale: 0.001, FileScale: 0.05}
 }
