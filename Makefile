@@ -78,9 +78,9 @@ load-smoke:
 
 ## fuzz: short fuzzing smoke over the untrusted-input decoders, the section
 ## inflater against compress/zlib, the durable record log's reader, the
-## row-vs-columnar fold identity, and the four spec parsers that take
-## flags and scenario files; -fuzz must match exactly one target, hence
-## one invocation each
+## row-vs-columnar fold identity, the four spec parsers that take flags
+## and scenario files, the ingest request body and the query-string
+## parser; -fuzz must match exactly one target, hence one invocation each
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=20s ./internal/darshan/logfmt
@@ -92,3 +92,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseKeySpec -fuzztime=20s ./internal/cluster
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=20s ./internal/loadtest
 	$(GO) test -fuzz=FuzzParseFixtureSpec -fuzztime=20s ./internal/serve
+	$(GO) test -fuzz=FuzzIngestRequest -fuzztime=20s ./internal/serve
+	$(GO) test -fuzz=FuzzQuery -fuzztime=20s ./internal/httpapi

@@ -33,7 +33,7 @@
 //	                                  generation until the new one lands
 //	GET  /healthz                   — liveness: 200 while the process runs
 //	GET  /readyz                    — readiness: 503 during lake replay,
-//	                                  boot ingests, compaction, and drain
+//	                                  boot ingests, and drain
 //	GET  /metrics, /metrics.json
 //
 // Every non-200 carries the structured error envelope

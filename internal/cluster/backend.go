@@ -32,12 +32,9 @@ type Backend struct {
 	// clears it on hard network errors, so routing reacts a probe period
 	// earlier.
 	healthy atomic.Bool
-	// probing serializes active probes so a stalled backend cannot pile
-	// up probe goroutines.
-	probing atomic.Bool
 }
 
-func newBackend(raw string, breakerCfg BreakerConfig, maxInFlight int) (*Backend, error) {
+func newBackend(raw string, breaker *Breaker, maxInFlight int) (*Backend, error) {
 	if !strings.Contains(raw, "://") {
 		raw = "http://" + raw
 	}
@@ -51,7 +48,7 @@ func newBackend(raw string, breakerCfg BreakerConfig, maxInFlight int) (*Backend
 	b := &Backend{
 		Name:    u.Host,
 		base:    u,
-		breaker: NewBreaker(breakerCfg),
+		breaker: breaker,
 		slots:   make(chan struct{}, maxInFlight),
 	}
 	b.healthy.Store(true)

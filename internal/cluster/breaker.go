@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand/v2"
 	"sync"
 	"time"
 )
@@ -55,13 +54,6 @@ type BreakerConfig struct {
 	OpenBase time.Duration
 	// OpenMax caps the doubling (0 means DefaultBreakerOpenMax).
 	OpenMax time.Duration
-	// Jitter returns a uniform value in [0, 1) used to spread open
-	// intervals over [1/2, 1) of the nominal duration, so a fleet of
-	// breakers tripped by the same outage does not retry in lockstep.
-	// Nil means math/rand/v2; tests inject a deterministic source.
-	Jitter func() float64
-	// Now is the clock (nil means time.Now); tests inject a fake.
-	Now func() time.Time
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -74,12 +66,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.OpenMax <= 0 {
 		c.OpenMax = DefaultBreakerOpenMax
 	}
-	if c.Jitter == nil {
-		c.Jitter = rand.Float64
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 	return c
 }
 
@@ -90,19 +76,24 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // active health probe) that genuinely reached the backend is the
 // strongest evidence available, stronger than waiting out the interval.
 type Breaker struct {
-	cfg BreakerConfig
+	cfg   BreakerConfig
+	clock Clock
+	// jitter is the router's Config.Jitter: it spreads open intervals over
+	// [1/2, 1) of the nominal duration, so a fleet of breakers tripped by
+	// the same outage does not retry in lockstep.
+	jitter func() float64
 
 	mu        sync.Mutex
 	state     BreakerState
 	fails     int       // consecutive failures while closed
 	trips     int       // consecutive opens without an intervening close
 	openUntil time.Time // when an open breaker admits its next trial
-	probing   bool      // a half-open trial is in flight
+	trial     bool      // a half-open trial is in flight
 }
 
-// NewBreaker builds a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
+// newBreaker builds a closed breaker on the router's clock and jitter.
+func newBreaker(cfg BreakerConfig, clock Clock, jitter func() float64) *Breaker {
+	return &Breaker{cfg: cfg.withDefaults(), clock: clock, jitter: jitter}
 }
 
 // Allow reports whether a request may proceed now. A true return from an
@@ -115,17 +106,17 @@ func (b *Breaker) Allow() bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if b.cfg.Now().Before(b.openUntil) {
+		if b.clock.Now().Before(b.openUntil) {
 			return false
 		}
 		b.state = BreakerHalfOpen
-		b.probing = true
+		b.trial = true
 		return true
 	default: // BreakerHalfOpen
-		if b.probing {
+		if b.trial {
 			return false
 		}
-		b.probing = true
+		b.trial = true
 		return true
 	}
 }
@@ -135,7 +126,7 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probing = false
+	b.trial = false
 	b.fails = 0
 	b.trips = 0
 	b.state = BreakerClosed
@@ -148,7 +139,7 @@ func (b *Breaker) Success() {
 func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probing = false
+	b.trial = false
 	switch b.state {
 	case BreakerClosed:
 		b.fails++
@@ -166,7 +157,7 @@ func (b *Breaker) Failure() {
 func (b *Breaker) Release() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probing = false
+	b.trial = false
 }
 
 // trip opens the breaker for a jittered interval in [d/2, d), where d
@@ -182,8 +173,8 @@ func (b *Breaker) trip() {
 		d = b.cfg.OpenMax
 	}
 	b.trips++
-	jittered := d/2 + time.Duration(b.cfg.Jitter()*float64(d/2))
-	b.openUntil = b.cfg.Now().Add(jittered)
+	jittered := d/2 + time.Duration(b.jitter()*float64(d/2))
+	b.openUntil = b.clock.Now().Add(jittered)
 }
 
 // State returns the breaker's current position (an open breaker whose

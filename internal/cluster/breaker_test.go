@@ -6,37 +6,82 @@ import (
 	"time"
 )
 
-// fakeClock is a manually-advanced clock for deterministic breaker tests.
+// fakeClock is a manually advanced Clock: nothing moves until the test
+// calls advance, and an After channel fires when advance reaches its
+// deadline.
 type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+	mu      sync.Mutex
+	cond    *sync.Cond // broadcast when a waiter is added
+	t       time.Time
+	waiters []fakeWaiter
 }
 
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+type fakeWaiter struct {
+	at time.Time
+	ch chan time.Time
+}
 
-func (c *fakeClock) now() time.Time {
+func newFakeClock() *fakeClock {
+	c := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+func (c *fakeClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.t
+}
+
+func (c *fakeClock) After(d time.Duration) <-chan time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ch := make(chan time.Time, 1)
+	if d <= 0 {
+		ch <- c.t
+		return ch
+	}
+	c.waiters = append(c.waiters, fakeWaiter{c.t.Add(d), ch})
+	c.cond.Broadcast()
+	return ch
 }
 
 func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.t = c.t.Add(d)
+	kept := c.waiters[:0]
+	for _, w := range c.waiters {
+		if w.at.After(c.t) {
+			kept = append(kept, w)
+		} else {
+			w.ch <- c.t
+		}
+	}
+	c.waiters = kept
+}
+
+// awaitWaiters blocks until n After channels are pending.
+func (c *fakeClock) awaitWaiters(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.waiters) < n {
+		c.cond.Wait()
+	}
+}
+
+// pending counts the After channels that have not fired.
+func (c *fakeClock) pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.waiters)
 }
 
 // zeroJitter pins every open interval to exactly d/2.
 func zeroJitter() float64 { return 0 }
 
 func testBreaker(clock *fakeClock) *Breaker {
-	return NewBreaker(BreakerConfig{
-		Threshold: 3,
-		OpenBase:  time.Second,
-		OpenMax:   8 * time.Second,
-		Jitter:    zeroJitter,
-		Now:       clock.now,
-	})
+	return newBreaker(BreakerConfig{Threshold: 3, OpenBase: time.Second, OpenMax: 8 * time.Second}, clock, zeroJitter)
 }
 
 // The full transition cycle: closed → (threshold failures) → open →

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"iolayers/internal/cluster"
 	"iolayers/internal/iosim/faults"
 )
 
@@ -36,24 +37,64 @@ const (
 	Stall
 )
 
-// Valve sits between the router and one replica and simulates that
-// replica's death or wedging on command. Aborting via http.ErrAbortHandler
-// resets the connection mid-request, which is exactly what a kill -9
-// looks like from the client side.
-type Valve struct {
-	mode atomic.Int32
+// Controller drives one valve per replica from a faults.Schedule: window
+// times are seconds on the clock since Start, and per-replica membership
+// in each window comes from the schedule's seed via
+// faults.Injector.Affected — the same deterministic membership the
+// simulator uses. Outage windows put the valve Down; Slowdown and
+// MetaStorm windows Stall it (a chaos valve cannot serve "slower", so
+// every degradation that is not an outage manifests as a wedge). A valve
+// decides its mode when a request arrives, so a window edge takes effect
+// exactly and nothing runs between requests.
+type Controller struct {
+	sched *faults.Schedule
+	inj   *faults.Injector
+	clock cluster.Clock
+	start atomic.Pointer[time.Time] // nil until Start: every valve passes
 }
 
-// Set moves the valve.
-func (v *Valve) Set(m ValveMode) { v.mode.Store(int32(m)) }
+// newController binds a schedule over n replicas to a clock — the one
+// the router under test reads.
+func newController(sched *faults.Schedule, n int, clock cluster.Clock) *Controller {
+	return &Controller{sched: sched, inj: faults.NewInjector(sched, "cluster", n), clock: clock}
+}
 
-// Mode reads the valve's position.
-func (v *Valve) Mode() ValveMode { return ValveMode(v.mode.Load()) }
+// Affected reports whether replica i participates in window wi — exposed
+// so the referee can log the fault plan it is about to enforce.
+func (c *Controller) Affected(wi, i int) bool { return c.inj.Affected(wi, i) }
 
-// Wrap interposes the valve in front of a replica's handler.
-func (v *Valve) Wrap(next http.Handler) http.Handler {
+// Start begins enforcing the schedule, with window time zero = now.
+func (c *Controller) Start() {
+	now := c.clock.Now()
+	c.start.Store(&now)
+}
+
+// mode resolves replica i's valve position at the clock's now.
+func (c *Controller) mode(i int) ValveMode {
+	start := c.start.Load()
+	if start == nil {
+		return Pass
+	}
+	t := c.clock.Now().Sub(*start).Seconds()
+	mode := Pass
+	for wi, w := range c.sched.Windows {
+		if t < w.Start || t >= w.End || !c.inj.Affected(wi, i) {
+			continue
+		}
+		if w.Kind == faults.Outage {
+			return Down // Down dominates
+		}
+		mode = Stall
+	}
+	return mode
+}
+
+// Wrap interposes replica i's valve in front of its handler. Aborting via
+// http.ErrAbortHandler resets the connection mid-request, which is
+// exactly what a kill -9 looks like from the client side.
+func (c *Controller) Wrap(i int, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch v.Mode() {
+		switch c.mode(i) {
 		case Down:
 			panic(http.ErrAbortHandler)
 		case Stall:
@@ -63,101 +104,6 @@ func (v *Valve) Wrap(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 		}
 	})
-}
-
-// Controller drives a set of valves from a faults.Schedule: window times
-// are interpreted as wall-clock seconds from Start, and per-replica
-// membership in each window comes from the schedule's seed via
-// faults.Injector.Affected — the same deterministic membership the
-// simulator uses. Outage windows slam the valve to Down; Slowdown and
-// MetaStorm windows set Stall (a chaos valve cannot serve "slower", so
-// every degradation that is not an outage manifests as a wedge).
-type Controller struct {
-	sched  *faults.Schedule
-	inj    *faults.Injector
-	valves []*Valve
-	tick   time.Duration
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// newController binds a schedule to the valves. tick is the scan cadence
-// (how quickly a window edge takes effect); 0 means 5ms.
-func newController(sched *faults.Schedule, valves []*Valve, tick time.Duration) *Controller {
-	if tick <= 0 {
-		tick = 5 * time.Millisecond
-	}
-	return &Controller{
-		sched:  sched,
-		inj:    faults.NewInjector(sched, "cluster", len(valves)),
-		valves: valves,
-		tick:   tick,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-}
-
-// Affected reports whether replica i participates in window wi — exposed
-// so the referee can precompute the fault plan it is about to enforce.
-func (c *Controller) Affected(wi, i int) bool { return c.inj.Affected(wi, i) }
-
-// Start begins enforcing the schedule, with window time zero = now.
-// Returns the time used as zero.
-func (c *Controller) Start() time.Time {
-	start := time.Now()
-	go func() {
-		defer close(c.done)
-		ticker := time.NewTicker(c.tick)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case now := <-ticker.C:
-				c.apply(now.Sub(start).Seconds())
-			}
-		}
-	}()
-	return start
-}
-
-// apply resolves every valve's position at schedule time t.
-func (c *Controller) apply(t float64) {
-	for i, v := range c.valves {
-		mode := Pass
-		for wi, w := range c.sched.Windows {
-			if t < w.Start || t >= w.End || !c.inj.Affected(wi, i) {
-				continue
-			}
-			if w.Kind == faults.Outage {
-				mode = Down
-				break // Down dominates
-			}
-			mode = Stall
-		}
-		v.Set(mode)
-	}
-}
-
-// Stop ends enforcement and restores every valve to Pass.
-func (c *Controller) Stop() {
-	close(c.stop)
-	<-c.done
-	for _, v := range c.valves {
-		v.Set(Pass)
-	}
-}
-
-// After reports whether the schedule has no window active or pending at
-// time t (seconds from Start) — i.e. the chaos is over.
-func (c *Controller) After(t float64) bool {
-	for _, w := range c.sched.Windows {
-		if t < w.End {
-			return false
-		}
-	}
-	return true
 }
 
 // findSeed searches for a schedule seed under which every window affects

@@ -49,22 +49,29 @@ func corpusDir(t *testing.T, n, salt int) string {
 	return dir
 }
 
-// replica is one in-process ioserved: a store, a server, and the valve
-// the chaos controller kills it through.
-type replica struct {
-	store *serve.Store
-	ts    *httptest.Server
-	valve *Valve
+// wallClock is the soak's cluster.Clock: the router and the valves read
+// the same wall time.
+type wallClock struct{}
+
+func (wallClock) Now() time.Time                         { return time.Now() }
+func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
+// stepClock stands still until the test moves it. Valves only read Now;
+// After is the wall clock's, for the interface.
+type stepClock struct {
+	wallClock
+	ns atomic.Int64
 }
 
-func newReplica(t *testing.T) *replica {
+func (c *stepClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
+func (c *stepClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
+
+// newReplica starts one in-process ioserved behind replica i's valve.
+func newReplica(t *testing.T, ctrl *Controller, i int) *httptest.Server {
 	t.Helper()
-	store := serve.NewStore()
-	srv := serve.New(serve.Config{Store: store})
-	valve := &Valve{}
-	ts := httptest.NewServer(valve.Wrap(srv.Handler()))
+	ts := httptest.NewServer(ctrl.Wrap(i, serve.New(serve.Config{Store: serve.NewStore()}).Handler()))
 	t.Cleanup(ts.Close)
-	return &replica{store: store, ts: ts, valve: valve}
+	return ts
 }
 
 // The referee. Three in-process replicas behind a router, datasets
@@ -120,15 +127,31 @@ func TestClusterSurvivesSeededChaos(t *testing.T) {
 		want[p] = string(body)
 	}
 
+	// The chaos schedule: three windows over ~1.5s of wall time —
+	// outage, stall (a wedged replica, via a MetaStorm window), outage —
+	// each hitting exactly one replica (findSeed guarantees it), with at
+	// least two distinct replicas hit across the run. The valves pass
+	// everything until the controller starts.
+	sched := faults.Schedule{
+		Windows: []faults.Window{
+			{Kind: faults.Outage, Start: 0.10, End: 0.55, ServerFrac: 0.34},
+			{Kind: faults.MetaStorm, Start: 0.65, End: 1.05, ServerFrac: 0.34, LatencyFactor: 10},
+			{Kind: faults.Outage, Start: 1.10, End: 1.50, ServerFrac: 0.34},
+		},
+	}
+	seed, ok := findSeed(sched, nReplicas)
+	if !ok {
+		t.Fatal("no seed gives one-replica-per-window membership")
+	}
+	sched.Seed = seed
+	clock := wallClock{}
+	ctrl := newController(&sched, nReplicas, clock)
+
 	// The cluster under test: fast failover timings so the whole soak
-	// fits in a few seconds.
-	replicas := make([]*replica, nReplicas)
-	valves := make([]*Valve, nReplicas)
+	// fits in a few seconds, on the valves' clock.
 	var urls []string
-	for i := range replicas {
-		replicas[i] = newReplica(t)
-		valves[i] = replicas[i].valve
-		urls = append(urls, replicas[i].ts.URL)
+	for i := 0; i < nReplicas; i++ {
+		urls = append(urls, newReplica(t, ctrl, i).URL)
 	}
 	router, err := cluster.NewRouter(cluster.Config{
 		Replicas:              urls,
@@ -144,6 +167,7 @@ func TestClusterSurvivesSeededChaos(t *testing.T) {
 			OpenBase:  50 * time.Millisecond,
 			OpenMax:   400 * time.Millisecond,
 		},
+		Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,23 +216,7 @@ func TestClusterSurvivesSeededChaos(t *testing.T) {
 		}
 	}
 
-	// Phase 2 — chaos. The schedule: three windows over ~1.5s of wall
-	// time — outage, stall (a wedged replica, via a MetaStorm window),
-	// outage — each hitting exactly one replica (findSeed guarantees it),
-	// with at least two distinct replicas hit across the run.
-	sched := faults.Schedule{
-		Windows: []faults.Window{
-			{Kind: faults.Outage, Start: 0.10, End: 0.55, ServerFrac: 0.34},
-			{Kind: faults.MetaStorm, Start: 0.65, End: 1.05, ServerFrac: 0.34, LatencyFactor: 10},
-			{Kind: faults.Outage, Start: 1.10, End: 1.50, ServerFrac: 0.34},
-		},
-	}
-	seed, ok := findSeed(sched, nReplicas)
-	if !ok {
-		t.Fatal("no seed gives one-replica-per-window membership")
-	}
-	sched.Seed = seed
-	ctrl := newController(&sched, valves, 5*time.Millisecond)
+	// Phase 2 — chaos, on the schedule built above.
 	t.Logf("chaos seed %d", seed)
 	for wi, w := range sched.Windows {
 		for i := 0; i < nReplicas; i++ {
@@ -249,7 +257,6 @@ func TestClusterSurvivesSeededChaos(t *testing.T) {
 	time.Sleep(1700 * time.Millisecond) // past the last window's end
 	close(stopClients)
 	wg.Wait()
-	ctrl.Stop()
 
 	t.Logf("chaos phase: %d attempts, %d successes, %d wrong",
 		attempts.Load(), successes.Load(), wrong.Load())
@@ -298,32 +305,46 @@ func TestClusterSurvivesSeededChaos(t *testing.T) {
 	}
 }
 
-// The valve itself: Down aborts, Stall hangs until the client quits,
-// Pass restores — the mechanics every chaos window is built from.
+// The valve itself, stepped through a schedule on a fake clock: Pass
+// before the first window, Down at the outage's first instant, Stall (it
+// hangs until the client quits) at the storm's, and Pass again at the
+// last window's end — each edge exact, with nothing running between
+// requests.
 func TestValveMechanics(t *testing.T) {
-	valve := &Valve{}
-	ts := httptest.NewServer(valve.Wrap(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	sched := faults.Schedule{Windows: []faults.Window{
+		{Kind: faults.Outage, Start: 1, End: 2, ServerFrac: 1},
+		{Kind: faults.MetaStorm, Start: 2, End: 3, ServerFrac: 1, LatencyFactor: 10},
+	}}
+	clock := &stepClock{}
+	ctrl := newController(&sched, 1, clock)
+	ts := httptest.NewServer(ctrl.Wrap(0, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, "alive")
 	})))
 	defer ts.Close()
 	client := &http.Client{Timeout: 300 * time.Millisecond}
-
-	if resp, err := client.Get(ts.URL); err != nil {
-		t.Fatalf("pass mode: %v", err)
-	} else {
+	passes := func(when string) {
+		t.Helper()
+		resp, err := client.Get(ts.URL)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if string(body) != "alive" {
-			t.Fatalf("pass body %q", body)
+			t.Fatalf("%s: body %q", when, body)
 		}
 	}
 
-	valve.Set(Down)
+	ctrl.Start()
+	clock.advance(time.Second - time.Nanosecond)
+	passes("just before the outage")
+
+	clock.advance(time.Nanosecond)
 	if _, err := client.Get(ts.URL); err == nil {
 		t.Fatal("down valve served a response")
 	}
 
-	valve.Set(Stall)
+	clock.advance(time.Second)
 	start := time.Now()
 	if _, err := client.Get(ts.URL); err == nil {
 		t.Fatal("stalled valve served a response")
@@ -332,10 +353,6 @@ func TestValveMechanics(t *testing.T) {
 		t.Errorf("stall gave up after %v — it aborted instead of hanging", elapsed)
 	}
 
-	valve.Set(Pass)
-	if resp, err := client.Get(ts.URL); err != nil {
-		t.Fatalf("restored valve: %v", err)
-	} else {
-		resp.Body.Close()
-	}
+	clock.advance(time.Second)
+	passes("at the last window's end")
 }

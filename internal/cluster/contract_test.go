@@ -364,3 +364,39 @@ func TestPredictByteIdentityThroughCluster(t *testing.T) {
 		t.Errorf("generation header not relayed: %q", resp.Header.Get("X-Dataset-Generation"))
 	}
 }
+
+// TestIngestBodyRefusedLikeAReplica: an ingest body a replica refuses is
+// refused by the router itself with the replica's own 400, byte for byte,
+// and reaches no owner.
+func TestIngestBodyRefusedLikeAReplica(t *testing.T) {
+	replica := httptest.NewServer(serve.New(serve.Config{}).Handler())
+	defer replica.Close()
+	r, reps := testCluster(t, 2, Config{Replication: 2})
+	for _, body := range []string{
+		`{"dataset":"a","source":"/x"} trailing`,
+		`{"dataset":"a","source":"/x"}{}`,
+		`{"dataset":"a","source":"/x","extra":1}`,
+		`{"dataset":"a b","source":"/x"}`,
+		`{"dataset":"a"}`,
+		`not json`,
+		``,
+		`{"dataset":"a","source":"` + strings.Repeat("x", 1<<20) + `"}`,
+	} {
+		resp, err := http.Post(replica.URL+"/v1/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+		if resp.StatusCode != http.StatusBadRequest || rec.Code != resp.StatusCode || rec.Body.String() != string(want) {
+			t.Errorf("ingest body %.60q: replica %d %s, router %d %s", body, resp.StatusCode, want, rec.Code, rec.Body)
+		}
+	}
+	for _, f := range reps {
+		if n := f.ingests.Load(); n != 0 {
+			t.Errorf("replica %s received %d refused ingests", f.name, n)
+		}
+	}
+}

@@ -44,11 +44,11 @@ type Keyring struct {
 	keys map[string]*bucket
 }
 
-// NewKeyring builds an empty keyring. now is the clock (nil means
-// time.Now); tests inject a fake for deterministic refill.
+// NewKeyring builds an empty keyring. now is the clock (nil means the
+// wall clock); a test that fakes the router's Clock passes its Now.
 func NewKeyring(now func() time.Time) *Keyring {
 	if now == nil {
-		now = time.Now
+		now = wallClock{}.Now
 	}
 	return &Keyring{now: now, keys: map[string]*bucket{}}
 }

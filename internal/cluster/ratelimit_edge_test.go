@@ -15,7 +15,7 @@ import (
 // request per 1/rate interval instead of deadlocking at "always empty".
 func TestKeyringZeroBurstClamps(t *testing.T) {
 	clock := newFakeClock()
-	k := NewKeyring(clock.now)
+	k := NewKeyring(clock.Now)
 	if err := k.Add("k0", Tenant{Name: "t", Rate: 2, Burst: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestKeyringZeroBurstClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2 := NewKeyring(clock.now)
+	k2 := NewKeyring(clock.Now)
 	if err := k2.Add("k", tenant); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestKeyringZeroBurstClamps(t *testing.T) {
 // not zero (which would invite a tight retry loop) and not padded.
 func TestKeyringRetryAfterAtExactExhaustion(t *testing.T) {
 	clock := newFakeClock()
-	k := NewKeyring(clock.now)
+	k := NewKeyring(clock.Now)
 	if err := k.Add("key", Tenant{Name: "acme", Rate: 2, Burst: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestKeyringValidation(t *testing.T) {
 
 func TestKeyringTokenBucket(t *testing.T) {
 	clock := newFakeClock()
-	k := NewKeyring(clock.now)
+	k := NewKeyring(clock.Now)
 	// 2 req/s, burst of 3.
 	if err := k.Add("secret", Tenant{Name: "acme", Rate: 2, Burst: 3}); err != nil {
 		t.Fatal(err)

@@ -68,10 +68,9 @@ type Config struct {
 	// Breaker configures each backend's circuit breaker.
 	Breaker BreakerConfig
 	// ProbeInterval and ProbeTimeout drive the active health prober
-	// (zeros mean defaults); ProbePath overrides the /readyz probe URL.
+	// (zeros mean defaults).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	ProbePath     string
 	// Keyring, when non-empty, turns on the auth edge: every /v1 request
 	// must carry a registered API key (X-API-Key or Authorization:
 	// Bearer) with tokens left in its tenant bucket.
@@ -79,11 +78,15 @@ type Config struct {
 	// Metrics receives router counters and latency histograms. Nil
 	// disables instrumentation.
 	Metrics *obsv.Registry
-	// Transport overrides the upstream HTTP transport (tests).
+	// Transport overrides the upstream HTTP transport, for queries,
+	// ingests and health probes alike (tests).
 	Transport http.RoundTripper
-	// Jitter returns a uniform [0, 1) for failover backoff spreading
-	// (nil means math/rand/v2).
+	// Jitter returns a uniform [0, 1) that spreads the failover backoff
+	// and every breaker's open interval (nil means math/rand/v2).
 	Jitter func() float64
+	// Clock is the time the breakers, the prober's cadence and the
+	// failover backoff read (nil means the wall clock).
+	Clock Clock
 }
 
 // Router is the cluster's front door: it owns the ring, the backends,
@@ -100,6 +103,7 @@ type Router struct {
 	ingestTO    time.Duration
 	backoffBase time.Duration
 	jitter      func() float64
+	clock       Clock
 	keyring     *Keyring
 	prober      *prober
 	handler     http.Handler
@@ -118,7 +122,7 @@ type Router struct {
 }
 
 // NewRouter builds a router over cfg.Replicas. Call Start to begin
-// health probing and Close to stop it.
+// health probes and Close to stop them.
 func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one replica")
@@ -130,10 +134,18 @@ func NewRouter(cfg Config) (*Router, error) {
 	if rf > len(cfg.Replicas) {
 		rf = len(cfg.Replicas)
 	}
+	jitter := cfg.Jitter
+	if jitter == nil {
+		jitter = rand.Float64
+	}
+	clock := cfg.Clock
+	if clock == nil {
+		clock = wallClock{}
+	}
 	backends := make([]*Backend, 0, len(cfg.Replicas))
 	names := make([]string, 0, len(cfg.Replicas))
 	for _, raw := range cfg.Replicas {
-		be, err := newBackend(raw, cfg.Breaker, cfg.MaxInFlightPerBackend)
+		be, err := newBackend(raw, newBreaker(cfg.Breaker, clock, jitter), cfg.MaxInFlightPerBackend)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %q: %w", raw, err)
 		}
@@ -156,10 +168,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	if backoff == 0 {
 		backoff = DefaultFailoverBackoff
 	}
-	jitter := cfg.Jitter
-	if jitter == nil {
-		jitter = rand.Float64
-	}
 	keyring := cfg.Keyring
 	if keyring != nil && keyring.Len() == 0 {
 		keyring = nil
@@ -173,6 +181,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		ingestTO:     ingestTO,
 		backoffBase:  backoff,
 		jitter:       jitter,
+		clock:        clock,
 		keyring:      keyring,
 		cFailover:    cfg.Metrics.Counter("cluster.failovers"),
 		cExhausted:   cfg.Metrics.Counter("cluster.owners_exhausted"),
@@ -182,7 +191,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		cLimited:     cfg.Metrics.Counter("cluster.ratelimited"),
 		cUnauthed:    cfg.Metrics.Counter("cluster.unauthorized"),
 	}
-	r.prober = newProber(backends, cfg.ProbeTimeout, cfg.ProbeInterval, cfg.ProbePath, probeMetrics{
+	r.prober = newProber(backends, r.client, clock, cfg.ProbeTimeout, cfg.ProbeInterval, probeMetrics{
 		ok:   cfg.Metrics.Counter("cluster.probe.ok"),
 		fail: cfg.Metrics.Counter("cluster.probe.fail"),
 	})
@@ -224,7 +233,8 @@ func (r *Router) Start() {
 	})
 }
 
-// Close stops the prober (if Start ran) and waits for it to finish.
+// Close stops the prober (if Start ran) and returns once its probes in
+// flight have finished.
 func (r *Router) Close() {
 	r.startOnce.Do(func() {}) // neutralize a Start issued after Close
 	r.closeOnce.Do(func() {
@@ -418,10 +428,8 @@ func (r *Router) backoffBeforeRetry(ctx context.Context, attempt int) {
 		return
 	}
 	d := time.Duration(float64(r.backoffBase) * float64(attempt) * (0.5 + r.jitter()))
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-r.clock.After(d):
 	case <-ctx.Done():
 	}
 }
@@ -638,22 +646,16 @@ type ingestFanoutDoc struct {
 
 // handleIngest fans one ingest out to every owner of the dataset, in
 // owner order, so a dataset is queryable through any of its rf replicas.
-// All owners must accept: a deterministic rejection (4xx) from the first
-// owner is relayed as-is before any sibling is touched, while a failure
-// partway through reports 502 with what landed — the operator retries,
-// and the replicas that already ingested simply advance a generation.
+// The body is checked by the replicas' own serve.ReadIngestRequest, so a
+// body they would refuse is refused here with their 400 and no owner is
+// touched. All owners must accept: a deterministic rejection (4xx) from
+// the first owner is relayed as-is before any sibling is touched, while
+// a failure partway through reports 502 with what landed — the operator
+// retries, and the replicas that already ingested simply advance a
+// generation.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, 1<<20+1))
-	if err != nil || len(body) > 1<<20 {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "bad ingest request body")
-		return
-	}
-	var head struct {
-		Dataset string `json:"dataset"`
-	}
-	if err := json.Unmarshal(body, &head); err != nil || !serve.ValidDatasetName(head.Dataset) {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-			fmt.Sprintf("bad ingest request: invalid dataset name %q", head.Dataset))
+	head, body, ok := serve.ReadIngestRequest(w, req)
+	if !ok {
 		return
 	}
 	owners := r.Owners(head.Dataset)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,18 +27,22 @@ type fakeReplica struct {
 	name string // host:port
 	// mode: "ok", "error" (500), "busy" (429 + Retry-After), "notfound",
 	// "down" (connection refused)
-	mode  atomic.Value
-	stall chan struct{} // non-nil: /v1/report blocks on it in ok mode
-	hits  atomic.Int64
+	mode     atomic.Value
+	stall    chan struct{} // non-nil: /v1/report blocks on it in ok mode
+	hits     atomic.Int64
+	ingests  atomic.Int64
+	firstHit chan struct{} // closed when /v1/report is first reached
+	hitOnce  sync.Once
 }
 
 func newFakeReplica(t *testing.T) *fakeReplica {
 	t.Helper()
-	f := &fakeReplica{}
+	f := &fakeReplica{firstHit: make(chan struct{})}
 	f.mode.Store("ok")
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/report/{dataset}", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
+		f.hitOnce.Do(func() { close(f.firstHit) })
 		switch f.mode.Load().(string) {
 		case "error":
 			http.Error(w, "boom", http.StatusInternalServerError)
@@ -87,6 +92,7 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 		w.Write(data)
 	})
 	mux.HandleFunc("POST /v1/ingest", func(w http.ResponseWriter, r *http.Request) {
+		f.ingests.Add(1)
 		if f.mode.Load().(string) == "error" {
 			http.Error(w, "boom", http.StatusInternalServerError)
 			return
@@ -267,10 +273,11 @@ func TestCallerHangupBenchesNobody(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		for primary.hits.Load() == 0 && ctx.Err() == nil {
-			time.Sleep(time.Millisecond)
+		select {
+		case <-primary.firstHit: // the request is parked on the stalled primary: hang up
+		case <-ctx.Done():
 		}
-		cancel() // the request is parked on the stalled primary: hang up
+		cancel()
 	}()
 	req := httptest.NewRequest(http.MethodGet, "/v1/report/alpha", nil).WithContext(ctx)
 	r.Handler().ServeHTTP(httptest.NewRecorder(), req)
@@ -304,12 +311,9 @@ func TestSaturatedBackendSkipped(t *testing.T) {
 		routerGet(t, r, "/v1/report/alpha", nil) // occupies primary's only slot
 	}()
 	<-wedged
-	// Wait for the wedged request to actually hit the primary.
-	deadline := time.Now().Add(2 * time.Second)
-	for primary.hits.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if primary.hits.Load() == 0 {
+	select {
+	case <-primary.firstHit:
+	case <-time.After(2 * time.Second):
 		t.Fatal("wedged request never reached the primary")
 	}
 
@@ -410,11 +414,11 @@ func TestIngestFanout(t *testing.T) {
 // /healthz stays open.
 func TestAuthAndRateLimit(t *testing.T) {
 	clock := newFakeClock()
-	keys := NewKeyring(clock.now)
+	keys := NewKeyring(clock.Now)
 	if err := keys.Add("s3cr3t", Tenant{Name: "acme", Rate: 1, Burst: 2}); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := testCluster(t, 2, Config{Keyring: keys})
+	r, _ := testCluster(t, 2, Config{Keyring: keys, Clock: clock})
 
 	if resp, _ := routerGet(t, r, "/v1/report/alpha", nil); resp.StatusCode != http.StatusUnauthorized {
 		t.Errorf("missing key status = %d, want 401", resp.StatusCode)
@@ -476,10 +480,99 @@ func TestClusterStatus(t *testing.T) {
 	}
 }
 
-// The active prober bens a dead replica and restores it when it returns:
-// end to end through Start/Close.
+// A walk whose primary fails waits out the jittered backoff on the
+// router's clock, base·1·(0.5+jitter), before it dials the secondary.
+func TestFailoverBackoffOnClock(t *testing.T) {
+	clock := newFakeClock()
+	r, reps := testCluster(t, 2, Config{Replication: 2, FailoverBackoff: 100 * time.Millisecond,
+		Jitter: func() float64 { return 0.25 }, Clock: clock})
+	owners := r.Owners("alpha")
+	primary, secondary := replicaByName(reps, owners[0].Name), replicaByName(reps, owners[1].Name)
+	primary.mode.Store("error")
+
+	type answer struct {
+		status int
+		body   string
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, body := routerGet(t, r, "/v1/report/alpha", nil)
+		done <- answer{resp.StatusCode, body}
+	}()
+	clock.awaitWaiters(1) // the primary has failed; the walk is in its backoff
+	clock.advance(75*time.Millisecond - time.Nanosecond)
+	if clock.pending() != 1 {
+		t.Fatal("the backoff ended before 100ms·1·(0.5+0.25)")
+	}
+	if n := secondary.hits.Load(); n != 0 {
+		t.Fatalf("secondary dialed %d times before the backoff elapsed", n)
+	}
+	clock.advance(time.Nanosecond)
+	if a := <-done; a.status != http.StatusOK || a.body != "report alpha from "+secondary.name {
+		t.Fatalf("after the backoff: %d %q", a.status, a.body)
+	}
+}
+
+// countingTransport counts the requests sent through it, by path.
+type countingTransport struct {
+	mu    sync.Mutex
+	paths map[string]int
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.paths[req.URL.Path]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// Health probes go out through Config.Transport like every other
+// upstream request.
+func TestProbesUseTransport(t *testing.T) {
+	tr := &countingTransport{paths: map[string]int{}}
+	r, _ := testCluster(t, 3, Config{Transport: tr})
+	r.prober.sweep()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if n := tr.paths["/readyz"]; n != 3 {
+		t.Errorf("the transport saw %d /readyz probes from one sweep over 3 replicas, want 3", n)
+	}
+}
+
+// Close returns only after the probes in flight have finished: a probe
+// stalled on a wedged replica is cut short without a verdict, so the
+// health bit and breaker read after Close stay what they were.
+func TestCloseSettlesProbes(t *testing.T) {
+	const probeTimeout = 100 * time.Millisecond
+	hit := make(chan struct{}, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /readyz", func(_ http.ResponseWriter, r *http.Request) {
+		select {
+		case hit <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done()
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	r, err := NewRouter(Config{Replicas: []string{ts.URL}, Replication: 1,
+		ProbeInterval: time.Hour, ProbeTimeout: probeTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := r.Owners("anything")[0]
+	r.Start()
+	<-hit
+	r.Close()
+	time.Sleep(3 * probeTimeout) // past the stalled probe's deadline
+	if !be.Healthy() || be.BreakerState() != BreakerClosed {
+		t.Errorf("after Close: healthy=%v breaker=%v, want the state Close left", be.Healthy(), be.BreakerState())
+	}
+}
+
+// The active prober benches a replica whose /readyz goes 503 and
+// restores it when it answers 200 again, one sweep at a time.
 func TestProberBenchesAndRestores(t *testing.T) {
-	// One real readyz-answering backend, probed fast.
 	var ready atomic.Bool
 	ready.Store(true)
 	mux := http.NewServeMux()
@@ -493,32 +586,25 @@ func TestProberBenchesAndRestores(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	r, err := NewRouter(Config{
-		Replicas:      []string{ts.URL},
-		Replication:   1,
-		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  200 * time.Millisecond,
-	})
+	r, err := NewRouter(Config{Replicas: []string{ts.URL}, Replication: 1, ProbeTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Start()
 	defer r.Close()
 
 	be := r.Owners("anything")[0]
-	waitFor := func(want bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(3 * time.Second)
-		for be.Healthy() != want && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if be.Healthy() != want {
-			t.Fatalf("backend never became %s", what)
+	for _, step := range []struct {
+		ready bool
+		what  string
+	}{
+		{true, "healthy"},
+		{false, "benched after readyz went 503"},
+		{true, "restored after readyz recovered"},
+	} {
+		ready.Store(step.ready)
+		r.prober.sweep()
+		if be.Healthy() != step.ready {
+			t.Fatalf("backend not %s", step.what)
 		}
 	}
-	waitFor(true, "healthy")
-	ready.Store(false)
-	waitFor(false, "benched after readyz went 503")
-	ready.Store(true)
-	waitFor(true, "restored after readyz recovered")
 }

@@ -4,6 +4,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +75,39 @@ func TestQueryTaxonomy(t *testing.T) {
 	if _, err := Query(r, nil...); err == nil || !strings.Contains(err.Error(), "none") {
 		t.Errorf("param-free error = %v", err)
 	}
+}
+
+// FuzzQuery holds the query-string parser to its contract on any input:
+// no panic, every returned key is allowed, and an error names the
+// sorted-first unknown key.
+func FuzzQuery(f *testing.F) {
+	for _, q := range []string{"format=json&section=table2", "zz=1&aa=2&format=json", "any=1",
+		"format=json&format=csv", "=x", "%zz=1&format", ";a=1", ""} {
+		f.Add(q)
+	}
+	allowed := []string{"format", "section"}
+	f.Fuzz(func(t *testing.T, raw string) {
+		r := &http.Request{URL: &url.URL{RawQuery: raw}}
+		params, err := Query(r, allowed...)
+		if err != nil {
+			var unknown []string
+			for k := range r.URL.Query() {
+				if !slices.Contains(allowed, k) {
+					unknown = append(unknown, k)
+				}
+			}
+			sort.Strings(unknown)
+			if len(unknown) == 0 || !strings.Contains(err.Error(), strconv.Quote(unknown[0])) {
+				t.Fatalf("Query(%q) error %v, unknown keys %q", raw, err, unknown)
+			}
+			return
+		}
+		for k := range params {
+			if !slices.Contains(allowed, k) {
+				t.Fatalf("Query(%q) returned key %q outside %v", raw, k, allowed)
+			}
+		}
+	})
 }
 
 func TestBuildIndexSorts(t *testing.T) {

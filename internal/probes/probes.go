@@ -1,4 +1,4 @@
-// Package probes implements a TOKIO-style performance probing harness
+// Package probes implements a TOKIO-style performance probe harness
 // (Lockwood et al., "A Year in the Life of a Parallel File System" — the
 // paper's reference [11]): a fixed set of benchmark-like I/O probes runs
 // repeatedly against the simulated storage layers, and the delivered

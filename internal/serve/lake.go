@@ -31,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"iolayers/internal/analysis"
 	"iolayers/internal/checkpoint"
@@ -79,10 +78,6 @@ type Lake struct {
 	dir          string
 	compactEvery int
 	metrics      *obsv.Registry
-
-	// compacting counts compaction passes in flight, feeding the store's
-	// maintenance view of readiness.
-	compacting atomic.Int32
 
 	// mu guards the logs map and nothing else: it is never held across a
 	// write, fsync or rename. A log itself is only used under its dataset's
@@ -187,8 +182,6 @@ func (l *Lake) maybeCompact(snap *Snapshot) {
 	if l.compactEvery < 0 || l.log(snap.Name).Records() < l.compactEvery {
 		return
 	}
-	l.compacting.Add(1)
-	defer l.compacting.Add(-1)
 	timer := l.metrics.Span("lake-compact").Begin()
 	defer timer.End()
 	next, err := checkpoint.RewriteJournal(l.logPath(snap.Name),
@@ -200,9 +193,6 @@ func (l *Lake) maybeCompact(snap *Snapshot) {
 	l.setLog(snap.Name, next).Close()
 	l.metrics.Counter("serve.lake.compactions").Add(1)
 }
-
-// Compacting reports whether a compaction pass is in flight.
-func (l *Lake) Compacting() bool { return l.compacting.Load() > 0 }
 
 // Recover rebuilds every committed dataset into store, publishes each at
 // its last committed generation, and leaves each log open for the commits

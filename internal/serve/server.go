@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -57,9 +58,10 @@ type Config struct {
 //
 // Liveness and readiness are distinct surfaces: /healthz answers "the
 // process is up" unconditionally, while /readyz answers "route traffic
-// here" — false while the caller holds readiness down (SetReady, e.g.
-// before the initial lake replay and ingests finish) and while the store
-// is inside a maintenance pass such as lake compaction.
+// here" — false only while the caller holds readiness down (SetReady:
+// before the initial lake replay and ingests finish, and during a drain).
+// Compaction does not touch it: it runs after publish, under one
+// dataset's ingest lock, and every read is served throughout.
 type Server struct {
 	store         *Store
 	cache         *Cache
@@ -134,24 +136,15 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // only what the server advertises to routers and load balancers.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Ready reports whether the server currently advertises readiness:
-// the gate is up and the store is not inside a maintenance pass.
-func (s *Server) Ready() bool { return s.ready.Load() && !s.store.InMaintenance() }
-
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case !s.ready.Load():
+	if !s.ready.Load() {
 		w.Header().Set("Retry-After", "1")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		io.WriteString(w, "not ready: recovering\n")
-	case s.store.InMaintenance():
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, "not ready: maintenance\n")
-	default:
-		io.WriteString(w, "ready\n")
+		return
 	}
+	io.WriteString(w, "ready\n")
 }
 
 // bounded is the query routes' admission: acquire a concurrency slot or
@@ -358,8 +351,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ingestRequest is the POST /v1/ingest body.
-type ingestRequest struct {
+// IngestRequest is the POST /v1/ingest body.
+type IngestRequest struct {
 	// Dataset names the dataset to create or extend.
 	Dataset string `json:"dataset"`
 	// System is the system profile ("summit" or "cori"); required when
@@ -369,6 +362,50 @@ type ingestRequest struct {
 	// columnar campaign, or a single .darshan file on the server's
 	// filesystem; core.Open tells them apart by header, not by name.
 	Source string `json:"source"`
+}
+
+// maxIngestBody bounds the ingest request document.
+const maxIngestBody = 1 << 20
+
+// ReadIngestRequest reads and checks a POST /v1/ingest body. It is the
+// whole check, and ioserved and the router both call it, so the two
+// refuse a bad body with the same 400. On a bad body it writes that 400
+// and returns ok false; otherwise it returns the request and the body's
+// bytes, which the router forwards as sent.
+func ReadIngestRequest(w http.ResponseWriter, r *http.Request) (req IngestRequest, body []byte, ok bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBody+1))
+	if err == nil {
+		req, err = parseIngestRequest(body)
+	}
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
+		return req, nil, false
+	}
+	return req, body, true
+}
+
+// parseIngestRequest accepts one JSON object of known fields with nothing
+// after it, naming a valid dataset and a source.
+func parseIngestRequest(body []byte) (IngestRequest, error) {
+	var req IngestRequest
+	if len(body) > maxIngestBody {
+		return req, fmt.Errorf("bad ingest request: body exceeds %d bytes", maxIngestBody)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("bad ingest request: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("bad ingest request: data after the JSON object")
+	}
+	if !ValidDatasetName(req.Dataset) {
+		return req, fmt.Errorf("invalid dataset name %q", req.Dataset)
+	}
+	if req.Source == "" {
+		return req, errors.New("source is required")
+	}
+	return req, nil
 }
 
 type ingestResponse struct {
@@ -381,23 +418,9 @@ type ingestResponse struct {
 	Summary       SummaryDoc `json:"summary"`
 }
 
-// maxIngestBody bounds the ingest request document.
-const maxIngestBody = 1 << 20
-
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req ingestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("bad ingest request: %v", err))
-		return
-	}
-	if !ValidDatasetName(req.Dataset) {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, fmt.Sprintf("invalid dataset name %q", req.Dataset))
-		return
-	}
-	if req.Source == "" {
-		httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, "source is required")
+	req, _, ok := ReadIngestRequest(w, r)
+	if !ok {
 		return
 	}
 	systemName := req.System

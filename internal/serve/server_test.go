@@ -233,6 +233,30 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// FuzzIngestRequest holds the one ingest-body check to its contract on
+// any input: no panic, and an accepted body is a single JSON document
+// naming a valid dataset and a source.
+func FuzzIngestRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"dataset":"prod","system":"summit","source":"/tmp/x"}`,
+		`{"dataset":"a","source":"/x"} trailing`,
+		`{"dataset":"a","source":"/x"}{}`,
+		`{"dataset":"a","source":"/x","extra":1}`,
+		`{"dataset":"x y","source":"/tmp"}`,
+		`{"dataset":"ok"}`,
+		`not json`,
+		`null`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := parseIngestRequest(body)
+		if err == nil && (!ValidDatasetName(req.Dataset) || req.Source == "" || !json.Valid(body)) {
+			t.Fatalf("parseIngestRequest(%q) accepted %+v", body, req)
+		}
+	})
+}
+
 func TestDatasetsAndCompare(t *testing.T) {
 	store := NewStore()
 	ts, _, dir := newTestServer(t, Config{Store: store})

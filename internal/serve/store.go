@@ -66,10 +66,6 @@ type Store struct {
 	// lake, when non-nil, makes generations durable: each ingest appends a
 	// record to the dataset's log before publishing (see lake.go).
 	lake *Lake
-	// maint counts maintenance passes in flight — lake replay and
-	// compaction — the phases during which the server's /readyz reports
-	// not-ready so routers stop sending traffic here.
-	maint atomic.Int32
 }
 
 // NewStore builds an empty, memory-only store.
@@ -100,23 +96,13 @@ func NewStoreAttached(l *Lake) *Store {
 }
 
 // RecoverLake replays the attached lake's dataset logs, republishing every
-// committed dataset at its last committed generation. The store counts
-// as in maintenance for the duration. No-op without a lake.
+// committed dataset at its last committed generation. No-op without a
+// lake. A server holds readiness down around it (Server.SetReady).
 func (s *Store) RecoverLake() error {
 	if s.lake == nil {
 		return nil
 	}
-	s.maint.Add(1)
-	defer s.maint.Add(-1)
 	return s.lake.Recover(s)
-}
-
-// InMaintenance reports whether a maintenance pass — lake replay or
-// compaction — is in flight. Readiness, not liveness: queries still
-// answer from whatever is published, but routers should prefer replicas
-// that are not mid-maintenance.
-func (s *Store) InMaintenance() bool {
-	return s.maint.Load() > 0 || (s.lake != nil && s.lake.Compacting())
 }
 
 // publishRecovered installs a lake-recovered snapshot. Recovery runs

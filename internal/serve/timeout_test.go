@@ -1,9 +1,15 @@
 package serve
 
 import (
+	"context"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"iolayers/internal/core"
+	"iolayers/internal/iosim/systems"
 )
 
 // Regression: a query that exceeds the server-side deadline gets 503 and
@@ -56,7 +62,7 @@ func TestQueryTimeoutDisabledAndGenerous(t *testing.T) {
 }
 
 // Liveness and readiness are distinct: /healthz stays 200 while /readyz
-// tracks SetReady and store maintenance.
+// tracks SetReady.
 func TestReadinessSplitFromLiveness(t *testing.T) {
 	ts, s, _ := newTestServer(t, Config{})
 
@@ -85,20 +91,50 @@ func TestReadinessSplitFromLiveness(t *testing.T) {
 	if resp, _ := get(t, ts.URL+"/v1/report/prod"); resp.StatusCode != http.StatusOK {
 		t.Error("not-ready server refused a query")
 	}
-	if s.Ready() {
-		t.Error("Ready() true while gate is down")
-	}
 
-	// Maintenance (simulated via the store's counter, the same path lake
-	// replay and compaction take): readyz flips on its own.
 	s.SetReady(true)
-	s.store.maint.Add(1)
-	resp, body = get(t, ts.URL+"/readyz")
-	if resp.StatusCode != http.StatusServiceUnavailable || string(body) != "not ready: maintenance\n" {
-		t.Errorf("maintenance /readyz = %d %q", resp.StatusCode, body)
-	}
-	s.store.maint.Add(-1)
 	if resp, _ := get(t, ts.URL+"/readyz"); resp.StatusCode != http.StatusOK {
-		t.Error("readyz did not recover after maintenance")
+		t.Error("readyz did not come back with the gate")
+	}
+}
+
+// Compaction does not bench a replica: a /readyz hammer running through
+// 40 lake-backed ingests that compact at every second record sees only
+// 200s.
+func TestReadyzUpThroughCompaction(t *testing.T) {
+	lake := openLake(t, t.TempDir(), 2)
+	store := lakeStore(t, lake)
+	_, s, dir := newTestServer(t, Config{Store: store})
+
+	var probes, notReady atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+			probes.Add(1)
+			if rec.Code != http.StatusOK {
+				notReady.Add(1)
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		if _, _, err := store.Ingest(context.Background(), "prod", systems.NewSummit(), dir, core.IngestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if n := lake.metrics.Counter("serve.lake.compactions").Value(); n < 20 {
+		t.Fatalf("%d compactions in 40 ingests at CompactEvery 2", n)
+	}
+	if n := notReady.Load(); n != 0 {
+		t.Errorf("/readyz answered non-200 to %d of %d probes during ingests and compactions", n, probes.Load())
 	}
 }

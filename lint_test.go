@@ -99,6 +99,14 @@ var lintRules = []lintRule{
 		forbid: []string{"os.Rename("},
 	},
 	{
+		// Attempt and probe deadlines are context deadlines on wall time.
+		name:   "clocklint",
+		why:    "the router reads time through its Clock (Config.Clock), so a fake clock drives every breaker, backoff, probe cadence and chaos valve",
+		dirs:   []string{"internal/cluster"},
+		allow:  []string{"internal/cluster/clock.go"},
+		forbid: []string{"time.Now", "time.Since", "time.Sleep", "time.After", "time.AfterFunc", "time.NewTimer", "time.NewTicker"},
+	},
+	{
 		name:   "foldlint",
 		why:    "a log's records are grouped per file in one place, darshan.Grouper (consume darshan.LogRows)",
 		dirs:   []string{"internal/analysis", "internal/darshan/colfmt", "internal/predict", "internal/core"},
@@ -469,6 +477,23 @@ var lintCases = map[string]struct{ bad, good []snippet }{
 			{"internal/checkpoint/x.go", "package checkpoint\n\nimport \"os\"\n\nfunc f() { os.Rename(\"a\", \"b\") }\n"},
 			{"internal/serve/x.go", "package serve\n\n// os.Rename(a, b)\nvar s = \"os.Rename(a, b)\"\n"},
 			{"internal/serve/x.go", "package serve\n\nfunc f(fs interface{ Rename(a, b string) }) { fs.Rename(\"a\", \"b\") }\n"},
+		},
+	},
+	"clocklint": {
+		bad: []snippet{
+			{"internal/cluster/router.go", "package cluster\n\nimport \"time\"\n\nfunc f() { time.NewTimer(time.Second) }\n"},
+			{"internal/cluster/x.go", "package cluster\n\nimport \"time\"\n\nvar now = time.Now\n"},
+			{"internal/cluster/x.go", "package cluster\n\nimport \"time\"\n\nfunc f(t time.Time) time.Duration { return time.Since(t) }\n"},
+			{"internal/cluster/x.go", "package cluster\n\nimport \"time\"\n\nfunc f() { <-time.After(1); time.AfterFunc(1, nil) }\n"},
+			{"internal/cluster/x.go", "package cluster\n\nimport clk \"time\"\n\nfunc f() { clk.Sleep(1) }\n"},
+			{"internal/cluster/chaostest/chaos.go", "package chaostest\n\nimport \"time\"\n\nvar t = time.NewTicker(time.Millisecond)\n"},
+		},
+		good: []snippet{
+			{"internal/cluster/clock.go", "package cluster\n\nimport \"time\"\n\nfunc f() { time.Now(); time.After(1) }\n"},
+			{"internal/cluster/x_test.go", "package cluster\n\nimport \"time\"\n\nfunc f() { time.Sleep(1) }\n"},
+			{"internal/cluster/x.go", "package cluster\n\n// time.Now() and time.NewTimer(d)\nvar s = \"time.Sleep(1)\"\n"},
+			{"internal/cluster/x.go", "package cluster\n\nimport (\n\t\"context\"\n\t\"time\"\n)\n\nfunc f(c interface{ Now() time.Time }) { c.Now(); context.WithTimeout(context.Background(), time.Second) }\n"},
+			{"internal/serve/x.go", "package serve\n\nimport \"time\"\n\nvar now = time.Now\n"},
 		},
 	},
 	"foldlint": {
