@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check vet staticcheck govulncheck build test race race-short bench benchcheck fuzz serve-smoke cluster-smoke load-smoke
+.PHONY: check vet staticcheck govulncheck build test race race-short bench benchcheck fuzz load-smoke
 
 ## check: the full CI gate — vet, staticcheck + govulncheck (when
 ## installed), build, and the test suite under the race detector. The
 ## suite includes lint_test.go, whose rule table holds the gofmt, HTTP
 ## envelope, ingest, durable-format and fold rules and the unused-export
-## rule
+## rule, and the cmd/ioserved and cmd/iorouter tests, which run the real
+## daemons (kill -9, lake recovery, SIGTERM drain)
 check: vet staticcheck govulncheck build race
 
 vet:
@@ -54,19 +55,6 @@ bench:
 ## when a change moves the numbers on purpose)
 benchcheck:
 	$(GO) run ./cmd/benchcheck
-
-## serve-smoke: end-to-end check of the ioserved query service — start it
-## on a random port, ingest the golden log, diff /v1/report bytes against
-## `ioanalyze -format json`, and require a graceful SIGTERM drain
-serve-smoke:
-	scripts/serve_smoke.sh
-
-## cluster-smoke: end-to-end check of the iorouter cluster — three
-## lake-backed replicas behind the router (rf=2, API keys), kill -9 each
-## owner in turn while requiring byte-identical reports, restart killed
-## replicas on their lakes, and require a graceful router drain
-cluster-smoke:
-	scripts/cluster_smoke.sh
 
 ## load-smoke: the SLO gate — three fixture-booted replicas behind the
 ## router, ioloadtest's open-loop 1k-client scenario checked against

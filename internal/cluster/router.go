@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -650,9 +651,8 @@ type ingestFanoutDoc struct {
 // body they would refuse is refused here with their 400 and no owner is
 // touched. All owners must accept: a deterministic rejection (4xx) from
 // the first owner is relayed as-is before any sibling is touched, while
-// a failure partway through reports 502 with what landed — the operator
-// retries, and the replicas that already ingested simply advance a
-// generation.
+// a failure partway through reports 502 naming the owners that landed
+// (see refolds).
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	head, body, ok := serve.ReadIngestRequest(w, req)
 	if !ok {
@@ -664,8 +664,8 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		up, aerr := r.attempt(req.Context(), be, http.MethodPost, "/v1/ingest", body, r.ingestTO)
 		if aerr != nil {
 			httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstreamFailed, fmt.Sprintf(
-				"ingest into %s failed after %d of %d owners landed: %v (retry to converge)",
-				be.Name, len(doc.Replicas), len(owners), aerr.err))
+				"ingest into %s failed after %d of %d owners landed: %v%s",
+				be.Name, len(doc.Replicas), len(owners), aerr.err, refolds(doc.Replicas)))
 			return
 		}
 		if up.status != http.StatusOK {
@@ -674,8 +674,8 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 				return
 			}
 			httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstreamFailed, fmt.Sprintf(
-				"replica %s rejected the ingest (%d) after %d of %d owners landed: %s",
-				be.Name, up.status, len(doc.Replicas), len(owners), string(up.body)))
+				"replica %s rejected the ingest (%d) after %d of %d owners landed: %s%s",
+				be.Name, up.status, len(doc.Replicas), len(owners), bytes.TrimSpace(up.body), refolds(doc.Replicas)))
 			return
 		}
 		var res struct {
@@ -693,6 +693,20 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		})
 	}
 	httpapi.WriteDoc(w, doc)
+}
+
+// refolds ends a partial fan-out's 502. The owners that landed are a
+// generation ahead, and replica ingest adds to a dataset, so a retry
+// folds the source into them a second time; it does not converge.
+func refolds(landed []ingestReplicaResult) string {
+	if len(landed) == 0 {
+		return ""
+	}
+	names := make([]string, len(landed))
+	for i, res := range landed {
+		names[i] = res.Replica
+	}
+	return "; landed on " + strings.Join(names, ", ") + ", and a retry folds the source into those owners again"
 }
 
 // clusterReplicaDoc is one replica's row in the /v1/cluster status view.

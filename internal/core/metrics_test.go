@@ -238,9 +238,9 @@ func TestIngestMetricsKillAndResume(t *testing.T) {
 	for _, mode := range []string{"dir", "archive"} {
 		t.Run(mode, func(t *testing.T) {
 			baseM := obsv.New()
-			ingest := func(ctx context.Context, m *obsv.Registry, resume *IngestCheckpoint, ckPath string, workers int) error {
+			ingest := func(ctx context.Context, m *obsv.Registry, resume *IngestCheckpoint, ckPath string, workers, every int) error {
 				opts := IngestOptions{Workers: workers, Metrics: m,
-					CheckpointPath: ckPath, CheckpointEvery: 3, Resume: resume}
+					CheckpointPath: ckPath, CheckpointEvery: every, Resume: resume}
 				var err error
 				if mode == "dir" {
 					_, _, err = Ingest(ctx, sys, dir, opts)
@@ -249,7 +249,7 @@ func TestIngestMetricsKillAndResume(t *testing.T) {
 				}
 				return err
 			}
-			if err := ingest(context.Background(), baseM, nil, "", 2); err != nil {
+			if err := ingest(context.Background(), baseM, nil, "", 2, 3); err != nil {
 				t.Fatal(err)
 			}
 			baseline := stripped(baseM)
@@ -263,7 +263,7 @@ func TestIngestMetricsKillAndResume(t *testing.T) {
 			stop := make(chan struct{})
 			go cancelOnCheckpoint(ckPath, cancel, stop)
 			m1 := obsv.New()
-			err := ingest(ctx, m1, nil, ckPath, 4)
+			err := ingest(ctx, m1, nil, ckPath, 4, 3)
 			close(stop)
 			if err == nil {
 				t.Skip("pass completed before cancellation landed")
@@ -275,8 +275,11 @@ func TestIngestMetricsKillAndResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The resumed pass checkpoints every 64 entries, not 3: a dir
+			// checkpoint freezes every path, and saving one that often was
+			// most of the test's run time.
 			m2 := obsv.New()
-			if err := ingest(context.Background(), m2, ck, ckPath, 1); err != nil {
+			if err := ingest(context.Background(), m2, ck, ckPath, 1, 64); err != nil {
 				t.Fatalf("resumed ingest: %v", err)
 			}
 			if got := stripped(m2); got != baseline {

@@ -166,7 +166,7 @@ type jsonSummary struct {
 // Document is the versioned JSON report envelope. Field order is fixed by
 // the struct, and Render marshals with deterministic indentation, so the
 // same report always yields the same bytes — a property ioserved's cache and
-// the serve-smoke golden diff both rely on.
+// the byte diffs in cmd/ioserved's process tests both rely on.
 type Document struct {
 	SchemaVersion int               `json:"schema_version"`
 	System        string            `json:"system"`
