@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -545,26 +546,25 @@ func (r *Router) handleRelay(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleCompare scatter/gathers: each side's summary row comes from the
-// shard owning that dataset — the same walk, accepting the first listing
-// that has the row — and the comparison document is assembled by the same
-// serve code a single node renders with: byte-identical output even when
-// a and b live on disjoint replicas.
+// handleCompare scatter/gathers: each side's summary comes from the shard
+// owning that dataset — the same walk, asking each owner for the dataset
+// compared with itself and accepting the first answer whose side a is the
+// row — and the comparison document is assembled by the same serve code a
+// single node renders with: byte-identical output even when a and b live
+// on disjoint replicas. The self-compare is the smallest document that
+// carries a row's summary, and the owner renders it once per generation.
 func (r *Router) handleCompare(w http.ResponseWriter, req *http.Request) {
 	var rows [2]serve.DatasetRow
 	for i, name := range []string{req.PathValue("a"), req.PathValue("b")} {
-		res := r.walk(w, req, name, "/v1/datasets", func(up *upstream) bool {
-			var doc serve.DatasetsDoc
-			if up.status != http.StatusOK || json.Unmarshal(up.body, &doc) != nil {
+		esc := url.PathEscape(name)
+		res := r.walk(w, req, name, "/v1/compare/"+esc+"/"+esc, func(up *upstream) bool {
+			var doc serve.CompareDoc
+			if up.status != http.StatusOK || json.Unmarshal(up.body, &doc) != nil || doc.A.Name != name {
 				return false
 			}
-			for _, row := range doc.Datasets {
-				if row.Name == name {
-					rows[i] = row
-					return true
-				}
-			}
-			return false
+			rows[i] = serve.DatasetRow{Name: doc.A.Name, System: doc.A.System,
+				Generation: doc.A.Generation, Summary: doc.A.Summary}
+			return true
 		})
 		switch res.end {
 		case missing:

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,9 +31,19 @@ type fakeReplica struct {
 	mode     atomic.Value
 	stall    chan struct{} // non-nil: /v1/report blocks on it in ok mode
 	hits     atomic.Int64
+	listings atomic.Int64 // /v1/datasets requests
 	ingests  atomic.Int64
 	firstHit chan struct{} // closed when /v1/report is first reached
 	hitOnce  sync.Once
+}
+
+// fakeRows is every fake replica's dataset listing: what /v1/datasets
+// lists and /v1/compare compares.
+var fakeRows = []serve.DatasetRow{
+	{Name: "alpha", System: "summit", Generation: 3,
+		Summary: serve.SummaryDoc{System: "summit", Logs: 10, Jobs: 5, Files: 100, NodeHours: 7}},
+	{Name: "beta", System: "cori", Generation: 1,
+		Summary: serve.SummaryDoc{System: "cori", Logs: 4, Jobs: 2, Files: 40, NodeHours: 3}},
 }
 
 func newFakeReplica(t *testing.T) *fakeReplica {
@@ -77,17 +88,39 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 		}
 	})
 	mux.HandleFunc("GET /v1/datasets", func(w http.ResponseWriter, _ *http.Request) {
+		f.listings.Add(1)
 		if f.mode.Load().(string) == "busy" {
 			httpapi.WriteErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverCapacity, "shedding", 7*time.Second)
 			return
 		}
-		doc := serve.DatasetsDoc{SchemaVersion: 1, Datasets: []serve.DatasetRow{
-			{Name: "alpha", System: "summit", Generation: 3,
-				Summary: serve.SummaryDoc{System: "summit", Logs: 10, Jobs: 5, Files: 100, NodeHours: 7}},
-			{Name: "beta", System: "cori", Generation: 1,
-				Summary: serve.SummaryDoc{System: "cori", Logs: 4, Jobs: 2, Files: 40, NodeHours: 3}},
-		}}
-		data, _ := serve.MarshalDoc(doc)
+		data, _ := serve.MarshalDoc(serve.DatasetsDoc{SchemaVersion: 1, Datasets: fakeRows})
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(data)
+	})
+	mux.HandleFunc("GET /v1/compare/{a}/{b}", func(w http.ResponseWriter, r *http.Request) {
+		f.hits.Add(1)
+		switch f.mode.Load().(string) {
+		case "error":
+			httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, "boom")
+			return
+		case "busy":
+			httpapi.WriteErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverCapacity, "shedding", 7*time.Second)
+			return
+		case "notfound":
+			httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound,
+				fmt.Sprintf("no dataset %q", r.PathValue("a")))
+			return
+		}
+		var sides [2]serve.DatasetRow
+		for i, name := range []string{r.PathValue("a"), r.PathValue("b")} {
+			j := slices.IndexFunc(fakeRows, func(row serve.DatasetRow) bool { return row.Name == name })
+			if j < 0 {
+				httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound, fmt.Sprintf("no dataset %q", name))
+				return
+			}
+			sides[i] = fakeRows[j]
+		}
+		data, _ := serve.CompareDocument(sides[0], sides[1])
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	})
@@ -328,23 +361,38 @@ func TestSaturatedBackendSkipped(t *testing.T) {
 }
 
 // The gathered compare document is built by the same serve code a single
-// node uses — assert byte-identity against serve.CompareDocument.
+// node uses — assert byte-identity against serve.CompareDocument. Each
+// side's row comes from an owner's self-compare, never from a listing.
 func TestCompareScatterGather(t *testing.T) {
-	r, _ := testCluster(t, 3, Config{Replication: 2})
+	r, reps := testCluster(t, 3, Config{Replication: 2})
+	want, err := serve.CompareDocument(fakeRows[0], fakeRows[1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, body := routerGet(t, r, "/v1/compare/alpha/beta", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compare status %d: %s", resp.StatusCode, body)
 	}
-	rowA := serve.DatasetRow{Name: "alpha", System: "summit", Generation: 3,
-		Summary: serve.SummaryDoc{System: "summit", Logs: 10, Jobs: 5, Files: 100, NodeHours: 7}}
-	rowB := serve.DatasetRow{Name: "beta", System: "cori", Generation: 1,
-		Summary: serve.SummaryDoc{System: "cori", Logs: 4, Jobs: 2, Files: 40, NodeHours: 3}}
-	want, err := serve.CompareDocument(rowA, rowB)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if body != string(want) {
 		t.Errorf("gathered compare differs from single-node render:\n got: %s\nwant: %s", body, want)
+	}
+	for _, f := range reps {
+		if n := f.listings.Load(); n != 0 {
+			t.Errorf("replica %s served %d /v1/datasets requests to a routed compare, want 0", f.name, n)
+		}
+	}
+
+	// An owner that lost alpha (a 404 to its self-compare) defers to the
+	// sibling that still has it, as a listing without the row did.
+	primary := replicaByName(reps, r.Owners("alpha")[0].Name)
+	primary.mode.Store("notfound")
+	before := primary.hits.Load()
+	resp, body = routerGet(t, r, "/v1/compare/alpha/beta", nil)
+	if resp.StatusCode != http.StatusOK || body != string(want) {
+		t.Fatalf("compare past a 404ing owner: %d\n got: %s\nwant: %s", resp.StatusCode, body, want)
+	}
+	if primary.hits.Load() == before {
+		t.Error("the 404ing owner was never asked")
 	}
 }
 

@@ -96,6 +96,24 @@ type Grouper struct {
 	rows  LogRows
 }
 
+// maxReusedKeys bounds the maps ReuseMap keeps. It is above the 99th
+// percentile of a synthesized campaign's name tables (41 of a median 1),
+// so nearly every log reuses the map, and clearing it costs little.
+const maxReusedKeys = 64
+
+// ReuseMap empties a map kept from one log for the next. A map that held
+// more than maxReusedKeys keys is not cleared but replaced by a fresh one
+// sized for maxReusedKeys: clear costs a map's capacity, not its length, so
+// a map kept after one outsized log would charge its size to every log
+// after it. A nil map stays nil.
+func ReuseMap[K comparable, V any](m map[K]V) map[K]V {
+	if len(m) > maxReusedKeys {
+		return make(map[K]V, maxReusedKeys)
+	}
+	clear(m)
+	return m
+}
+
 // sizeSlot locates a record id's rows in LogRows.Posix and LogRows.StdioX;
 // −1 until the first record that needs one.
 type sizeSlot struct{ posix, stdiox int32 }
@@ -106,10 +124,10 @@ type sizeSlot struct{ posix, stdiox int32 }
 // (a Lustre- or extended-STDIO-only entry) yields no file row, and an id the
 // name table cannot resolve (a truncated log) yields no row of any kind.
 func (g *Grouper) Group(log *Log) *LogRows {
+	g.index = ReuseMap(g.index)
 	if g.index == nil {
 		g.index = map[RecordID]int32{}
 	}
-	clear(g.index)
 	g.sizes = g.sizes[:0]
 	r := &g.rows
 	*r = LogRows{Job: log.Job, Domain: log.Job.Metadata["domain"],

@@ -170,6 +170,7 @@ type ArchiveReader struct {
 	done  bool
 	off   int64  // stream offset of the next entry frame
 	entry []byte // reused raw-entry scratch
+	frame [4]byte
 	br    bytes.Reader
 }
 
@@ -243,11 +244,11 @@ func (ar *ArchiveReader) NextRaw() ([]byte, error) {
 		return nil, io.EOF
 	}
 	entryStart := ar.off
-	var n uint32
-	if err := binary.Read(ar.r, binary.LittleEndian, &n); err != nil {
+	if _, err := io.ReadFull(ar.r, ar.frame[:]); err != nil {
 		ar.done = true
 		return nil, decodeErrf(KindTruncated, "entry-frame", entryStart, "reading entry length: %v", err)
 	}
+	n := binary.LittleEndian.Uint32(ar.frame[:])
 	if n == 0 {
 		ar.done = true
 		return nil, io.EOF

@@ -112,9 +112,8 @@ func (st *logStore) reset() {
 	st.ints = reserve(st.ints[:0], nc)
 	st.floats = reserve(st.floats[:0], nf)
 	st.ptrs = st.ptrs[:0]
-	clear(st.log.Names)
-	clear(st.meta)
-	st.log = darshan.Log{Names: st.log.Names}
+	st.meta = darshan.ReuseMap(st.meta)
+	st.log = darshan.Log{Names: darshan.ReuseMap(st.log.Names)}
 }
 
 // records returns n records with counter arrays of the given widths, taken

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"iolayers/internal/core"
 	"iolayers/internal/httpapi"
@@ -300,6 +301,152 @@ func TestDatasetsAndCompare(t *testing.T) {
 	if resp2, _ := get(t, ts.URL+"/v1/compare/prod/other"); resp2.Header.Get("X-Cache") != "hit" {
 		t.Error("compare not cached")
 	}
+}
+
+// The listing is rendered once per snapshot set: two listings with no
+// publish between them are the same bytes, from the same memo, and equal a
+// fresh render of the store's rows; a returned Store.Ingest shows in the
+// very next listing.
+func TestDatasetsListingMemo(t *testing.T) {
+	store := NewStore()
+	ts, s, dir := newTestServer(t, Config{Store: store})
+	render := func() []byte {
+		doc := DatasetsDoc{SchemaVersion: report.SchemaVersion, Datasets: []DatasetRow{}}
+		for _, snap := range store.List() {
+			doc.Datasets = append(doc.Datasets, RowOf(snap))
+		}
+		want, err := MarshalDoc(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+	listing := func(what string) []byte {
+		t.Helper()
+		resp, body := get(t, ts.URL+"/v1/datasets")
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, Content-Type %q", what, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if xc := resp.Header.Get("X-Cache"); xc != "" {
+			t.Errorf("%s: X-Cache %q, want none", what, xc)
+		}
+		if want := render(); !bytes.Equal(body, want) {
+			t.Fatalf("%s differs from a fresh render:\n got: %s\nwant: %s", what, body, want)
+		}
+		return body
+	}
+
+	first := listing("first listing")
+	memo := s.listing.Load()
+	if second := listing("second listing"); !bytes.Equal(first, second) || s.listing.Load() != memo {
+		t.Error("a listing with no publish since the last one rendered again")
+	}
+	for gen := uint64(2); gen <= 3; gen++ {
+		if _, _, err := store.Ingest(context.Background(), "prod", systems.NewSummit(), dir, core.IngestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		var doc DatasetsDoc
+		if err := json.Unmarshal(listing("listing after an ingest"), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if len(doc.Datasets) != 1 || doc.Datasets[0].Generation != gen {
+			t.Fatalf("listing after ingest %d: %+v", gen, doc.Datasets)
+		}
+	}
+	if s.listing.Load() == memo {
+		t.Error("the memo outlived two publishes")
+	}
+}
+
+// A dataset compared with itself is the router's row fetch: the same bytes
+// as any compare, rendered once per snapshot and kept out of the render
+// cache and its counters.
+func TestSelfCompareOutsideRenderCache(t *testing.T) {
+	metrics := obsv.New()
+	store := NewStore()
+	ts, s, dir := newTestServer(t, Config{Store: store, Metrics: metrics})
+	for gen := uint64(1); gen <= 2; gen++ {
+		snap, _ := store.Get("prod")
+		want, err := CompareDocument(RowOf(snap), RowOf(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, xcache := range []string{"miss", "hit"} {
+			resp, body := get(t, ts.URL+"/v1/compare/prod/prod")
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+				t.Fatalf("generation %d self-compare: %d\n got: %s\nwant: %s", gen, resp.StatusCode, body, want)
+			}
+			if got := resp.Header.Get("X-Cache"); got != xcache {
+				t.Errorf("generation %d self-compare X-Cache = %q, want %q", gen, got, xcache)
+			}
+		}
+		if _, _, err := store.Ingest(context.Background(), "prod", systems.NewSummit(), dir, core.IngestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := metrics.Counter("serve.cache.hits").Value() + metrics.Counter("serve.cache.misses").Value(); n != 0 || s.cache.Len() != 0 {
+		t.Errorf("self-compares made %d render-cache lookups and left %d entries, want none", n, s.cache.Len())
+	}
+}
+
+// Listings racing ingests (run under -race): every body parses, and no
+// reader sees a dataset's generation go backwards.
+func TestDatasetsListingDuringIngests(t *testing.T) {
+	store := NewStore()
+	ts, _, dir := newTestServer(t, Config{Store: store})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var listed atomic.Int64
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := map[string]uint64{}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(ts.URL + "/v1/datasets")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var doc DatasetsDoc
+				if err == nil {
+					err = json.Unmarshal(body, &doc)
+				}
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("listing: status %d, %v: %.120s", resp.StatusCode, err, body)
+					return
+				}
+				for _, row := range doc.Datasets {
+					if row.Generation < seen[row.Name] {
+						t.Errorf("%s went back from generation %d to %d", row.Name, seen[row.Name], row.Generation)
+						return
+					}
+					seen[row.Name] = row.Generation
+				}
+				listed.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		for _, name := range []string{"prod", "other"} {
+			if _, _, err := store.Ingest(context.Background(), name, systems.NewSummit(), dir, core.IngestOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			// Let every reader list each generation before the next publish.
+			for n := listed.Load(); listed.Load() < n+4 && !t.Failed(); {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // The acceptance-criteria load test: ≥64 concurrent in-flight queries

@@ -34,7 +34,8 @@ func ValidDatasetName(name string) bool { return datasetNameRE.MatchString(name)
 
 // Snapshot is one published generation of a dataset. It is immutable:
 // every field is frozen at publish time, and the aggregator behind it is
-// never folded into again (re-ingestion works on a clone).
+// never folded into again (re-ingestion works on a clone). The one field
+// filled later, selfCompare, memoizes a pure function of the others.
 type Snapshot struct {
 	Name   string
 	System string
@@ -46,6 +47,9 @@ type Snapshot struct {
 	Sources []string
 
 	agg *analysis.Aggregator // frozen; clone base for the next generation
+	// selfCompare is the /v1/compare body of the dataset against itself,
+	// rendered on first request (Server.selfCompare).
+	selfCompare atomic.Pointer[[]byte]
 }
 
 // entry is the mutable cell a dataset lives in. Readers load cur without
