@@ -3,9 +3,9 @@ package cluster
 import "time"
 
 // Clock is the router's one source of time: breakers, the prober's
-// cadence, the failover backoff and the chaos harness's valves read it,
-// so a test that fakes it drives every timer the router has. Attempt and
-// probe deadlines are not on it: they are context deadlines on wall time.
+// cadence and the failover backoff read it, so a test that fakes it
+// drives every timer the router has (sim_test.go). Attempt and probe
+// deadlines are not on it: they are context deadlines on wall time.
 type Clock interface {
 	Now() time.Time
 	// After returns a channel that receives once d has elapsed.

@@ -101,7 +101,7 @@ var lintRules = []lintRule{
 	{
 		// Attempt and probe deadlines are context deadlines on wall time.
 		name:   "clocklint",
-		why:    "the router reads time through its Clock (Config.Clock), so a fake clock drives every breaker, backoff, probe cadence and chaos valve",
+		why:    "the router reads time through its Clock (Config.Clock), so a fake clock drives every breaker, backoff and probe cadence",
 		dirs:   []string{"internal/cluster"},
 		allow:  []string{"internal/cluster/clock.go"},
 		forbid: []string{"time.Now", "time.Since", "time.Sleep", "time.After", "time.AfterFunc", "time.NewTimer", "time.NewTicker"},
@@ -399,7 +399,7 @@ var lintCases = map[string]struct{ bad, good []snippet }{
 	"apilint": {
 		bad: []snippet{
 			{"internal/serve/x.go", "package serve\n\nimport \"net/http\"\n\nfunc f(w http.ResponseWriter) { http.Error(w, \"x\", 500) }\n"},
-			{"internal/cluster/chaostest/x.go", "package chaostest\n\nimport \"fmt\"\n\nfunc f(w any) { fmt.Fprintf(w, \"x\") }\n"},
+			{"internal/cluster/sub/x.go", "package sub\n\nimport \"fmt\"\n\nfunc f(w any) { fmt.Fprintf(w, \"x\") }\n"},
 			{"internal/serve/x.go", "package serve\n\nimport \"fmt\"\n\nfunc f(w any) { fmt.Fprintln(w) }\n"},
 			{"internal/cluster/x.go", "package cluster\n\nfunc f(mux any) { mux.HandleFunc(\"/\", nil) }\n"},
 			{"internal/cluster/x.go", "package cluster\n\nfunc f(mux any) { mux.Handle(\"/\", nil) }\n"},
@@ -486,7 +486,7 @@ var lintCases = map[string]struct{ bad, good []snippet }{
 			{"internal/cluster/x.go", "package cluster\n\nimport \"time\"\n\nfunc f(t time.Time) time.Duration { return time.Since(t) }\n"},
 			{"internal/cluster/x.go", "package cluster\n\nimport \"time\"\n\nfunc f() { <-time.After(1); time.AfterFunc(1, nil) }\n"},
 			{"internal/cluster/x.go", "package cluster\n\nimport clk \"time\"\n\nfunc f() { clk.Sleep(1) }\n"},
-			{"internal/cluster/chaostest/chaos.go", "package chaostest\n\nimport \"time\"\n\nvar t = time.NewTicker(time.Millisecond)\n"},
+			{"internal/cluster/sub/x.go", "package sub\n\nimport \"time\"\n\nvar t = time.NewTicker(time.Millisecond)\n"},
 		},
 		good: []snippet{
 			{"internal/cluster/clock.go", "package cluster\n\nimport \"time\"\n\nfunc f() { time.Now(); time.After(1) }\n"},
