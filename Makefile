@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check vet staticcheck govulncheck build test race race-short bench benchcheck fuzz load-smoke
+.PHONY: check vet staticcheck govulncheck build test race race-short bench fuzz
 
 ## check: the full CI gate — vet, staticcheck + govulncheck (when
 ## installed), build, and the test suite under the race detector. The
 ## suite includes lint_test.go, whose rule table holds the gofmt, HTTP
 ## envelope, ingest, durable-format and fold rules and the unused-export
-## rule, and the cmd/ioserved and cmd/iorouter tests, which run the real
-## daemons (kill -9, lake recovery, SIGTERM drain)
+## rule, the cmd/ioserved and cmd/iorouter tests, which run the real
+## daemons (kill -9, lake recovery, SIGTERM drain), the cmd/ioloadtest SLO
+## gate over an in-process cluster, and the exact allocation pins
 check: vet staticcheck govulncheck build race
 
 vet:
@@ -48,21 +49,6 @@ race-short:
 ## bench: the paper-artifact and ingestion benchmarks with allocation stats
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
-
-## benchcheck: allocation-regression gate — reruns the ingestion and
-## observability benchmarks and compares allocs/op and B/op against
-## bench_baseline.json (regenerate with `go run ./cmd/benchcheck -update`
-## when a change moves the numbers on purpose)
-benchcheck:
-	$(GO) run ./cmd/benchcheck
-
-## load-smoke: the SLO gate — three fixture-booted replicas behind the
-## router, ioloadtest's open-loop 1k-client scenario checked against
-## slo_baseline.json (zero byte-divergent 200s, bounded error rate), and
-## a degraded replica that must FAIL the gate. Scale up with
-## LOAD_SCALE=10 for a local 10k-client soak.
-load-smoke:
-	scripts/load_smoke.sh
 
 ## fuzz: short fuzzing smoke over the untrusted-input decoders, the section
 ## inflater against compress/zlib, the durable record log's reader, the

@@ -480,7 +480,8 @@ func BenchmarkArchiveIngest(b *testing.B) {
 	b.Run("workers=4", func(b *testing.B) { run(b, 4, false) })
 	// The metrics-on twin of workers=4: the observability contract says the
 	// per-worker shard counters cost ≲2% wall and no extra steady-state
-	// allocations — benchcheck holds this pair to the baseline.
+	// allocations — internal/core's TestIngestAllocsPerEntry pins the
+	// allocations.
 	b.Run("workers=4+metrics", func(b *testing.B) { run(b, 4, true) })
 	if n := runtime.GOMAXPROCS(0); n > 4 {
 		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) { run(b, n, false) })

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"maps"
@@ -16,6 +15,7 @@ import (
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/iosim/systems"
+	"iolayers/internal/obsv"
 )
 
 // corpusEntries returns the shared corpus archive's raw entries.
@@ -189,9 +189,10 @@ func stringsIn(log *darshan.Log) int {
 // ingesting N only by what walking, decoding and folding the extra N cost
 // on their own — logfmt.ArchiveReader's framing walk, a fresh
 // logfmt.Decoder and aggregator, as a worker's — plus half an allocation
-// per entry of slack for the runtime's own. The framing walk itself
-// allocates nothing per entry: its frame length is read into the reader's
-// own array.
+// per entry of slack for the runtime's own. Metrics on cost nothing more
+// per entry: the worker's shard tallies are plain memory. The framing walk
+// itself allocates nothing per entry: its frame length is read into the
+// reader's own array.
 func TestIngestAllocsPerEntry(t *testing.T) {
 	raws := corpusEntries(t)
 	n := len(raws) / 2
@@ -199,30 +200,19 @@ func TestIngestAllocsPerEntry(t *testing.T) {
 	lim := logfmt.DefaultLimits()
 
 	write := func(entries [][]byte) string {
-		var buf bytes.Buffer
-		aw, err := logfmt.NewArchiveWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := aw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		head := buf.Bytes()[:buf.Len()-4] // an empty archive, less its terminator
-		out := append([]byte(nil), head...)
-		for _, raw := range entries {
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(raw)))
-			out = append(out, raw...)
-		}
-		out = binary.LittleEndian.AppendUint32(out, 0)
 		path := filepath.Join(t.TempDir(), "a.dgar")
-		if err := os.WriteFile(path, out, 0o644); err != nil {
+		if err := writeArchive(path, entries); err != nil {
 			t.Fatal(err)
 		}
 		return path
 	}
-	ingestAllocs := func(path string, want int) float64 {
+	ingestAllocs := func(path string, want int, metrics bool) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, res, err := IngestArchive(context.Background(), sys, path, IngestOptions{Workers: 1}); err != nil || res.Parsed != want {
+			opts := IngestOptions{Workers: 1}
+			if metrics {
+				opts.Metrics = obsv.New()
+			}
+			if _, res, err := IngestArchive(context.Background(), sys, path, opts); err != nil || res.Parsed != want {
 				t.Fatalf("parsed %d of %d: %v", res.Parsed, want, err)
 			}
 		})
@@ -279,13 +269,18 @@ func TestIngestAllocsPerEntry(t *testing.T) {
 		})
 	}
 	half, whole := write(raws[:n]), write(raws[:2*n])
-	driver := (ingestAllocs(whole, 2*n) - ingestAllocs(half, n)) / float64(n)
+	driver := (ingestAllocs(whole, 2*n, false) - ingestAllocs(half, n, false)) / float64(n)
+	metered := (ingestAllocs(whole, 2*n, true) - ingestAllocs(half, n, true)) / float64(n)
 	fold := (foldAllocs(whole) - foldAllocs(half)) / float64(n)
 	walk := (walkAllocs(whole) - walkAllocs(half)) / float64(n)
-	t.Logf("per entry: ingest %.3f, walk+decode+fold %.3f, walk %.3f allocations", driver, fold, walk)
+	t.Logf("per entry: ingest %.3f (metrics on %.3f), walk+decode+fold %.3f, walk %.3f allocations", driver, metered, fold, walk)
 	if driver > fold+0.5 {
 		t.Errorf("IngestArchive allocates %.2f per entry against walk+decode+fold's %.2f: the driver adds %.2f",
 			driver, fold, driver-fold)
+	}
+	if metered > driver+0.5 {
+		t.Errorf("IngestArchive with metrics on allocates %.2f per entry against %.2f with them off: metrics add %.2f",
+			metered, driver, metered-driver)
 	}
 	if walk > 0.05 {
 		t.Errorf("the archive's framing walk allocates %.2f per entry, want none", walk)

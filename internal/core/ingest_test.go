@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -59,38 +62,40 @@ func buildSharedCorpus() error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(corpus.archive)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	aw, err := logfmt.NewArchiveWriter(f)
-	if err != nil {
-		return err
-	}
 	var mu sync.Mutex
+	var names []string
+	entries := map[string][]byte{}
 	_, err = campaign.Run(func(jobIdx, logIdx int, log *darshan.Log) error {
-		mu.Lock()
-		defer mu.Unlock()
-		corpus.count++
-		name := filepath.Join(corpus.dir, fmt.Sprintf("job%05d_%05d.darshan", jobIdx, logIdx))
-		if err := logfmt.WriteFile(name, log); err != nil {
+		var raw bytes.Buffer
+		if err := logfmt.Write(&raw, log); err != nil {
 			return err
 		}
-		return aw.Append(log)
+		name := fmt.Sprintf("job%05d_%05d.darshan", jobIdx, logIdx)
+		mu.Lock()
+		names = append(names, name)
+		entries[name] = raw.Bytes()
+		mu.Unlock()
+		return os.WriteFile(filepath.Join(corpus.dir, name), raw.Bytes(), 0o644)
 	})
 	if err != nil {
 		return err
 	}
-	if err := aw.Close(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if corpus.count == 0 {
+	if len(names) == 0 {
 		return errors.New("corpus is empty")
 	}
+	// The archive holds the logs in the directory's sorted order, not the
+	// order the campaign's workers finished them in, so the corpus is the
+	// same bytes in every process and TestColumnarAllocs can pin exact
+	// counts.
+	slices.Sort(names)
+	raws := make([][]byte, len(names))
+	for i, name := range names {
+		raws[i] = entries[name]
+	}
+	if err := writeArchive(corpus.archive, raws); err != nil {
+		return err
+	}
+	corpus.count = len(raws)
 
 	res, err := ConvertArchive(context.Background(), corpus.archive, corpus.columnar, ConvertOptions{SegmentLogs: 8})
 	if err != nil {
@@ -103,6 +108,25 @@ func buildSharedCorpus() error {
 		return fmt.Errorf("converted into %d segments, want %d", res.Segments, want)
 	}
 	return nil
+}
+
+// writeArchive writes raw log entries, in order, as a .dgar archive.
+func writeArchive(path string, entries [][]byte) error {
+	var buf bytes.Buffer
+	aw, err := logfmt.NewArchiveWriter(&buf)
+	if err != nil {
+		return err
+	}
+	if err := aw.Close(); err != nil {
+		return err
+	}
+	out := bytes.Clone(buf.Bytes()[:buf.Len()-4]) // an empty archive, less its terminator
+	for _, raw := range entries {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(raw)))
+		out = append(out, raw...)
+	}
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	return os.WriteFile(path, out, 0o644)
 }
 
 // buildCorpus returns the shared corpus's log directory, its archive, and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -293,16 +294,25 @@ func (r *runner) count(oc *opCounters, f func(*opCounters)) {
 // checkDivergence enforces the byte-identity contract on report,
 // compare, and predict bodies: two 200s for the same URL at the same
 // dataset generation must be byte-identical no matter which replica
-// answered. The generation header keys the check, so legitimate
-// re-ingest churn never counts as divergence — only replicas
-// disagreeing about the same generation does.
+// answered. The generation keys the check, so legitimate re-ingest churn
+// never counts as divergence — only replicas disagreeing about the same
+// generation does. Reports and predicts carry it in X-Dataset-Generation;
+// a compare names two datasets, so it carries one generation per side in
+// its body instead.
 func (r *runner) checkDivergence(c call, resp *http.Response, body []byte) bool {
+	var gen string
 	switch c.op {
-	case OpReport, OpCompare, OpPredict:
-	default:
-		return false
+	case OpReport, OpPredict:
+		gen = resp.Header.Get("X-Dataset-Generation")
+	case OpCompare:
+		var doc struct {
+			A, B struct {
+				Generation uint64 `json:"generation"`
+			}
+		}
+		json.Unmarshal(body, &doc) // undecodable: generations 0,0, and its bytes are still compared
+		gen = fmt.Sprintf("%d,%d", doc.A.Generation, doc.B.Generation)
 	}
-	gen := resp.Header.Get("X-Dataset-Generation")
 	if gen == "" {
 		return false
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,6 +44,16 @@ func (f *fakeAPI) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gen := f.gen.Load()
+	// A compare names its generations in its body, one per side, and
+	// carries no generation header: the shape serve.CompareDoc has.
+	if strings.HasPrefix(r.URL.Path, "/v1/compare/") {
+		body := fmt.Sprintf(`{"a":{"generation":%d},"b":{"generation":%d}`, gen, gen)
+		if f.diverge.Load() {
+			body += fmt.Sprintf(`,"alt":%d`, f.alt.Add(1))
+		}
+		fmt.Fprintln(w, body+"}")
+		return
+	}
 	w.Header().Set("X-Dataset-Generation", strconv.FormatInt(gen, 10))
 	body := fmt.Sprintf(`{"path":%q,"gen":%d}`, r.URL.RequestURI(), gen)
 	if f.diverge.Load() {
@@ -63,7 +74,38 @@ func testScenario() Scenario {
 	}
 }
 
+// leg is one Run of a test: a scenario against a target.
+type leg struct {
+	sc     Scenario
+	target string
+}
+
+// runLegs runs the legs at once and returns their results in order: the
+// legs of a test are independent, sleep-bound open-loop runs, so none
+// waits for another.
+func runLegs(t *testing.T, legs ...leg) []*Result {
+	t.Helper()
+	res := make([]*Result, len(legs))
+	errs := make([]error, len(legs))
+	var wg sync.WaitGroup
+	for i, l := range legs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = Run(context.Background(), l.sc, Options{Target: l.target})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res
+}
+
 func TestRunAccountsEveryArrival(t *testing.T) {
+	t.Parallel()
 	api := newFakeAPI()
 	ts := httptest.NewServer(api)
 	defer ts.Close()
@@ -105,6 +147,7 @@ func TestRunAccountsEveryArrival(t *testing.T) {
 // seed: two runs against the same healthy server issue identical request
 // multisets (same total, same per-op split).
 func TestRunDeterministicSchedule(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("three full load runs; tier-2 (see DESIGN.md on test tiers)")
 	}
@@ -114,14 +157,10 @@ func TestRunDeterministicSchedule(t *testing.T) {
 
 	sc := testScenario()
 	sc.Clients = 1 << 16 // nothing shed: shedding depends on server timing
-	a, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := sc
+	other.Seed = 43
+	res := runLegs(t, leg{sc, ts.URL}, leg{sc, ts.URL}, leg{other, ts.URL})
+	a, b, c := res[0], res[1], res[2]
 	if a.Totals.Arrivals != b.Totals.Arrivals {
 		t.Errorf("arrival counts differ: %d vs %d", a.Totals.Arrivals, b.Totals.Arrivals)
 	}
@@ -138,11 +177,6 @@ func TestRunDeterministicSchedule(t *testing.T) {
 		}
 	}
 	// And a different seed offers a different sequence.
-	sc.Seed = 43
-	c, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if c.Totals.Arrivals == a.Totals.Arrivals &&
 		c.Ops[string(OpReport)].Arrivals == a.Ops[string(OpReport)].Arrivals &&
 		c.Ops[string(OpCompare)].Arrivals == a.Ops[string(OpCompare)].Arrivals {
@@ -153,6 +187,7 @@ func TestRunDeterministicSchedule(t *testing.T) {
 // Saturating the client cap sheds instead of queueing: with 1 client and
 // a slow server, almost everything is shed and nothing waits in line.
 func TestRunShedsAtClientCap(t *testing.T) {
+	t.Parallel()
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(50 * time.Millisecond)
 		fmt.Fprintln(w, "{}")
@@ -176,24 +211,11 @@ func TestRunShedsAtClientCap(t *testing.T) {
 }
 
 func TestRunTaxonomy(t *testing.T) {
+	t.Parallel()
 	api := newFakeAPI()
 	api.throttle = "key-b"
 	ts := httptest.NewServer(api)
 	defer ts.Close()
-
-	sc := testScenario()
-	sc.APIKeys = []string{"key-a", "key-b"}
-	res, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Totals.Throttled == 0 {
-		t.Error("throttling key never produced a 429")
-	}
-	if res.Totals.ErrorRate != 0 {
-		t.Errorf("429s leaked into the error rate: %v", res.Totals.ErrorRate)
-	}
-
 	// 5xx and 404 land in the right buckets.
 	codes := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/datasets" {
@@ -203,14 +225,20 @@ func TestRunTaxonomy(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer codes.Close()
-	res2, err := Run(context.Background(), testScenario(), Options{Target: codes.URL})
-	if err != nil {
-		t.Fatal(err)
+
+	sc := testScenario()
+	sc.APIKeys = []string{"key-a", "key-b"}
+	res := runLegs(t, leg{sc, ts.URL}, leg{testScenario(), codes.URL})
+	if res[0].Totals.Throttled == 0 {
+		t.Error("throttling key never produced a 429")
 	}
-	if res2.Totals.ServerErrors == 0 || res2.Totals.ClientErrors == 0 {
-		t.Errorf("taxonomy: %+v", res2.Totals)
+	if res[0].Totals.ErrorRate != 0 {
+		t.Errorf("429s leaked into the error rate: %v", res[0].Totals.ErrorRate)
 	}
-	if res2.Totals.ErrorRate == 0 {
+	if res[1].Totals.ServerErrors == 0 || res[1].Totals.ClientErrors == 0 {
+		t.Errorf("taxonomy: %+v", res[1].Totals)
+	}
+	if res[1].Totals.ErrorRate == 0 {
 		t.Error("hard errors produced a zero error rate")
 	}
 }
@@ -219,6 +247,7 @@ func TestRunTaxonomy(t *testing.T) {
 // speak the structured envelope counts zero non_envelope; one that
 // writes plain text is caught, without disturbing the status taxonomy.
 func TestRunEnvelopeClassification(t *testing.T) {
+	t.Parallel()
 	sc := testScenario()
 	sc.APIKeys = []string{"key-b"}
 
@@ -227,27 +256,21 @@ func TestRunEnvelopeClassification(t *testing.T) {
 	api.throttle = "key-b" // every request 429s with a structured envelope
 	ts := httptest.NewServer(api)
 	defer ts.Close()
-	res, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Totals.Throttled == 0 {
-		t.Fatal("throttling leg produced no 429s")
-	}
-	if res.Totals.NonEnvelope != 0 {
-		t.Errorf("structured 429s counted as %d non-envelope bodies", res.Totals.NonEnvelope)
-	}
-
 	// Leg 2: ad-hoc plain-text errors — every one is a contract leak on
 	// top of its status-class outcome.
 	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "internal oops", http.StatusInternalServerError)
 	}))
 	defer plain.Close()
-	res2, err := Run(context.Background(), testScenario(), Options{Target: plain.URL})
-	if err != nil {
-		t.Fatal(err)
+
+	res := runLegs(t, leg{sc, ts.URL}, leg{testScenario(), plain.URL})
+	if res[0].Totals.Throttled == 0 {
+		t.Fatal("throttling leg produced no 429s")
 	}
+	if res[0].Totals.NonEnvelope != 0 {
+		t.Errorf("structured 429s counted as %d non-envelope bodies", res[0].Totals.NonEnvelope)
+	}
+	res2 := res[1]
 	if res2.Totals.ServerErrors == 0 {
 		t.Fatal("plain-error leg produced no 5xx outcomes")
 	}
@@ -263,17 +286,21 @@ func TestRunEnvelopeClassification(t *testing.T) {
 // Predict operations plan the right URL and ride the same byte-identity
 // check as reports.
 func TestRunPredictOp(t *testing.T) {
+	t.Parallel()
 	api := newFakeAPI()
 	ts := httptest.NewServer(api)
 	defer ts.Close()
+	// A server disagreeing with itself at one generation is caught on the
+	// predict route too.
+	diverging := newFakeAPI()
+	diverging.diverge.Store(true)
+	ds := httptest.NewServer(diverging)
+	defer ds.Close()
 
 	sc := testScenario()
 	sc.Mix = Mix{Predict: 1}
-	res, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := res.Ops[string(OpPredict)]
+	res := runLegs(t, leg{sc, ts.URL}, leg{sc, ds.URL})
+	o := res[0].Ops[string(OpPredict)]
 	if o == nil || o.OK == 0 {
 		t.Fatal("predict op never succeeded")
 	}
@@ -283,72 +310,74 @@ func TestRunPredictOp(t *testing.T) {
 	if hits == 0 {
 		t.Error("no requests hit /v1/predict/golden")
 	}
-	if res.Totals.Divergent != 0 {
-		t.Errorf("stable predict bodies misread as divergence: %d", res.Totals.Divergent)
+	if res[0].Totals.Divergent != 0 {
+		t.Errorf("stable predict bodies misread as divergence: %d", res[0].Totals.Divergent)
 	}
-
-	// A server disagreeing with itself at one generation is caught on the
-	// predict route too.
-	api.diverge.Store(true)
-	res2, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Totals.Divergent == 0 {
+	if res[1].Totals.Divergent == 0 {
 		t.Error("byte-divergent predict 200s went undetected")
 	}
 }
 
 // The byte-identity check: same URL + same generation must yield the
 // same body. A server alternating bodies at one generation is caught; a
-// generation bump making bodies differ is not divergence.
+// generation bump making bodies differ is not divergence. Reports name
+// their generation in a header, compares in their body; both are keyed.
 func TestRunDivergenceDetection(t *testing.T) {
-	api := newFakeAPI()
-	ts := httptest.NewServer(api)
-	defer ts.Close()
-
-	sc := testScenario()
-	sc.Mix = Mix{Report: 1} // only report bodies are identity-checked
-	sc.Formats = []string{"json"}
-	sc.Sections = []string{""}
-
-	// Leg 1: generation churn mid-run — legitimate, no divergence.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 5; i++ {
-			time.Sleep(40 * time.Millisecond)
-			api.gen.Add(1)
+	t.Parallel()
+	for _, mix := range []Mix{{Report: 1}, {Compare: 1}} {
+		op := OpReport
+		if mix.Compare > 0 {
+			op = OpCompare
 		}
-	}()
-	res, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Totals.Divergent != 0 {
-		t.Errorf("generation churn misread as divergence: %d (samples %v)",
-			res.Totals.Divergent, res.DivergenceSamples)
-	}
+		t.Run(string(op), func(t *testing.T) {
+			t.Parallel()
+			// Leg 1: generation churn mid-run — legitimate, no divergence.
+			churning := newFakeAPI()
+			cs := httptest.NewServer(churning)
+			defer cs.Close()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 5; i++ {
+					time.Sleep(40 * time.Millisecond)
+					churning.gen.Add(1)
+				}
+			}()
+			// Leg 2: the server disagrees with itself at a fixed generation.
+			diverging := newFakeAPI()
+			diverging.diverge.Store(true)
+			ds := httptest.NewServer(diverging)
+			defer ds.Close()
 
-	// Leg 2: the server disagrees with itself at a fixed generation.
-	api.diverge.Store(true)
-	res2, err := Run(context.Background(), sc, Options{Target: ts.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Totals.Divergent == 0 {
-		t.Fatal("byte-divergent 200s went undetected")
-	}
-	if len(res2.DivergenceSamples) == 0 {
-		t.Error("divergence produced no samples")
-	}
-	if res2.Totals.ErrorRate == 0 {
-		t.Error("divergence not counted as a hard error")
+			sc := testScenario()
+			sc.Mix = mix
+			sc.Formats = []string{"json"}
+			sc.Sections = []string{""}
+			res := runLegs(t, leg{sc, cs.URL}, leg{sc, ds.URL})
+			<-done
+			if res[0].Ops[string(op)].OK == 0 {
+				t.Fatalf("no %s op succeeded", op)
+			}
+			if res[0].Totals.Divergent != 0 {
+				t.Errorf("generation churn misread as divergence: %d (samples %v)",
+					res[0].Totals.Divergent, res[0].DivergenceSamples)
+			}
+			res2 := res[1]
+			if res2.Totals.Divergent == 0 {
+				t.Fatalf("byte-divergent %s 200s went undetected", op)
+			}
+			if len(res2.DivergenceSamples) == 0 {
+				t.Error("divergence produced no samples")
+			}
+			if res2.Totals.ErrorRate == 0 {
+				t.Error("divergence not counted as a hard error")
+			}
+		})
 	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
+	t.Parallel()
 	sc := testScenario()
 	if _, err := Run(context.Background(), sc, Options{Target: ""}); err == nil {
 		t.Error("empty target accepted")
@@ -364,6 +393,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 }
 
 func TestRunHonorsCancel(t *testing.T) {
+	t.Parallel()
 	api := newFakeAPI()
 	ts := httptest.NewServer(api)
 	defer ts.Close()
@@ -381,6 +411,7 @@ func TestRunHonorsCancel(t *testing.T) {
 }
 
 func TestPickOpRespectsWeights(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewPCG(1, 2))
 	m := Mix{Report: 9, Datasets: 1}
 	counts := map[Op]int{}

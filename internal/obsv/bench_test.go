@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkObsvOverhead measures the primitive costs the hot paths pay:
 // the nil fast path (metrics off — must be free and allocation-free), an
 // atomic counter add, a histogram observe, and a span window. These are
-// the numbers behind DESIGN.md §10's overhead budget, and `make
-// benchcheck` gates allocs/op against bench_baseline.json.
+// the numbers behind DESIGN.md §10's overhead budget;
+// TestPrimitivesAllocateNothing holds each to zero allocations.
 func BenchmarkObsvOverhead(b *testing.B) {
 	b.Run("counter-nil", func(b *testing.B) {
 		b.ReportAllocs()

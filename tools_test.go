@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"go/ast"
 	"os"
+	"path"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -43,5 +46,38 @@ func TestReadmeToolsTableMatchesCmd(t *testing.T) {
 	sort.Strings(documented)
 	if !reflect.DeepEqual(documented, binaries) {
 		t.Errorf("README.md's Tools table lists %v, cmd/ holds %v", documented, binaries)
+	}
+}
+
+// TestMakeFuzzMatchesTargets is the doc-drift gate for `make fuzz`, the one
+// check that only make runs: every Fuzz target outside bench/ has exactly
+// one line in the Makefile, and every line names a target that exists, in
+// the package that declares it.
+func TestMakeFuzzMatchesTargets(t *testing.T) {
+	var targets []string
+	for _, f := range loadModule(t) {
+		if !f.test() || strings.HasPrefix(f.path, "bench/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				targets = append(targets, fn.Name.Name+" ./"+path.Dir(f.path))
+			}
+		}
+	}
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "\t$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/darshan/logfmt"
+	var lines []string
+	for _, m := range regexp.MustCompile(`(?m)-fuzz=(\w+)\s.*\s(\./\S+)\s*$`).FindAllStringSubmatch(string(makefile), -1) {
+		lines = append(lines, m[1]+" "+m[2])
+	}
+	sort.Strings(targets)
+	sort.Strings(lines)
+	if !reflect.DeepEqual(lines, targets) {
+		t.Errorf("make fuzz runs\n\t%s\nthe module's fuzz targets are\n\t%s",
+			strings.Join(lines, "\n\t"), strings.Join(targets, "\n\t"))
 	}
 }
