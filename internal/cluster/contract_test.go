@@ -9,6 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -241,25 +244,33 @@ func TestRouterIndex(t *testing.T) {
 
 // TestAPIDocCoversSurface is the doc-drift gate: every row of both
 // services' route tables must have a row in docs/api.md's endpoint table
-// with the same methods and the same query parameters, the doc may list
-// no route neither service mounts, and every error code in the taxonomy
-// must appear. Adding or changing an endpoint or a code without
-// documenting it fails the build.
+// with the same methods, the same query parameters and, for a route that
+// declares a document schema, that one version ("schema vN") in its body
+// schema column; the doc may list no route neither service mounts, and
+// every error code in the taxonomy must appear. Adding or changing an
+// endpoint, a schema version or a code without documenting it fails the
+// build.
 func TestAPIDocCoversSurface(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "api.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := string(doc)
-	// "| `/v1/report/{dataset}` | GET | `format`, `section` | ... |"
+	// "| `/v1/report/{dataset}` | GET | `format`, `section` | report document, schema v2 |"
 	documented := map[string][2]string{}
+	schemas := map[string][]string{} // every version a row's body schema column names
+	versionRE := regexp.MustCompile(`schema v(\d+)`)
 	for _, line := range strings.Split(text, "\n") {
 		cols := strings.Split(line, "|")
 		if len(cols) < 5 || !strings.HasPrefix(strings.TrimSpace(cols[1]), "`/") {
 			continue
 		}
+		path := strings.Trim(strings.TrimSpace(cols[1]), "`")
 		params := strings.NewReplacer("`", "", " ", "", "—", "").Replace(cols[3])
-		documented[strings.Trim(strings.TrimSpace(cols[1]), "`")] = [2]string{strings.ReplaceAll(cols[2], " ", ""), params}
+		documented[path] = [2]string{strings.ReplaceAll(cols[2], " ", ""), params}
+		for _, m := range versionRE.FindAllStringSubmatch(cols[4], -1) {
+			schemas[path] = append(schemas[path], m[1])
+		}
 	}
 	r, _ := testCluster(t, 1, Config{Metrics: obsv.New()})
 	mounted := map[string]httpapi.Route{}
@@ -278,6 +289,10 @@ func TestAPIDocCoversSurface(t *testing.T) {
 				t.Errorf("docs/api.md row for %s says methods %q params %q, the table says %q %q",
 					rt.Path, got[0], got[1], want[0], want[1])
 			}
+			if v := strconv.Itoa(rt.SchemaVersion); rt.SchemaVersion != 0 && !slices.Equal(schemas[rt.Path], []string{v}) {
+				t.Errorf("docs/api.md row for %s names body schema versions %v, the table says schema v%s",
+					rt.Path, schemas[rt.Path], v)
+			}
 		}
 	}
 	for path := range documented {
@@ -292,21 +307,23 @@ func TestAPIDocCoversSurface(t *testing.T) {
 	}
 }
 
-// TestPredictFailover: the predict route rides the same owner-walk as
-// reports — a dead primary fails over to the sibling's byte-identical
-// answer.
+// TestPredictFailover: the predict and sources routes ride the same
+// owner-walk as reports — a dead primary fails over to the sibling's
+// byte-identical answer.
 func TestPredictFailover(t *testing.T) {
 	r, reps := testCluster(t, 2, Config{Replication: 2})
 	owners := r.Owners("alpha")
 	primary, secondary := replicaByName(reps, owners[0].Name), replicaByName(reps, owners[1].Name)
 	primary.ts.Close()
 
-	resp, body := routerGet(t, r, "/v1/predict/alpha", nil)
-	if resp.StatusCode != http.StatusOK || body != "predict alpha from "+secondary.name {
-		t.Fatalf("predict failover: %d %q", resp.StatusCode, body)
-	}
-	if resp.Header.Get("X-Io-Backend") != secondary.name {
-		t.Errorf("X-Io-Backend = %q, want %q", resp.Header.Get("X-Io-Backend"), secondary.name)
+	for path, want := range map[string]string{"/v1/predict/alpha": "predict", "/v1/datasets/alpha/sources": "sources"} {
+		resp, body := routerGet(t, r, path, nil)
+		if resp.StatusCode != http.StatusOK || body != want+" alpha from "+secondary.name {
+			t.Fatalf("%s failover: %d %q", path, resp.StatusCode, body)
+		}
+		if resp.Header.Get("X-Io-Backend") != secondary.name {
+			t.Errorf("%s: X-Io-Backend = %q, want %q", path, resp.Header.Get("X-Io-Backend"), secondary.name)
+		}
 	}
 }
 

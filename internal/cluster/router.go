@@ -203,6 +203,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		{Name: "cluster", Path: "/v1/cluster", Params: []string{"dataset"},
 			SchemaVersion: report.SchemaVersion, Handler: r.handleCluster},
 		{Name: "datasets", Path: "/v1/datasets", SchemaVersion: report.SchemaVersion, Handler: r.handleDatasets},
+		{Name: "sources", Path: "/v1/datasets/{dataset}/sources", SchemaVersion: report.SchemaVersion, Handler: r.handleRelay},
 		{Name: "report", Path: "/v1/report/{dataset}", Params: []string{"format", "section"},
 			SchemaVersion: report.SchemaVersion, Handler: r.handleRelay},
 		{Name: "compare", Path: "/v1/compare/{a}/{b}", SchemaVersion: report.SchemaVersion, Handler: r.handleCompare},
@@ -532,7 +533,8 @@ func (r *Router) walk(w http.ResponseWriter, req *http.Request, dataset, pathQ s
 	return walkResult{end: exhausted}
 }
 
-// handleRelay answers /v1/report and /v1/predict alike: the request's own
+// handleRelay answers /v1/report, /v1/predict and a dataset's
+// /v1/datasets/{dataset}/sources alike: the request's own
 // path and query go to whichever owner of the dataset answers, and that
 // answer comes back byte for byte. A parameter value only the replica can
 // judge (?format=yaml) is thus rejected in the replica's own envelope, and

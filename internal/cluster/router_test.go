@@ -73,20 +73,25 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 			fmt.Fprintf(w, "report %s from %s", r.PathValue("dataset"), f.name)
 		}
 	})
-	mux.HandleFunc("GET /v1/predict/{dataset}", func(w http.ResponseWriter, r *http.Request) {
-		f.hits.Add(1)
-		switch f.mode.Load().(string) {
-		case "error":
-			httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, "boom")
-		case "busy":
-			httpapi.WriteErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverCapacity, "shedding", 7*time.Second)
-		case "notfound":
-			httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound,
-				fmt.Sprintf("no dataset %q", r.PathValue("dataset")))
-		default:
-			fmt.Fprintf(w, "predict %s from %s", r.PathValue("dataset"), f.name)
+	// predict and sources answer in the envelope, as a real replica does
+	relayed := func(kind string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			f.hits.Add(1)
+			switch f.mode.Load().(string) {
+			case "error":
+				httpapi.WriteError(w, http.StatusInternalServerError, httpapi.CodeInternal, "boom")
+			case "busy":
+				httpapi.WriteErrorRetry(w, http.StatusTooManyRequests, httpapi.CodeOverCapacity, "shedding", 7*time.Second)
+			case "notfound":
+				httpapi.WriteError(w, http.StatusNotFound, httpapi.CodeNotFound,
+					fmt.Sprintf("no dataset %q", r.PathValue("dataset")))
+			default:
+				fmt.Fprintf(w, "%s %s from %s", kind, r.PathValue("dataset"), f.name)
+			}
 		}
-	})
+	}
+	mux.HandleFunc("GET /v1/predict/{dataset}", relayed("predict"))
+	mux.HandleFunc("GET /v1/datasets/{dataset}/sources", relayed("sources"))
 	mux.HandleFunc("GET /v1/datasets", func(w http.ResponseWriter, _ *http.Request) {
 		f.listings.Add(1)
 		if f.mode.Load().(string) == "busy" {

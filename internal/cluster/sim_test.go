@@ -70,11 +70,12 @@ type simReplica struct {
 
 func (r *simReplica) fine() bool { return r.handler != nil && !r.stalled && r.admitted }
 
-// truthGen is one generation the router acknowledged: its listing row
-// and its single-node /v1/report/{dataset}?format=json body.
+// truthGen is one generation the router acknowledged: its listing row,
+// and its single-node /v1/report/{dataset}?format=json and
+// /v1/datasets/{dataset}/sources bodies.
 type truthGen struct {
-	row    serve.DatasetRow
-	report string
+	row             serve.DatasetRow
+	report, sources string
 }
 
 // sim is one run of one seed.
@@ -267,18 +268,23 @@ func (s *sim) sweep() string {
 	return entry
 }
 
-// simRead is one routed read: a report of one dataset or a compare of two.
+// simRead is one routed read: a report or the source list of one
+// dataset, or a compare of two.
 type simRead struct {
-	path  string
-	names []string
+	path    string
+	names   []string
+	sources bool
 }
 
 func (s *sim) pickRead() simRead {
 	a, b := pick(s, simDatasets), pick(s, simDatasets)
-	if s.rng.IntN(3) > 0 {
-		return simRead{"/v1/report/" + a + "?format=json", []string{a}}
+	switch s.rng.IntN(4) {
+	case 0:
+		return simRead{path: "/v1/compare/" + a + "/" + b, names: []string{a, b}}
+	case 1:
+		return simRead{path: "/v1/datasets/" + a + "/sources", names: []string{a}, sources: true}
 	}
-	return simRead{"/v1/compare/" + a + "/" + b, []string{a, b}}
+	return simRead{path: "/v1/report/" + a + "?format=json", names: []string{a}}
 }
 
 func (s *sim) get(path string) *httptest.ResponseRecorder {
@@ -334,6 +340,9 @@ func (s *sim) judge(rd simRead, rec *httptest.ResponseRecorder) string {
 			return entry
 		}
 		want = truth.report
+		if rd.sources {
+			want = truth.sources
+		}
 	} else {
 		var doc serve.CompareDoc
 		json.Unmarshal(rec.Body.Bytes(), &doc) // undecodable: generation 0, which no ingest acknowledged
@@ -382,20 +391,24 @@ func (s *sim) ingest(name string, corpus int) string {
 	snap, _, err := s.truth.Ingest(context.Background(), name, systems.ByName("summit"), s.corpora[corpus],
 		core.IngestOptions{Workers: 1})
 	var rendered string
+	var sources []byte
 	if err == nil {
 		rendered, err = report.RenderString(snap.Report, report.Options{Format: report.FormatJSON})
+	}
+	if err == nil {
+		sources, err = serve.MarshalDoc(serve.SourcesOf(snap))
 	}
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	s.gens[name] = append(s.gens[name], truthGen{serve.RowOf(snap), rendered})
+	s.gens[name] = append(s.gens[name], truthGen{serve.RowOf(snap), rendered, string(sources)})
 	return entry + fmt.Sprintf(" gen %d", snap.Gen)
 }
 
 // settle ends the schedule: every replica is killed and restarted on its
 // lake, a sweep admits them all, and the clock passes the longest breaker
-// interval. Then every routed report and compare is the truth's latest
-// bytes, and the routed listing is the truth's.
+// interval. Then every routed report, source list and compare is the
+// truth's latest bytes, and the routed listing is the truth's.
 func (s *sim) settle() {
 	for _, rep := range s.reps {
 		if rep.handler != nil {
@@ -421,6 +434,7 @@ func (s *sim) settle() {
 	for i, g := range latest {
 		next := latest[(i+1)%len(latest)].row
 		check("/v1/report/"+g.row.Name+"?format=json", g.report)
+		check("/v1/datasets/"+g.row.Name+"/sources", g.sources)
 		check("/v1/compare/"+g.row.Name+"/"+next.Name, compareBody(g.row, next))
 		rows = append(rows, g.row)
 	}

@@ -11,11 +11,14 @@ import (
 	"iolayers/internal/analysis"
 )
 
-// SchemaVersion identifies the shape of the JSON report document. Bump it
-// whenever a field is added, removed, or changes meaning so long-lived
-// consumers (the ioserved query API, archived smoke-test goldens) can detect
-// drift instead of silently misreading a response.
-const SchemaVersion = 1
+// SchemaVersion identifies the shape of the JSON report document and of
+// the service documents that carry the same number (the dataset listing
+// and sources, compare, ingest receipt, cluster status). Bump it whenever
+// a field is added, removed, or changes meaning so long-lived consumers
+// (the ioserved query API, archived smoke-test goldens) can detect drift
+// instead of silently misreading a response. Version 2 took the source
+// list out of the /v1/datasets row.
+const SchemaVersion = 2
 
 // Format selects the output encoding for Render.
 type Format string

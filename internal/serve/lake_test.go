@@ -72,6 +72,9 @@ func TestLakeRestartRecoversGenerations(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ingest %s <- %s: %v", ing.ds, ing.src, err)
 				}
+				if len(snap.Sources) != int(snap.Gen) {
+					t.Errorf("%s gen %d has %d sources", ing.ds, snap.Gen, len(snap.Sources))
+				}
 				want[ing.ds] = renderedGen(snap)
 				wantGen[ing.ds] = snap.Gen
 			}

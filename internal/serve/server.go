@@ -119,6 +119,8 @@ func New(cfg Config) *Server {
 			{Name: "index", Path: httpapi.IndexPath, SchemaVersion: httpapi.IndexSchemaVersion},
 			{Name: "datasets", Path: "/v1/datasets", SchemaVersion: report.SchemaVersion,
 				Admit: s.bounded, Handler: s.handleDatasets},
+			{Name: "sources", Path: "/v1/datasets/{dataset}/sources", SchemaVersion: report.SchemaVersion,
+				Admit: s.bounded, Handler: s.handleSources},
 			{Name: "report", Path: "/v1/report/{dataset}", Params: []string{"format", "section"},
 				SchemaVersion: report.SchemaVersion, Admit: s.bounded, Handler: s.handleReport},
 			{Name: "compare", Path: "/v1/compare/{a}/{b}", SchemaVersion: report.SchemaVersion,
@@ -247,8 +249,8 @@ type listing struct {
 // returns the very snapshots it was rendered from. Snapshots are immutable
 // and every publish installs a new one, so pointer identity is the whole
 // key: a publish changes the set, and the next listing renders afresh.
-// The memo stays out of the render cache, which a listing of a
-// much-ingested store outgrows.
+// The memo stays out of the render cache, whose keys name one dataset at
+// one generation; the listing's key is the whole snapshot set.
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	snaps := s.store.List()
 	memo := s.listing.Load()
@@ -268,6 +270,18 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(memo.body)
+}
+
+// handleSources answers every source folded into one dataset, in ingest
+// order: the list the listing row leaves out so that its length does not
+// grow with the dataset's ingests.
+func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
+	snap, ok := s.snapshot(w, r.PathValue("dataset"))
+	if !ok {
+		return
+	}
+	w.Header().Set("X-Dataset-Generation", fmt.Sprint(snap.Gen))
+	httpapi.WriteDoc(w, SourcesOf(snap))
 }
 
 func contentTypeFor(f report.Format) string {

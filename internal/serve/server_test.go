@@ -8,6 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -389,14 +392,32 @@ func TestSelfCompareOutsideRenderCache(t *testing.T) {
 	}
 }
 
-// Listings racing ingests (run under -race): every body parses, and no
-// reader sees a dataset's generation go backwards.
+// Listings and source lists racing ingests (run under -race): every body
+// parses, no reader sees a dataset's generation go backwards, and a
+// source list holds one source per generation.
 func TestDatasetsListingDuringIngests(t *testing.T) {
 	store := NewStore()
 	ts, _, dir := newTestServer(t, Config{Store: store})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var listed atomic.Int64
+	fetch := func(path string, doc any) bool {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			err = json.Unmarshal(body, doc)
+		}
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Errorf("%s: status %d, %v: %.120s", path, resp.StatusCode, err, body)
+			return false
+		}
+		return true
+	}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -408,19 +429,8 @@ func TestDatasetsListingDuringIngests(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(ts.URL + "/v1/datasets")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
 				var doc DatasetsDoc
-				if err == nil {
-					err = json.Unmarshal(body, &doc)
-				}
-				if resp.StatusCode != http.StatusOK || err != nil {
-					t.Errorf("listing: status %d, %v: %.120s", resp.StatusCode, err, body)
+				if !fetch("/v1/datasets", &doc) {
 					return
 				}
 				for _, row := range doc.Datasets {
@@ -429,6 +439,16 @@ func TestDatasetsListingDuringIngests(t *testing.T) {
 						return
 					}
 					seen[row.Name] = row.Generation
+					var src SourcesDoc
+					if !fetch("/v1/datasets/"+row.Name+"/sources", &src) {
+						return
+					}
+					if src.Name != row.Name || src.Generation < row.Generation || len(src.Sources) != int(src.Generation) ||
+						slices.ContainsFunc(src.Sources, func(s string) bool { return s != dir }) {
+						t.Errorf("%s sources after listing generation %d: %+v", row.Name, row.Generation, src)
+						return
+					}
+					seen[row.Name] = src.Generation
 				}
 				listed.Add(1)
 			}
@@ -533,6 +553,98 @@ func TestConcurrentQueriesDuringLiveReingest(t *testing.T) {
 	}
 	if snap, _ := store.Get("prod"); snap.Gen != 4 || snap.Report.Summary.Logs != 16 {
 		t.Errorf("final gen=%d logs=%d, want 4/16", snap.Gen, snap.Report.Summary.Logs)
+	}
+}
+
+// corpusFiles writes corpusDir's n logs and returns their paths, each one
+// a single-log ingest source.
+func corpusFiles(t *testing.T, n int) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(corpusDir(t, n), "*.darshan"))
+	if err != nil || len(files) != n {
+		t.Fatalf("corpus files %v: %v", files, err)
+	}
+	return files
+}
+
+// The listing row does not grow with ingests: after 1,000 ingests into
+// one dataset the /v1/datasets body differs from the one after 10 only in
+// its numbers — the generation, and the summary's counts that the extra
+// logs raise — while /v1/datasets/{dataset}/sources holds all 1,000
+// sources in ingest order.
+func TestDatasetsListingStaysBounded(t *testing.T) {
+	const ingests = 1000
+	files := corpusFiles(t, 3)
+	store := NewStore()
+	ts := httptest.NewServer(New(Config{Store: store}).Handler())
+	t.Cleanup(ts.Close)
+	var want []string
+	var at10 []byte
+	for i := 0; i < ingests; i++ {
+		src := files[i%len(files)]
+		if _, _, err := store.Ingest(context.Background(), "prod", systems.NewSummit(), src, core.IngestOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, src)
+		if i+1 == 10 {
+			_, at10 = get(t, ts.URL+"/v1/datasets")
+		}
+	}
+	_, at1000 := get(t, ts.URL+"/v1/datasets")
+	numbers := regexp.MustCompile(`[0-9][0-9.e+-]*`)
+	if a, b := numbers.ReplaceAll(at10, []byte("#")), numbers.ReplaceAll(at1000, []byte("#")); !bytes.Equal(a, b) {
+		t.Errorf("listing after %d ingests differs from the one after 10 beyond its numbers:\n%s\n%s", ingests, at10, at1000)
+	}
+	if !bytes.Contains(at1000, []byte(`"generation": 1000,`)) {
+		t.Errorf("listing after %d ingests: %s", ingests, at1000)
+	}
+
+	resp, body := get(t, ts.URL+"/v1/datasets/prod/sources")
+	var doc SourcesDoc
+	if err := json.Unmarshal(body, &doc); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("sources: %d %v", resp.StatusCode, err)
+	}
+	if doc.SchemaVersion != report.SchemaVersion || doc.Name != "prod" || doc.Generation != ingests ||
+		resp.Header.Get("X-Dataset-Generation") != fmt.Sprint(ingests) || !slices.Equal(doc.Sources, want) {
+		t.Errorf("sources after %d ingests: header %q, schema %d, %s at %d with %d sources",
+			ingests, resp.Header.Get("X-Dataset-Generation"), doc.SchemaVersion, doc.Name, doc.Generation, len(doc.Sources))
+	}
+}
+
+// /v1/datasets/{dataset}/sources lists every source in ingest order, the
+// same bytes after a lake restart (compactions fold the list into one
+// record), and answers an unknown dataset 404 not_found.
+func TestSourcesRoute(t *testing.T) {
+	files := corpusFiles(t, 3)
+	lakeDir := t.TempDir()
+	store := lakeStore(t, openLake(t, lakeDir, 3))
+	var want []string
+	for i := 0; i < 7; i++ {
+		src := files[(i*2)%len(files)]
+		if _, _, err := store.Ingest(context.Background(), "prod", systems.NewSummit(), src, core.IngestOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, src)
+	}
+	sources := func(store *Store, what string) []byte {
+		t.Helper()
+		ts := httptest.NewServer(New(Config{Store: store}).Handler())
+		defer ts.Close()
+		resp, body := get(t, ts.URL+"/v1/datasets/prod/sources")
+		var doc SourcesDoc
+		if err := json.Unmarshal(body, &doc); err != nil || resp.StatusCode != http.StatusOK ||
+			resp.Header.Get("X-Dataset-Generation") != "7" || doc.Generation != 7 || !slices.Equal(doc.Sources, want) {
+			t.Fatalf("%s: %d %q %s", what, resp.StatusCode, resp.Header.Get("X-Dataset-Generation"), body)
+		}
+		resp, body = get(t, ts.URL+"/v1/datasets/nosuch/sources")
+		if env, ok := httpapi.DecodeError(body); resp.StatusCode != http.StatusNotFound || !ok || env.Error.Code != httpapi.CodeNotFound {
+			t.Errorf("%s: unknown dataset answered %d %s", what, resp.StatusCode, body)
+		}
+		return body
+	}
+	before := sources(store, "before the restart")
+	if after := sources(lakeStore(t, openLake(t, lakeDir, 3)), "after the restart"); !bytes.Equal(before, after) {
+		t.Errorf("sources differ across a lake restart:\n%s\n%s", before, after)
 	}
 }
 

@@ -42,8 +42,12 @@ type Snapshot struct {
 	// Gen increments on every successful ingest into the dataset; it is
 	// the cache-invalidation token for everything rendered from this
 	// snapshot.
-	Gen     uint64
-	Report  *analysis.Report
+	Gen    uint64
+	Report *analysis.Report
+	// Sources are the sources folded into the dataset, in ingest order,
+	// one per generation: len(Sources) == Gen always. Successive
+	// generations share one backing array (Store.Ingest appends to the
+	// newest), so the slice is read-only.
 	Sources []string
 
 	agg *analysis.Aggregator // frozen; clone base for the next generation
@@ -246,7 +250,11 @@ func (s *Store) Ingest(ctx context.Context, name string, sys *iosim.System, sour
 	if cur != nil {
 		base = cur.agg.Clone()
 		base.Merge(delta)
-		sources = append(append([]string(nil), cur.Sources...), source)
+		// Extending the newest snapshot's list in place is safe: ingests
+		// into one dataset serialize on ingestMu, only the newest
+		// generation is ever extended, and no published snapshot's slice
+		// reaches the element the append writes.
+		sources = append(cur.Sources, source)
 	}
 	next := &Snapshot{
 		Name:    name,

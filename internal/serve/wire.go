@@ -20,19 +20,29 @@ type SummaryDoc struct {
 	NodeHours float64 `json:"node_hours"`
 }
 
-// DatasetRow is one dataset in the /v1/datasets listing.
+// DatasetRow is one dataset in the /v1/datasets listing. Its length does
+// not grow with the dataset's ingests: the sources they folded are
+// SourcesDoc's, one route down.
 type DatasetRow struct {
 	Name       string     `json:"name"`
 	System     string     `json:"system"`
 	Generation uint64     `json:"generation"`
 	Summary    SummaryDoc `json:"summary"`
-	Sources    []string   `json:"sources"`
 }
 
 // DatasetsDoc is the /v1/datasets response body.
 type DatasetsDoc struct {
 	SchemaVersion int          `json:"schema_version"`
 	Datasets      []DatasetRow `json:"datasets"`
+}
+
+// SourcesDoc is the /v1/datasets/{dataset}/sources response body: every
+// source folded into the dataset, in ingest order, one per generation.
+type SourcesDoc struct {
+	SchemaVersion int      `json:"schema_version"`
+	Name          string   `json:"name"`
+	Generation    uint64   `json:"generation"`
+	Sources       []string `json:"sources"`
 }
 
 // CompareSideDoc is one dataset's half of a /v1/compare response.
@@ -76,8 +86,14 @@ func summaryOf(snap *Snapshot) SummaryDoc {
 func RowOf(snap *Snapshot) DatasetRow {
 	return DatasetRow{
 		Name: snap.Name, System: snap.System, Generation: snap.Gen,
-		Summary: summaryOf(snap), Sources: snap.Sources,
+		Summary: summaryOf(snap),
 	}
+}
+
+// SourcesOf renders one snapshot as its /v1/datasets/{dataset}/sources
+// document.
+func SourcesOf(snap *Snapshot) SourcesDoc {
+	return SourcesDoc{SchemaVersion: report.SchemaVersion, Name: snap.Name, Generation: snap.Gen, Sources: snap.Sources}
 }
 
 // MarshalDoc frames a wire document exactly as the service writes it:
