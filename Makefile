@@ -52,9 +52,10 @@ bench:
 
 ## fuzz: short fuzzing smoke over the untrusted-input decoders, the section
 ## inflater against compress/zlib, the durable record log's reader, the
-## row-vs-columnar fold identity, the four spec parsers that take flags
-## and scenario files, the ingest request body and the query-string
-## parser; -fuzz must match exactly one target, hence one invocation each
+## aggregator state's decoder, the row-vs-columnar fold identity, the four
+## spec parsers that take flags and scenario files, the ingest request body
+## and the query-string parser; -fuzz must match exactly one target, hence
+## one invocation each
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=20s ./internal/darshan/logfmt
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzColumnRead -fuzztime=20s ./internal/darshan/colfmt
 	$(GO) test -fuzz=FuzzRecordLog -fuzztime=20s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzRowVsColumnar -fuzztime=20s ./internal/analysis
+	$(GO) test -fuzz=FuzzStateDecode -fuzztime=20s ./internal/analysis
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=20s ./internal/iosim/faults
 	$(GO) test -fuzz=FuzzParseKeySpec -fuzztime=20s ./internal/cluster
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=20s ./internal/loadtest

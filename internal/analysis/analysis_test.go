@@ -12,7 +12,7 @@ import (
 )
 
 // buildLog constructs a small hand-made log on the given system.
-func buildLog(t *testing.T, sys *iosim.System, jobID uint64, nprocs int, domain string,
+func buildLog(t testing.TB, sys *iosim.System, jobID uint64, nprocs int, domain string,
 	build func(c *iosim.Client)) *darshan.Log {
 	t.Helper()
 	meta := map[string]string{}

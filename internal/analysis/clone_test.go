@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -27,6 +28,9 @@ func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	before := report2string(t, a)
 	if got := report2string(t, clone); got != before {
 		t.Error("clone renders a different report than its source")
+	}
+	if !bytes.Equal(encodeState(t, clone.State()), encodeState(t, a.State())) {
+		t.Error("clone holds a different state than its source")
 	}
 
 	// Diverge the clone; the source must not move.

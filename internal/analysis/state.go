@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"iolayers/internal/darshan"
@@ -11,12 +12,14 @@ import (
 )
 
 // Checkpoint support: an Aggregator's accumulated statistics, exported as a
-// plain serializable value. A campaign checkpoint persists the merged
-// AggregatorState of all completed work; resume reconstructs an equivalent
-// Aggregator and continues folding logs into it. Because every statistic is
-// an exact sum, count, or sample multiset — and gob round-trips float64
-// bit-exactly — an aggregator rebuilt from its state is indistinguishable
-// from one that never stopped: the final report is byte-identical.
+// plain value with one persisted layout (MarshalBinary, statecodec.go). A
+// checkpoint persists the merged AggregatorState of all completed work and
+// a lake record the state of its ingest; resume and recovery reconstruct an
+// equivalent Aggregator and continue folding logs into it. Because every
+// statistic is an exact sum, count, or sample multiset — and the layout
+// stores float64 bits exactly — an aggregator rebuilt from its state is
+// indistinguishable from one that never stopped: the final report is
+// byte-identical.
 
 // JobViewState is the serializable per-job state (layer exclusivity, STDIO
 // usage, domain attribution).
@@ -35,9 +38,10 @@ type UserTuningState struct {
 	JobsInHalf [2]int64
 }
 
-// AggregatorState is a deep snapshot of an Aggregator, safe to serialize
-// (all fields exported, gob-friendly) and independent of the aggregator it
-// came from: mutating the source after State() does not alter the snapshot.
+// AggregatorState is a deep snapshot of an Aggregator, independent of the
+// aggregator it came from: mutating the source after State() does not alter
+// the snapshot. A field added here is a new version of the persisted
+// layout (statecodec.go).
 type AggregatorState struct {
 	// System names the system profile the statistics were computed for;
 	// restore refuses a mismatch.
@@ -111,9 +115,10 @@ func (a *Aggregator) State() *AggregatorState {
 	return st
 }
 
-// sanitizeLayer fills any nil maps or histograms a serialization round trip
-// may have left behind (gob omits zero-value fields), so merging the layer
-// cannot panic. Histograms with unexpected bin counts are rejected.
+// sanitizeLayer fills any nil maps or histograms a state may hold (one
+// built by hand, or a histogram the layout stored with zero bins), so
+// merging the layer cannot panic. Histograms with unexpected bin counts are
+// rejected.
 func sanitizeLayer(ls *LayerStats) error {
 	if ls.InterfaceFiles == nil {
 		ls.InterfaceFiles = map[darshan.ModuleID]int64{}
@@ -217,13 +222,14 @@ func NewAggregatorFromState(sys *iosim.System, st *AggregatorState) (*Aggregator
 	return a, nil
 }
 
-// MergeState folds a serialized AggregatorState — a lake segment, a
-// checkpoint, any gob round trip of State() — into the aggregator, as if
-// the logs behind the snapshot had been folded in directly. The state must
-// be for the same system profile. Because gob round-trips float64
-// bit-exactly and Merge is the same operation the parallel worker pool
-// uses on its partials, an aggregator rebuilt by merging persisted
-// segments renders the identical report to one that never left memory.
+// MergeState folds a persisted AggregatorState — a lake record's, a
+// checkpoint's, any round trip of State() through MarshalBinary — into the
+// aggregator, as if the logs behind the snapshot had been folded in
+// directly. The state must be for the same system profile. Because the
+// layout stores float64 bits exactly and Merge is the same operation the
+// parallel worker pool uses on its partials, an aggregator rebuilt by
+// merging persisted records renders the identical report to one that
+// never left memory.
 func (a *Aggregator) MergeState(st *AggregatorState) error {
 	other, err := NewAggregatorFromState(a.sys, st)
 	if err != nil {
@@ -248,10 +254,42 @@ func (a *Aggregator) Logs() int64 { return a.logs }
 // copy-on-write re-ingestion — a service can keep serving reports from the
 // original while new logs fold into the clone.
 func (a *Aggregator) Clone() *Aggregator {
-	c, err := NewAggregatorFromState(a.sys, a.State())
-	if err != nil {
-		// State() came from this very aggregator; a mismatch is impossible.
-		panic(fmt.Sprintf("analysis: clone rejected own state: %v", err))
+	c := &Aggregator{
+		sys:             a.sys,
+		LargeJobProcs:   a.LargeJobProcs,
+		logs:            a.logs,
+		nodeSeconds:     a.nodeSeconds,
+		jobs:            make(map[uint64]*jobView, len(a.jobs)),
+		tuning:          make(map[uint64]*userTuning, len(a.tuning)),
+		monthlyLogs:     a.monthlyLogs,
+		monthlyBytes:    a.monthlyBytes,
+		userBytes:       maps.Clone(a.userBytes),
+		userFiles:       maps.Clone(a.userFiles),
+		domains:         make(map[string]*DomainStats, len(a.domains)),
+		domainCovered:   maps.Clone(a.domainCovered),
+		domainUncovered: maps.Clone(a.domainUncovered),
+	}
+	// One backing array per map, sized up front so the pointers into it
+	// stay put: one allocation, not one per job or user.
+	jobs := make([]jobView, 0, len(a.jobs))
+	for id, jv := range a.jobs {
+		jobs = append(jobs, *jv)
+		c.jobs[id] = &jobs[len(jobs)-1]
+	}
+	tuning := make([]userTuning, 0, len(a.tuning))
+	for uid, ut := range a.tuning {
+		tuning = append(tuning, *ut)
+		c.tuning[uid] = &tuning[len(tuning)-1]
+	}
+	for i, ls := range a.layers {
+		// merge into a fresh LayerStats deep-copies every map, histogram,
+		// and perf-sample slice.
+		c.layers[i] = newLayerStats()
+		c.layers[i].merge(ls)
+	}
+	for d, ds := range a.domains {
+		v := *ds
+		c.domains[d] = &v
 	}
 	return c
 }

@@ -15,7 +15,7 @@ import (
 // stateLogs builds a varied mix of logs touching both layers, several
 // interfaces, shared files, domains, and tuning signals — enough to
 // populate every field a snapshot must carry.
-func stateLogs(t *testing.T, sys *iosim.System) []*darshan.Log {
+func stateLogs(t testing.TB, sys *iosim.System) []*darshan.Log {
 	t.Helper()
 	var logs []*darshan.Log
 	logs = append(logs, buildLog(t, sys, 100, 2048, "Physics", func(c *iosim.Client) {

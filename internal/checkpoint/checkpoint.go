@@ -6,8 +6,12 @@
 // columnar writers borrow the atomic replace (AtomicFile) for formats of
 // their own. Record payloads are gob, chosen over JSON deliberately: it
 // round-trips float64 bit-exactly, which the resume-byte-identity guarantee
-// depends on. No other package encodes gob or renames a temp file into
-// place (`make durablelint`).
+// depends on. A value with a binary layout of its own (the aggregator
+// state, a lake record) travels through gob as its MarshalBinary bytes;
+// gob still describes such a type's exported field types once per record,
+// which a caller avoids by handing Append a byte slice type instead. No
+// other package encodes gob or renames a temp file into place
+// (`make durablelint`).
 package checkpoint
 
 import (

@@ -127,9 +127,10 @@ type IngestFailureRecord struct {
 // strict prefix: every item with index < EntriesDone is fully accounted
 // (parsed, failed, or quarantined; for a campaign, generated, sunk and
 // aggregated, or failed), and none at or beyond it are. All statistics are
-// exact sums, counts, or sample multisets, and gob round-trips float64
-// bit-exactly, so a resumed pass's report is byte-identical to an
-// uninterrupted one at any worker count.
+// exact sums, counts, or sample multisets, and Agg is persisted in the
+// state's own binary layout, which stores float64 bits exactly, so a
+// resumed pass's report is byte-identical to an uninterrupted one at any
+// worker count.
 type IngestCheckpoint struct {
 	System string
 	// Mode names the kind of source the pass walked: "dir" (a list of log
@@ -170,6 +171,11 @@ type IngestCheckpoint struct {
 func LoadIngestCheckpoint(path string) (*IngestCheckpoint, error) {
 	var ck IngestCheckpoint
 	if err := checkpoint.Load(path, &ck); err != nil {
+		// Before the state had a binary layout, Agg was a gob struct.
+		var retired struct{ Agg *struct{ Logs int64 } }
+		if checkpoint.Load(path, &retired) == nil {
+			return nil, fmt.Errorf("core: %s holds its aggregator state in the retired gob-struct format, which this version does not read: restart the run", path)
+		}
 		return nil, err
 	}
 	switch {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"iolayers/internal/checkpoint"
 	"iolayers/internal/darshan"
 	"iolayers/internal/darshan/logfmt"
 	"iolayers/internal/iosim/systems"
@@ -560,5 +561,46 @@ func TestIngestArchiveQuarantine(t *testing.T) {
 				t.Errorf("manifest = %q, want a bad-magic entry", manifest)
 			}
 		})
+	}
+}
+
+// TestLoadIngestCheckpointRefusesRetiredState: before the aggregator
+// state had a binary layout, a checkpoint carried it as a gob struct. Such
+// a checkpoint is refused by name, with the way out, and left as found.
+func TestLoadIngestCheckpointRefusesRetiredState(t *testing.T) {
+	type layerStats struct {
+		Files int64
+		Bytes [2]float64
+	}
+	type aggregatorState struct { // the retired shape, in part
+		System        string
+		LargeJobProcs int
+		Logs          int64
+		NodeHours     float64
+		Jobs          map[uint64]struct{ UsedStdio bool }
+		Layers        [2]*layerStats
+	}
+	old := struct {
+		System, Mode, Source string
+		EntriesDone          int
+		Agg                  *aggregatorState
+	}{System: "Summit", Mode: "archive", Source: "x.dgar", EntriesDone: 3,
+		Agg: &aggregatorState{System: "Summit", LargeJobProcs: 1024, Logs: 3, NodeHours: 1.5,
+			Jobs:   map[uint64]struct{ UsedStdio bool }{7: {true}},
+			Layers: [2]*layerStats{{Files: 2, Bytes: [2]float64{1, 2}}, {}}}}
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := checkpoint.Save(path, &old); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadIngestCheckpoint(path)
+	if err == nil || !strings.Contains(err.Error(), "retired gob-struct format") || !strings.Contains(err.Error(), "restart the run") {
+		t.Errorf("loading a checkpoint with a gob-struct Agg: err = %v, want a refusal naming the retired format and the way out", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Error("the refused checkpoint was modified")
 	}
 }

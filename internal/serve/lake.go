@@ -8,9 +8,12 @@ package serve
 // Every successful ingest appends one record to it — the ingested source
 // folded into a fresh aggregator, as an analysis.AggregatorState — and the
 // fsync'd append is the whole commit: the data and the commit point are the
-// same write. A generation whose record is durable will be recovered
-// byte-identically after any crash; a crash mid-append leaves a torn tail
-// the next open truncates, exactly as if the ingest never ran.
+// same write. A record is written in its own binary layout (lakeRecord),
+// which carries the state in the state's layout: sorted and varint-coded,
+// so equal datasets are equal bytes. A generation whose record is durable
+// will be recovered byte-identically after any crash; a crash mid-append
+// leaves a torn tail the next open truncates, exactly as if the ingest
+// never ran.
 //
 // Recovery walks datasets/*/log, rebuilds each dataset's aggregator from
 // its first record and merges the rest in order (analysis.MergeState — the
@@ -26,6 +29,7 @@ package serve
 // dataset, and nothing in that dataset's directory is touched.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -64,11 +68,151 @@ type LakeConfig struct {
 // a compaction's frozen fold of everything before it, whose Sources is the
 // cumulative list. Every later record is the delta of the one source it
 // names, merged onto what precedes it, and must carry the next generation.
+//
+// The record log stores it through its binary layout:
+//
+//	version byte (lakeRecordVersion) | System | Gen uvarint | uvarint n, n × source | State
+//
+// System is a uvarint length and its bytes. A source is front-coded: the
+// uvarint length of the prefix it shares with the source before it, then
+// the uvarint length of the rest and the rest, so a compaction record's
+// cumulative list grows by a file name per generation, not a path. State
+// is analysis.AggregatorState's own layout and runs to the end.
 type lakeRecord struct {
 	System  string
 	Gen     uint64
 	Sources []string
 	State   *analysis.AggregatorState
+}
+
+// lakeRecordVersion leads a lake record. The gob-encoded struct that
+// came before the binary layout had no version; it is refused by name
+// (retiredRecordError).
+const lakeRecordVersion = 1
+
+// MarshalBinary writes the record in the layout above.
+func (r *lakeRecord) MarshalBinary() ([]byte, error) {
+	if r.State == nil {
+		return nil, fmt.Errorf("serve: lake record for gen %d has no state", r.Gen)
+	}
+	b := make([]byte, 0, 1024)
+	b = append(b, lakeRecordVersion)
+	b = binary.AppendUvarint(b, uint64(len(r.System)))
+	b = append(b, r.System...)
+	b = binary.AppendUvarint(b, r.Gen)
+	b = appendSources(b, r.Sources)
+	return r.State.AppendBinary(b)
+}
+
+// recordBytes is a lake record's layout as the record log is handed it.
+// gob writes a BinaryMarshaler's bytes, but it also describes the types of
+// the marshaler's exported fields, in every record: handed a lakeRecord,
+// it adds about 1 KB of definitions of the state's types to each one.
+// Handed bytes, it adds an envelope of about 30 B. Either decodes into a
+// lakeRecord.
+type recordBytes []byte
+
+func (b recordBytes) MarshalBinary() ([]byte, error) { return b, nil }
+
+// bytes is the record as a log appends it.
+func (r *lakeRecord) bytes() (recordBytes, error) {
+	b, err := r.MarshalBinary()
+	return recordBytes(b), err
+}
+
+// appendSources front-codes sources onto b.
+func appendSources(b []byte, sources []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(sources)))
+	prev := ""
+	for _, s := range sources {
+		shared := 0
+		for shared < len(s) && shared < len(prev) && s[shared] == prev[shared] {
+			shared++
+		}
+		b = binary.AppendUvarint(b, uint64(shared))
+		b = binary.AppendUvarint(b, uint64(len(s)-shared))
+		b = append(b, s[shared:]...)
+		prev = s
+	}
+	return b
+}
+
+// UnmarshalBinary replaces the record with the one data holds. Another
+// version of the layout is refused by name; every count and length is
+// checked against the bytes left before it sizes an allocation.
+func (r *lakeRecord) UnmarshalBinary(data []byte) error {
+	if len(data) == 0 {
+		return errors.New("serve: empty lake record")
+	}
+	if data[0] != lakeRecordVersion {
+		return fmt.Errorf("serve: lake record format version %d, but this build reads only version %d", data[0], lakeRecordVersion)
+	}
+	b := data[1:]
+	malformed := errors.New("serve: malformed lake record")
+	system, ok := takeBytes(&b)
+	if !ok {
+		return malformed
+	}
+	gen, ok := takeUvarint(&b)
+	if !ok {
+		return malformed
+	}
+	n, ok := takeUvarint(&b)
+	if !ok || n > uint64(len(b)/2) { // a source takes at least two bytes
+		return malformed
+	}
+	sources := make([]string, 0, n)
+	prev := ""
+	for range n {
+		shared, ok := takeUvarint(&b)
+		if !ok || shared > uint64(len(prev)) {
+			return malformed
+		}
+		rest, ok := takeBytes(&b)
+		if !ok {
+			return malformed
+		}
+		prev = prev[:shared] + string(rest)
+		sources = append(sources, prev)
+	}
+	st := new(analysis.AggregatorState)
+	if err := st.UnmarshalBinary(b); err != nil {
+		return err
+	}
+	*r = lakeRecord{System: string(system), Gen: gen, Sources: sources, State: st}
+	return nil
+}
+
+func takeUvarint(b *[]byte) (uint64, bool) {
+	v, n := binary.Uvarint(*b)
+	if n <= 0 {
+		return 0, false
+	}
+	*b = (*b)[n:]
+	return v, true
+}
+
+// takeBytes reads a uvarint length and that many bytes.
+func takeBytes(b *[]byte) ([]byte, bool) {
+	n, ok := takeUvarint(b)
+	if !ok || n > uint64(len(*b)) {
+		return nil, false
+	}
+	s := (*b)[:n]
+	*b = (*b)[n:]
+	return s, true
+}
+
+// retiredRecordError names what a record that fails to decode was, when
+// it decodes as the gob-encoded struct lake records were before the binary
+// layout; decode is the record log's decode function, which can be called
+// again. Nothing reads that format now.
+func retiredRecordError(decode func(v any) error, err error) error {
+	var retired struct{ Gen uint64 }
+	if decode(&retired) != nil {
+		return err
+	}
+	return fmt.Errorf("gen %d is in the retired gob-struct lake record format, which this version does not read: move the dataset's directory out of the lake and re-ingest its sources", retired.Gen)
 }
 
 // Lake is the disk half of a Store: one record log per dataset. All
@@ -164,7 +308,11 @@ func (l *Lake) commit(dataset, system string, gen uint64, source string, delta *
 		}
 		l.setLog(dataset, log)
 	}
-	if err := log.Append(&lakeRecord{System: system, Gen: gen, Sources: []string{source}, State: delta}); err != nil {
+	rec, err := (&lakeRecord{System: system, Gen: gen, Sources: []string{source}, State: delta}).bytes()
+	if err == nil {
+		err = log.Append(rec)
+	}
+	if err != nil {
 		return fmt.Errorf("serve: lake commit of %s gen %d: %w", dataset, gen, err)
 	}
 	l.metrics.Counter("serve.lake.segments_written").Add(1)
@@ -184,8 +332,11 @@ func (l *Lake) maybeCompact(snap *Snapshot) {
 	}
 	timer := l.metrics.Span("lake-compact").Begin()
 	defer timer.End()
-	next, err := checkpoint.RewriteJournal(l.logPath(snap.Name),
-		&lakeRecord{System: snap.System, Gen: snap.Gen, Sources: snap.Sources, State: snap.agg.State()})
+	rec, err := (&lakeRecord{System: snap.System, Gen: snap.Gen, Sources: snap.Sources, State: snap.agg.State()}).bytes()
+	var next *checkpoint.Journal
+	if err == nil {
+		next, err = checkpoint.RewriteJournal(l.logPath(snap.Name), rec)
+	}
 	if err != nil {
 		l.metrics.Counter("serve.lake.compact_errors").Add(1)
 		return
@@ -239,7 +390,7 @@ func (l *Lake) recoverDataset(name string) (*Snapshot, error) {
 	log, err := checkpoint.RecoverJournal(path, func(decode func(v any) error) error {
 		var rec lakeRecord
 		if err := decode(&rec); err != nil {
-			return err
+			return retiredRecordError(decode, err)
 		}
 		if snap.agg == nil {
 			sys := systems.ByName(rec.System)

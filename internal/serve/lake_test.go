@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -521,8 +522,9 @@ func TestLakeStateFlipSweep(t *testing.T) {
 }
 
 // TestLakeRefusesWhatItCannotTrust covers the refusals that are not CRC
-// failures: the layout this one replaced, and a log whose generations do
-// not run consecutively.
+// failures: the layout this one replaced, a log whose generations do not
+// run consecutively, and a record in the gob-struct format that came before
+// the binary record layout.
 func TestLakeRefusesWhatItCannotTrust(t *testing.T) {
 	old := t.TempDir()
 	journal := filepath.Join(old, "journal")
@@ -559,6 +561,38 @@ func TestLakeRefusesWhatItCannotTrust(t *testing.T) {
 		if err := bootLake(t, lakeDir); err == nil || !strings.Contains(err.Error(), `dataset "ds"`) || !strings.Contains(err.Error(), "skips or repeats") {
 			t.Errorf("gen %d after gen 1: err = %v, want a refusal naming the dataset", gen, err)
 		}
+	}
+
+	// The retired record: the same four fields, gob-encoded as a struct,
+	// with the state a gob struct too (a few of its fields suffice).
+	type retiredState struct {
+		System string
+		Logs   int64
+		Jobs   map[uint64]struct{ UsedStdio bool }
+	}
+	type retiredRecord struct {
+		System  string
+		Gen     uint64
+		Sources []string
+		State   *retiredState
+	}
+	logPath := filepath.Join(lakeDir, "datasets", "ds", lakeLogName)
+	j, err := checkpoint.RewriteJournal(logPath, &retiredRecord{System: snap.System, Gen: 1, Sources: snap.Sources,
+		State: &retiredState{System: snap.System, Logs: 2, Jobs: map[uint64]struct{ UsedStdio bool }{1000: {true}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = bootLake(t, lakeDir)
+	if err == nil || !strings.Contains(err.Error(), `dataset "ds"`) || !strings.Contains(err.Error(), "retired gob-struct lake record format") || !strings.Contains(err.Error(), "re-ingest") {
+		t.Errorf("a record in the retired format: err = %v, want a refusal naming the dataset, the format and the way out", err)
+	}
+	if after, _ := os.ReadFile(logPath); !bytes.Equal(after, before) {
+		t.Error("the refused log was modified")
 	}
 }
 
@@ -642,5 +676,100 @@ func TestLakeCommitFailureKeepsGeneration(t *testing.T) {
 	snap, ok := st.Get("ds")
 	if !ok || snap.Gen != 1 {
 		t.Fatalf("failed commit moved the dataset to gen %d, want 1", snap.Gen)
+	}
+}
+
+// TestLakeLogBytesAreDeterministic: two lakes that ingest the same sources
+// in the same order hold byte-identical logs, across a compaction too.
+// This is what lets a hash of a log, or of a record's state, name the
+// content it holds.
+func TestLakeLogBytesAreDeterministic(t *testing.T) {
+	dir := corpusDir(t, 3)
+	sources := []string{dir, filepath.Join(dir, "job00001.darshan"), filepath.Join(dir, "job00000.darshan"), dir}
+	sys := systems.NewSummit()
+	var logs [2][]byte
+	for i := range logs {
+		lakeDir := t.TempDir()
+		metrics := obsv.New()
+		l, err := OpenLake(LakeConfig{Dir: lakeDir, CompactEvery: 3, Metrics: metrics})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := lakeStore(t, l)
+		for _, src := range sources {
+			if _, _, err := st.Ingest(context.Background(), "ds", sys, src, core.IngestOptions{Workers: 1 + 3*i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		if got := metrics.Counter("serve.lake.compactions").Value(); got != 1 {
+			t.Fatalf("lake %d compacted %d times, want 1", i, got)
+		}
+		if logs[i], err = os.ReadFile(filepath.Join(lakeDir, "datasets", "ds", lakeLogName)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(logs[0], logs[1]) {
+		t.Errorf("two lakes given the same ingests hold different logs (%d and %d bytes)", len(logs[0]), len(logs[1]))
+	}
+}
+
+// TestLakeRecordWeight pins what a lake stores, so that a change to the
+// record or state layout, or to what the fold keeps, shows up as a
+// committed number. A 32-log fixture is folded as generation 1, then 17
+// of its logs one at a time, into a lake at the default compaction
+// threshold: generations 1–16 compact into one record, and 17 and 18
+// follow it as deltas. The compact record's state bytes are pinned by
+// length and SHA-256; its sources are not, because they hold temp-dir
+// paths. The source list is front-coded, so once the list is into the
+// directory's files each generation adds a file name's tail, not a path.
+func TestLakeRecordWeight(t *testing.T) {
+	const (
+		wantStateLen = 801
+		wantStateSum = "fbb8ee813a21ffac7e60ffa7ce06d95bdc405a62a247503da89457ec8a6e17cf"
+		maxSourceB   = 16
+	)
+	sys := systems.NewSummit()
+	dir := filepath.Join(t.TempDir(), "fixture")
+	if err := WriteFixture(dir, sys, 32, 5); err != nil {
+		t.Fatal(err)
+	}
+	lakeDir := t.TempDir()
+	st := lakeStore(t, openLake(t, lakeDir, 0))
+	sources := []string{dir}
+	for i := 0; i < 17; i++ {
+		sources = append(sources, filepath.Join(dir, fmt.Sprintf("fixture%05d.darshan", i)))
+	}
+	for _, src := range sources {
+		if _, _, err := st.Ingest(context.Background(), "fx", sys, src, core.IngestOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var recs []lakeRecord
+	err := checkpoint.ReplayJournal(filepath.Join(lakeDir, "datasets", "fx", lakeLogName), func(decode func(any) error) error {
+		var rec lakeRecord
+		err := decode(&rec)
+		recs = append(recs, rec)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0].Gen != DefaultCompactEvery || len(recs[0].Sources) != DefaultCompactEvery {
+		t.Fatalf("log holds %d records, the first at gen %d with %d sources; want a compact record of gens 1–%d and two deltas",
+			len(recs), recs[0].Gen, len(recs[0].Sources), DefaultCompactEvery)
+	}
+	state, err := recs[0].State.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(state)); len(state) != wantStateLen || sum != wantStateSum {
+		t.Errorf("compact record state: %d bytes, sha256 %s; pinned %d bytes, %s", len(state), sum, wantStateLen, wantStateSum)
+	}
+	for g := 3; g <= len(recs[0].Sources); g++ {
+		added := len(appendSources(nil, recs[0].Sources[:g])) - len(appendSources(nil, recs[0].Sources[:g-1]))
+		if added > maxSourceB {
+			t.Errorf("generation %d adds %d B to the compact record's source list, want at most %d", g, added, maxSourceB)
+		}
 	}
 }
