@@ -52,10 +52,10 @@ bench:
 
 ## fuzz: short fuzzing smoke over the untrusted-input decoders, the section
 ## inflater against compress/zlib, the durable record log's reader, the
-## aggregator state's decoder, the row-vs-columnar fold identity, the four
-## spec parsers that take flags and scenario files, the ingest request body
-## and the query-string parser; -fuzz must match exactly one target, hence
-## one invocation each
+## aggregator state's and the lake record's decoders, the row-vs-columnar
+## fold identity, the four spec parsers that take flags and scenario files,
+## the ingest request body and the query-string parser; -fuzz must match
+## exactly one target, hence one invocation each
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/darshan/logfmt
 	$(GO) test -fuzz=FuzzArchiveReader -fuzztime=20s ./internal/darshan/logfmt
@@ -69,4 +69,5 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseScenario -fuzztime=20s ./internal/loadtest
 	$(GO) test -fuzz=FuzzParseFixtureSpec -fuzztime=20s ./internal/serve
 	$(GO) test -fuzz=FuzzIngestRequest -fuzztime=20s ./internal/serve
+	$(GO) test -fuzz=FuzzLakeRecord -fuzztime=20s ./internal/serve
 	$(GO) test -fuzz=FuzzQuery -fuzztime=20s ./internal/httpapi

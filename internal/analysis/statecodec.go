@@ -15,49 +15,63 @@ package analysis
 // would take nine or ten bytes that way, so samples are raw 8-byte
 // little-endian bits. A string is a uvarint length and its bytes.
 //
+// Most of a state's fixed-length arrays are mostly zero (a log touches one
+// month, a few histogram bins, one or two transfer-size cells), so they are
+// written sparse: a mask, then only the non-zero values.
+//
 //	version               byte (stateVersion)
 //	System                string
 //	LargeJobProcs         varint
 //	Logs                  varint
 //	NodeHours             float
-//	MonthlyLogs[12]       varint each
-//	MonthlyBytes[12]      float each
+//	MonthlyLogs[12]       sparse varints
+//	MonthlyBytes[12]      sparse floats
 //	domain dictionary     uvarint n, then n strings, strictly ascending
-//	Jobs                  id set, then per job uvarint(ref<<3 | UsedStdio<<2 | Layers[1]<<1 | Layers[0]),
-//	                      ref 0 = no domain, ref k = dictionary[k-1]
-//	Tuning                id set, then per user uvarint(Seen[1]<<1 | Seen[0]) and the varints
+//	Jobs                  id set, then per job the uvarint
+//	                      ref<<5 | Uncovered<<4 | Covered<<3 | UsedStdio<<2 | Layers[1]<<1 | Layers[0],
+//	                      ref 0 = no domain, ref k = dictionary[k-1];
+//	                      Covered/Uncovered: the job id is in DomainCovered/DomainUncovered
+//	coverage residue      id set of the ids in DomainCovered or DomainUncovered that are
+//	                      not jobs (a fold leaves none), then per id uvarint(Uncovered<<1 | Covered), never 0
+//	Tuning                id set, then per user uvarint(Seen[1]<<1 | Seen[0]) and sparse varints over
 //	                      MaxStripe[0..1], CollOps[0..1], IndepOps[0..1], JobsInHalf[0..1]
 //	UserBytes             id set, then a float per user
 //	UserFiles             id set, then a varint per user
 //	Layers[0], Layers[1]  layer (a nil layer is written as an empty one)
 //	Domains               index set over the dictionary, then per domain the floats
 //	                      InSystemBytes[0..1], StdioBytes[0..1]
-//	DomainCovered         id set
-//	DomainUncovered       id set
 //
 //	id set     uvarint n, then n uvarints: the first id, then each id's
 //	           distance from the one before (never 0: ids ascend strictly)
+//	sparse     uvarint mask, bit i set when value i is non-zero, no bit at or
+//	           past the array's length; then each non-zero value in order.
+//	           A float is non-zero when its bits are (so -0 is written).
+//	           An array is at most maxSparse values wide
 //	layer      Files varint, Bytes[2] float, HugeFiles[2] varint,
 //	           InterfaceFiles: uvarint n, n × (module byte, varint),
 //	           TransferHist[2] hist,
 //	           InterfaceTransferHist: uvarint n, n × (module byte, hist, hist),
 //	           RequestHist[2] hist, LargeJobRequestHist[2] hist,
-//	           ClassFiles[3] varint, StdioClassFiles[3] varint,
-//	           Perf: uvarint n, n × (module byte, then per direction and
-//	           transfer bin: uvarint count, count raw floats in ascending
-//	           bit order),
+//	           ClassFiles[3] sparse varints, StdioClassFiles[3] sparse varints,
+//	           Perf: uvarint n, n × (module byte, uvarint mask over the cells
+//	           direction*NumTransferBins + transfer bin that hold samples,
+//	           then per marked cell: uvarint count, count raw floats in
+//	           ascending bit order),
 //	           IOTime[2] float, StdioXRequestHist[2] hist,
 //	           StdioXRewriteBytes float, StdioXUniqueBytes float
-//	hist       uvarint bins, then bins uvarints (0 bins: a nil histogram)
+//	hist       uvarint bins (0: a nil histogram; at most maxSparse), then
+//	           the bins as sparse uvarints
 //
 // Modules ascend strictly. Map entries whose value is a nil pointer carry
 // nothing (a restore skips them) and are not written.
 //
 // The decoder accepts only what the encoder writes: keys out of order or
-// repeated, unknown flag bits, a domain reference past the dictionary,
+// repeated, unknown flag bits, a domain reference past the dictionary, a
+// mask bit past its array or marking a zero, a residue id that is a job,
 // samples out of order and trailing bytes are errors, and every count is
-// checked against the bytes left before it sizes an allocation. So a state
-// decoded from any input re-encodes to bytes that decode to the same state.
+// checked against the bytes left (or, for a sparse array's width, against
+// maxSparse) before it sizes an allocation. So a state decoded from any
+// input re-encodes to bytes that decode to the same state.
 
 import (
 	"encoding/binary"
@@ -74,8 +88,31 @@ import (
 
 // stateVersion leads the layout. Adding a field to the state, or changing
 // how one is written, is a new version: TestStateLayoutCoversEveryField
-// fails on a field the layout does not carry.
-const stateVersion = 1
+// fails on a field the layout does not carry. Version 1 wrote every array
+// dense and the coverage sets as id sets of their own; it is refused.
+const stateVersion = 2
+
+// ErrStateVersion is what UnmarshalBinary's error wraps when the bytes are
+// a state in another version of the layout: whole, but not readable by this
+// build, so the way out is to rebuild the state from its sources.
+var ErrStateVersion = errors.New("state layout version")
+
+// maxSparse is the widest array the layout writes sparse: its mask is one
+// uvarint of at most 64 bits.
+const maxSparse = 64
+
+// perfCells is how many sample cells a module's Perf entry holds.
+const perfCells = int(numDirections) * units.NumTransferBins
+
+// The flag bits of a job's word, below its domain reference.
+const (
+	jobLayer0 = 1 << iota
+	jobLayer1
+	jobStdio
+	jobCovered
+	jobUncovered
+	jobFlagBits = iota
+)
 
 // MarshalBinary writes the state in the layout above. It does not modify
 // the state.
@@ -84,7 +121,8 @@ func (st *AggregatorState) MarshalBinary() ([]byte, error) {
 }
 
 // AppendBinary is MarshalBinary appending to b, for a record that carries
-// the state after fields of its own.
+// the state after fields of its own. It fails on a histogram wider than
+// the layout's sparse arrays.
 func (st *AggregatorState) AppendBinary(b []byte) ([]byte, error) {
 	e := stateEncoder{b: b}
 	e.b = append(e.b, stateVersion)
@@ -92,12 +130,8 @@ func (st *AggregatorState) AppendBinary(b []byte) ([]byte, error) {
 	e.varint(int64(st.LargeJobProcs))
 	e.varint(st.Logs)
 	e.float(st.NodeHours)
-	for _, n := range st.MonthlyLogs {
-		e.varint(n)
-	}
-	for _, v := range st.MonthlyBytes {
-		e.float(v)
-	}
+	sparse(&e, st.MonthlyLogs[:], zigzag)
+	sparse(&e, st.MonthlyBytes[:], floatWord)
 
 	// The dictionary is every domain with stats plus any a job names
 	// without stats (a fold never leaves one, but a state may).
@@ -114,23 +148,40 @@ func (st *AggregatorState) AppendBinary(b []byte) ([]byte, error) {
 		e.str(d)
 	}
 
-	ids := e.ids(sortedKeys(st.Jobs, nil))
-	for _, id := range ids {
+	for _, id := range e.ids(sortedKeys(st.Jobs, nil)) {
 		jv := st.Jobs[id]
 		ref := 0
 		if jv.Domain != "" {
 			i, _ := slices.BinarySearch(dict, jv.Domain)
 			ref = i + 1
 		}
-		e.uvarint(uint64(ref)<<3 | flag(jv.UsedStdio)<<2 | flag(jv.Layers[1])<<1 | flag(jv.Layers[0]))
+		_, covered := st.DomainCovered[id]
+		_, uncovered := st.DomainUncovered[id]
+		f := flag(jv.Layers[0], jobLayer0) | flag(jv.Layers[1], jobLayer1) | flag(jv.UsedStdio, jobStdio) |
+			flag(covered, jobCovered) | flag(uncovered, jobUncovered)
+		e.uvarint(uint64(ref)<<jobFlagBits | f)
 	}
+	var residue []uint64
+	for _, set := range [...]map[uint64]bool{st.DomainCovered, st.DomainUncovered} {
+		for id := range set {
+			if _, job := st.Jobs[id]; !job {
+				residue = append(residue, id)
+			}
+		}
+	}
+	slices.Sort(residue)
+	for _, id := range e.ids(slices.Compact(residue)) {
+		_, covered := st.DomainCovered[id]
+		_, uncovered := st.DomainUncovered[id]
+		e.uvarint(flag(covered, 1) | flag(uncovered, 2))
+	}
+
 	for _, id := range e.ids(sortedKeys(st.Tuning, nil)) {
 		ut := st.Tuning[id]
-		e.uvarint(flag(ut.Seen[1])<<1 | flag(ut.Seen[0]))
-		for _, pair := range [...]*[2]int64{&ut.MaxStripe, &ut.CollOps, &ut.IndepOps, &ut.JobsInHalf} {
-			e.varint(pair[0])
-			e.varint(pair[1])
-		}
+		e.uvarint(flag(ut.Seen[0], 1) | flag(ut.Seen[1], 2))
+		pairs := [...]int64{ut.MaxStripe[0], ut.MaxStripe[1], ut.CollOps[0], ut.CollOps[1],
+			ut.IndepOps[0], ut.IndepOps[1], ut.JobsInHalf[0], ut.JobsInHalf[1]}
+		sparse(&e, pairs[:], zigzag)
 	}
 	for _, id := range e.ids(sortedKeys(st.UserBytes, nil)) {
 		e.float(st.UserBytes[id])
@@ -157,8 +208,9 @@ func (st *AggregatorState) AppendBinary(b []byte) ([]byte, error) {
 		e.float(ds.StdioBytes[0])
 		e.float(ds.StdioBytes[1])
 	}
-	e.ids(sortedKeys(st.DomainCovered, nil))
-	e.ids(sortedKeys(st.DomainUncovered, nil))
+	if e.err != nil {
+		return nil, e.err
+	}
 	return e.b, nil
 }
 
@@ -170,19 +222,15 @@ func (st *AggregatorState) UnmarshalBinary(data []byte) error {
 		return errors.New("analysis: empty state")
 	}
 	if data[0] != stateVersion {
-		return fmt.Errorf("analysis: state layout version %d, but this build reads only version %d", data[0], stateVersion)
+		return fmt.Errorf("analysis: %w %d, but this build reads only version %d", ErrStateVersion, data[0], stateVersion)
 	}
 	d := stateDecoder{b: data[1:]}
 	out := AggregatorState{System: d.str()}
 	out.LargeJobProcs = int(d.varint())
 	out.Logs = d.varint()
 	out.NodeHours = d.float()
-	for i := range out.MonthlyLogs {
-		out.MonthlyLogs[i] = d.varint()
-	}
-	for i := range out.MonthlyBytes {
-		out.MonthlyBytes[i] = d.float()
-	}
+	unsparse(&d, out.MonthlyLogs[:], unzigzag)
+	unsparse(&d, out.MonthlyBytes[:], wordFloat)
 
 	dict := make([]string, d.count(1))
 	for i := range dict {
@@ -194,19 +242,45 @@ func (st *AggregatorState) UnmarshalBinary(data []byte) error {
 
 	ids := d.ids()
 	out.Jobs = make(map[uint64]JobViewState, len(ids))
+	out.DomainCovered = map[uint64]bool{}
+	out.DomainUncovered = map[uint64]bool{}
 	for _, id := range ids {
 		v := d.uvarint()
-		ref := v >> 3
+		ref := v >> jobFlagBits
 		if ref > uint64(len(dict)) {
-			d.fail("job domain reference past the dictionary")
+			d.fail("job word names a domain past the dictionary")
 			break
 		}
-		jv := JobViewState{Layers: [2]bool{v&1 != 0, v&2 != 0}, UsedStdio: v&4 != 0}
+		jv := JobViewState{Layers: [2]bool{v&jobLayer0 != 0, v&jobLayer1 != 0}, UsedStdio: v&jobStdio != 0}
 		if ref > 0 {
 			jv.Domain = dict[ref-1]
 		}
 		out.Jobs[id] = jv
+		if v&jobCovered != 0 {
+			out.DomainCovered[id] = true
+		}
+		if v&jobUncovered != 0 {
+			out.DomainUncovered[id] = true
+		}
 	}
+	for _, id := range d.ids() {
+		if _, job := out.Jobs[id]; job {
+			d.fail("coverage residue names a job")
+			break
+		}
+		f := d.uvarint()
+		if f == 0 || f > 3 {
+			d.fail("unknown coverage residue flags")
+			break
+		}
+		if f&1 != 0 {
+			out.DomainCovered[id] = true
+		}
+		if f&2 != 0 {
+			out.DomainUncovered[id] = true
+		}
+	}
+
 	ids = d.ids()
 	out.Tuning = make(map[uint64]UserTuningState, len(ids))
 	for _, id := range ids {
@@ -214,12 +288,11 @@ func (st *AggregatorState) UnmarshalBinary(data []byte) error {
 		if seen > 3 {
 			d.fail("unknown tuning flags")
 		}
-		ut := UserTuningState{Seen: [2]bool{seen&1 != 0, seen&2 != 0}}
-		for _, pair := range [...]*[2]int64{&ut.MaxStripe, &ut.CollOps, &ut.IndepOps, &ut.JobsInHalf} {
-			pair[0] = d.varint()
-			pair[1] = d.varint()
-		}
-		out.Tuning[id] = ut
+		var pairs [8]int64
+		unsparse(&d, pairs[:], unzigzag)
+		out.Tuning[id] = UserTuningState{Seen: [2]bool{seen&1 != 0, seen&2 != 0},
+			MaxStripe: [2]int64{pairs[0], pairs[1]}, CollOps: [2]int64{pairs[2], pairs[3]},
+			IndepOps: [2]int64{pairs[4], pairs[5]}, JobsInHalf: [2]int64{pairs[6], pairs[7]}}
 	}
 	ids = d.ids()
 	out.UserBytes = make(map[uint64]float64, len(ids))
@@ -246,8 +319,6 @@ func (st *AggregatorState) UnmarshalBinary(data []byte) error {
 		ds.StdioBytes[0], ds.StdioBytes[1] = d.float(), d.float()
 		out.Domains[dict[ref]] = ds
 	}
-	out.DomainCovered = d.set()
-	out.DomainUncovered = d.set()
 	if d.err == nil && len(d.b) > 0 {
 		d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
 	}
@@ -258,9 +329,10 @@ func (st *AggregatorState) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-func flag(b bool) uint64 {
+// flag is bit when b holds, else 0.
+func flag(b bool, bit uint64) uint64 {
 	if b {
-		return 1
+		return bit
 	}
 	return 0
 }
@@ -278,12 +350,38 @@ func sortedKeys[K uint64 | string | darshan.ModuleID, V any](m map[K]V, keep fun
 	return keys
 }
 
-type stateEncoder struct{ b []byte }
+// A value's word is the uvarint the layout writes for it; it is zero
+// exactly when the value is (for a float, when its bits are).
+func zigzag(v int64) uint64      { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(w uint64) int64    { return int64(w>>1) ^ -int64(w&1) }
+func floatWord(f float64) uint64 { return bits.ReverseBytes64(math.Float64bits(f)) }
+func wordFloat(w uint64) float64 { return math.Float64frombits(bits.ReverseBytes64(w)) }
+func sameWord(w uint64) uint64   { return w }
+
+type stateEncoder struct {
+	b   []byte
+	err error
+}
 
 func (e *stateEncoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *stateEncoder) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *stateEncoder) float(f float64)  { e.uvarint(bits.ReverseBytes64(math.Float64bits(f))) }
+func (e *stateEncoder) varint(v int64)   { e.uvarint(zigzag(v)) }
+func (e *stateEncoder) float(f float64)  { e.uvarint(floatWord(f)) }
 func (e *stateEncoder) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
+
+// sparse writes vs, at most maxSparse values, as a mask of its non-zero
+// values, then their words.
+func sparse[T any](e *stateEncoder, vs []T, word func(T) uint64) {
+	var mask uint64
+	for i, v := range vs {
+		if word(v) != 0 {
+			mask |= 1 << i
+		}
+	}
+	e.uvarint(mask)
+	for m := mask; m != 0; m &= m - 1 {
+		e.uvarint(word(vs[bits.TrailingZeros64(m)]))
+	}
+}
 
 // ids writes an ascending id set and returns it.
 func (e *stateEncoder) ids(ids []uint64) []uint64 {
@@ -301,10 +399,14 @@ func (e *stateEncoder) hist(h *stats.Histogram) {
 		e.uvarint(0)
 		return
 	}
-	e.uvarint(uint64(len(h.Counts)))
-	for _, c := range h.Counts {
-		e.uvarint(c)
+	if len(h.Counts) > maxSparse {
+		if e.err == nil {
+			e.err = fmt.Errorf("analysis: a histogram of %d bins is wider than the state layout's %d", len(h.Counts), maxSparse)
+		}
+		return
 	}
+	e.uvarint(uint64(len(h.Counts)))
+	sparse(e, h.Counts, sameWord)
 }
 
 func (e *stateEncoder) layer(ls *LayerStats) {
@@ -333,19 +435,28 @@ func (e *stateEncoder) layer(ls *LayerStats) {
 		e.hist(hs[0])
 		e.hist(hs[1])
 	}
-	for _, c := range ls.ClassFiles {
-		e.varint(c)
-	}
-	for _, c := range ls.StdioClassFiles {
-		e.varint(c)
-	}
+	sparse(e, ls.ClassFiles[:], zigzag)
+	sparse(e, ls.StdioClassFiles[:], zigzag)
 	mods = sortedKeys(ls.Perf, func(p *[numDirections][units.NumTransferBins][]float64) bool { return p != nil })
 	e.uvarint(uint64(len(mods)))
 	var sorted []uint64
 	for _, m := range mods {
 		e.b = append(e.b, byte(m))
-		for _, cell := range ls.Perf[m] {
-			for _, samples := range cell {
+		cells := ls.Perf[m]
+		var mask uint64
+		for dir := range cells {
+			for b, samples := range cells[dir] {
+				if len(samples) > 0 {
+					mask |= 1 << (dir*units.NumTransferBins + b)
+				}
+			}
+		}
+		e.uvarint(mask)
+		for dir := range cells {
+			for _, samples := range cells[dir] {
+				if len(samples) == 0 {
+					continue
+				}
 				sorted = sorted[:0]
 				for _, v := range samples {
 					sorted = append(sorted, math.Float64bits(v))
@@ -400,9 +511,7 @@ func (d *stateDecoder) varint() int64 {
 	return v
 }
 
-func (d *stateDecoder) float() float64 {
-	return math.Float64frombits(bits.ReverseBytes64(d.uvarint()))
-}
+func (d *stateDecoder) float() float64 { return wordFloat(d.uvarint()) }
 
 // count reads an element count and checks that the bytes left could hold
 // that many elements of at least size bytes each, so a corrupt count never
@@ -414,6 +523,33 @@ func (d *stateDecoder) count(size int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// mask reads a sparse array's mask for an array n wide.
+func (d *stateDecoder) mask(n int) uint64 {
+	m := d.uvarint()
+	if n < maxSparse && m>>n != 0 {
+		d.fail(fmt.Sprintf("mask bit past an array of %d", n))
+		return 0
+	}
+	return m
+}
+
+// unsparse reads a sparse array into vs, which is as wide as the array
+// written.
+func unsparse[T any](d *stateDecoder, vs []T, value func(uint64) T) {
+	mask := d.mask(len(vs))
+	for i := range vs {
+		if mask&(1<<i) == 0 {
+			continue
+		}
+		w := d.uvarint()
+		if w == 0 {
+			d.fail("a mask bit marks a zero")
+			return
+		}
+		vs[i] = value(w)
+	}
 }
 
 func (d *stateDecoder) str() string {
@@ -467,24 +603,19 @@ func (d *stateDecoder) ids() []uint64 {
 	return ids
 }
 
-func (d *stateDecoder) set() map[uint64]bool {
-	ids := d.ids()
-	s := make(map[uint64]bool, len(ids))
-	for _, id := range ids {
-		s[id] = true
-	}
-	return s
-}
-
+// hist reads a histogram. Its width is bounded by maxSparse, not by the
+// bytes left: an all-zero histogram of any width is two bytes.
 func (d *stateDecoder) hist() *stats.Histogram {
-	n := d.count(1)
+	n := d.uvarint()
+	if n > maxSparse {
+		d.fail(fmt.Sprintf("a histogram of %d bins is wider than %d", n, maxSparse))
+		return nil
+	}
 	if n == 0 {
 		return nil
 	}
-	h := stats.NewHistogram(n)
-	for i := range h.Counts {
-		h.Counts[i] = d.uvarint()
-	}
+	h := stats.NewHistogram(int(n))
+	unsparse(d, h.Counts, sameWord)
 	return h
 }
 
@@ -507,22 +638,23 @@ func (d *stateDecoder) layer() *LayerStats {
 	}
 	ls.RequestHist[0], ls.RequestHist[1] = d.hist(), d.hist()
 	ls.LargeJobRequestHist[0], ls.LargeJobRequestHist[1] = d.hist(), d.hist()
-	for i := range ls.ClassFiles {
-		ls.ClassFiles[i] = d.varint()
-	}
-	for i := range ls.StdioClassFiles {
-		ls.StdioClassFiles[i] = d.varint()
-	}
+	unsparse(d, ls.ClassFiles[:], unzigzag)
+	unsparse(d, ls.StdioClassFiles[:], unzigzag)
 	n, next = d.modules()
 	ls.Perf = make(map[darshan.ModuleID]*[numDirections][units.NumTransferBins][]float64, n)
 	for range n {
 		m := next()
 		p := &[numDirections][units.NumTransferBins][]float64{}
+		mask := d.mask(perfCells)
 		for dir := range p {
 			for b := range p[dir] {
+				if mask&(1<<(dir*units.NumTransferBins+b)) == 0 {
+					continue
+				}
 				k := d.count(8)
 				if k == 0 {
-					continue
+					d.fail("a mask bit marks a zero")
+					return ls
 				}
 				samples := make([]float64, k)
 				var prev uint64

@@ -7,11 +7,12 @@
 // their own. Record payloads are gob, chosen over JSON deliberately: it
 // round-trips float64 bit-exactly, which the resume-byte-identity guarantee
 // depends on. A value with a binary layout of its own (the aggregator
-// state, a lake record) travels through gob as its MarshalBinary bytes;
-// gob still describes such a type's exported field types once per record,
-// which a caller avoids by handing Append a byte slice type instead. No
-// other package encodes gob or renames a temp file into place
-// (`make durablelint`).
+// state, a lake record) travels through gob as its bytes: gob would
+// describe a BinaryMarshaler's exported field types once per record, so
+// the lake hands Append a byte slice type and a checkpoint holds the
+// state's bytes in a []byte field. No other package encodes gob or renames
+// a temp file into place (the `durablelint` and `durablelint/rename` rows
+// of lint_test.go).
 package checkpoint
 
 import (

@@ -127,10 +127,10 @@ type IngestFailureRecord struct {
 // strict prefix: every item with index < EntriesDone is fully accounted
 // (parsed, failed, or quarantined; for a campaign, generated, sunk and
 // aggregated, or failed), and none at or beyond it are. All statistics are
-// exact sums, counts, or sample multisets, and Agg is persisted in the
-// state's own binary layout, which stores float64 bits exactly, so a
-// resumed pass's report is byte-identical to an uninterrupted one at any
-// worker count.
+// exact sums, counts, or sample multisets, and Agg holds the aggregator
+// state in its own binary layout (analysis.AggregatorState.MarshalBinary),
+// which stores float64 bits exactly, so a resumed pass's report is
+// byte-identical to an uninterrupted one at any worker count.
 type IngestCheckpoint struct {
 	System string
 	// Mode names the kind of source the pass walked: "dir" (a list of log
@@ -159,7 +159,10 @@ type IngestCheckpoint struct {
 	// whose logs it cuts off are the ones at or past EntriesDone.
 	ArchiveBytes   int64
 	ArchiveEntries int
-	Agg            *analysis.AggregatorState
+	// Agg is the state's bytes rather than the state: gob would describe
+	// the state's field types in every checkpoint, about 950 B of type
+	// definitions around a layout that needs none.
+	Agg []byte
 	// Metrics is the deterministic slice of the pass's obsv registry, so a
 	// resumed pass's stripped metrics snapshot is byte-identical to an
 	// uninterrupted one. Nil when the pass carried no registry.
@@ -167,26 +170,62 @@ type IngestCheckpoint struct {
 }
 
 // LoadIngestCheckpoint reads a checkpoint written by a prior pass, an
-// ingestion's or a campaign's; Mode says which.
+// ingestion's or a campaign's; Mode says which. A checkpoint whose state
+// this build cannot read is refused with the way out: restart the run.
 func LoadIngestCheckpoint(path string) (*IngestCheckpoint, error) {
 	var ck IngestCheckpoint
 	if err := checkpoint.Load(path, &ck); err != nil {
-		// Before the state had a binary layout, Agg was a gob struct.
-		var retired struct{ Agg *struct{ Logs int64 } }
-		if checkpoint.Load(path, &retired) == nil {
-			return nil, fmt.Errorf("core: %s holds its aggregator state in the retired gob-struct format, which this version does not read: restart the run", path)
-		}
-		return nil, err
+		return nil, retiredCheckpointError(path, err)
 	}
 	switch {
-	case ck.Mode == "dir" || ck.Mode == "archive" || ck.Mode == "columnar" || ck.Mode == "campaign":
-		return &ck, nil
 	case ck.Mode == "" && ck.Agg != nil:
-		// Campaign checkpoints of the older per-job done-set format decode
-		// to aggregator state and no Mode; nothing reads that format now.
-		return nil, fmt.Errorf("core: %s is a campaign checkpoint in the retired per-job format, which cannot be resumed: restart the run", path)
+		return nil, perJobCheckpointError(path)
+	case ck.Mode != "dir" && ck.Mode != "archive" && ck.Mode != "columnar" && ck.Mode != "campaign":
+		return nil, fmt.Errorf("core: %s is not a checkpoint", path)
 	}
-	return nil, fmt.Errorf("core: %s is not a checkpoint", path)
+	if ck.Agg != nil {
+		if err := new(analysis.AggregatorState).UnmarshalBinary(ck.Agg); err != nil {
+			return nil, fmt.Errorf("core: %s: %w: restart the run", path, err)
+		}
+	}
+	return &ck, nil
+}
+
+// Campaign checkpoints of the older per-job done-set format carry
+// aggregator state and no Mode; nothing reads that format now.
+func perJobCheckpointError(path string) error {
+	return fmt.Errorf("core: %s is a campaign checkpoint in the retired per-job format, which cannot be resumed: restart the run", path)
+}
+
+// marshaledState takes the bytes of a state that gob carried as a
+// BinaryMarshaler, as checkpoints did before Agg was a byte slice.
+type marshaledState []byte
+
+func (m *marshaledState) UnmarshalBinary(b []byte) error {
+	*m = append((*m)[:0], b...)
+	return nil
+}
+
+// retiredCheckpointError names what a checkpoint that fails to load was,
+// when Agg is in a format checkpoints had before: a gob struct, before the
+// state had a binary layout, and then the state gob-wrapped as a
+// BinaryMarshaler (layout version 1). Nothing reads those formats now.
+func retiredCheckpointError(path string, err error) error {
+	var gobStruct struct{ Agg *struct{ Logs int64 } }
+	if checkpoint.Load(path, &gobStruct) == nil {
+		return fmt.Errorf("core: %s holds its aggregator state in the retired gob-struct format, which this version does not read: restart the run", path)
+	}
+	var wrapped struct {
+		Mode string
+		Agg  marshaledState
+	}
+	if checkpoint.Load(path, &wrapped) == nil {
+		if wrapped.Mode == "" {
+			return perJobCheckpointError(path)
+		}
+		return fmt.Errorf("core: %s holds its aggregator state gob-wrapped, the retired format from before checkpoints carried the state's bytes, which this version does not read: restart the run", path)
+	}
+	return err
 }
 
 // ingestItem is one unit of work: a log file to open (path), a raw
@@ -481,8 +520,12 @@ func (ic *ingestCoordinator) begin() error {
 		ic.fault = ck.Fault
 		ic.archiveBytes, ic.archiveEntries = ck.ArchiveBytes, ck.ArchiveEntries
 		if ck.Agg != nil {
+			st := new(analysis.AggregatorState)
+			if err := st.UnmarshalBinary(ck.Agg); err != nil {
+				return fmt.Errorf("core: checkpoint state: %w", err)
+			}
 			var err error
-			if ic.total, err = analysis.NewAggregatorFromState(sys, ck.Agg); err != nil {
+			if ic.total, err = analysis.NewAggregatorFromState(sys, st); err != nil {
 				return err
 			}
 		}
@@ -550,12 +593,16 @@ func (ic *ingestCoordinator) writeCheckpoint() error {
 			return fmt.Errorf("core: syncing quarantine manifest: %w", err)
 		}
 	}
+	agg, err := ic.total.State().MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("core: encoding checkpoint state: %w", err)
+	}
 	ck := &IngestCheckpoint{
 		System: ic.sys.Name, Mode: ic.src.mode(), Source: ic.path,
 		Paths: ic.src.listing(), EntriesDone: ic.entriesDone,
 		Parsed: ic.parsed, Failed: ic.failed, Quarantined: ic.quarantined,
 		Fault: ic.fault, ArchiveBytes: ic.archiveBytes, ArchiveEntries: ic.archiveEntries,
-		Agg:     ic.total.State(),
+		Agg:     agg,
 		Metrics: ic.opts.Metrics.State(),
 	}
 	if ic.campaign != nil {

@@ -177,7 +177,7 @@ func (r *lakeRecord) UnmarshalBinary(data []byte) error {
 	}
 	st := new(analysis.AggregatorState)
 	if err := st.UnmarshalBinary(b); err != nil {
-		return err
+		return fmt.Errorf("gen %d: %w", gen, err)
 	}
 	*r = lakeRecord{System: string(system), Gen: gen, Sources: sources, State: st}
 	return nil
@@ -204,10 +204,14 @@ func takeBytes(b *[]byte) ([]byte, bool) {
 }
 
 // retiredRecordError names what a record that fails to decode was, when
-// it decodes as the gob-encoded struct lake records were before the binary
-// layout; decode is the record log's decode function, which can be called
-// again. Nothing reads that format now.
+// it holds a state in a retired version of the state layout or decodes as
+// the gob-encoded struct lake records were before the binary layout;
+// decode is the record log's decode function, which can be called again.
+// Nothing reads those formats now.
 func retiredRecordError(decode func(v any) error, err error) error {
+	if errors.Is(err, analysis.ErrStateVersion) {
+		return fmt.Errorf("%w: move the dataset's directory out of the lake and re-ingest its sources", err)
+	}
 	var retired struct{ Gen uint64 }
 	if decode(&retired) != nil {
 		return err

@@ -5,11 +5,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,7 +22,7 @@ import (
 	"iolayers/internal/report"
 )
 
-func openLake(t *testing.T, dir string, compactEvery int) *Lake {
+func openLake(t testing.TB, dir string, compactEvery int) *Lake {
 	t.Helper()
 	l, err := OpenLake(LakeConfig{Dir: dir, CompactEvery: compactEvery, Metrics: obsv.New()})
 	if err != nil {
@@ -30,7 +32,7 @@ func openLake(t *testing.T, dir string, compactEvery int) *Lake {
 	return l
 }
 
-func lakeStore(t *testing.T, l *Lake) *Store {
+func lakeStore(t testing.TB, l *Lake) *Store {
 	t.Helper()
 	st, err := NewStoreWithLake(l)
 	if err != nil {
@@ -523,8 +525,9 @@ func TestLakeStateFlipSweep(t *testing.T) {
 
 // TestLakeRefusesWhatItCannotTrust covers the refusals that are not CRC
 // failures: the layout this one replaced, a log whose generations do not
-// run consecutively, and a record in the gob-struct format that came before
-// the binary record layout.
+// run consecutively, a record in the gob-struct format that came before
+// the binary record layout, and a record whose state is in a retired
+// version of the state layout.
 func TestLakeRefusesWhatItCannotTrust(t *testing.T) {
 	old := t.TempDir()
 	journal := filepath.Join(old, "journal")
@@ -594,7 +597,40 @@ func TestLakeRefusesWhatItCannotTrust(t *testing.T) {
 	if after, _ := os.ReadFile(logPath); !bytes.Equal(after, before) {
 		t.Error("the refused log was modified")
 	}
+
+	// A record of today's layout whose state is in layout version 1.
+	v1, err := hex.DecodeString(stateV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := (&lakeRecord{System: snap.System, Gen: 1, Sources: snap.Sources, State: snap.agg.State()}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := snap.agg.State().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = append(rec[:len(rec)-len(state)], v1...)
+	if j, err = checkpoint.RewriteJournal(logPath, recordBytes(rec)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if before, err = os.ReadFile(logPath); err != nil {
+		t.Fatal(err)
+	}
+	err = bootLake(t, lakeDir)
+	if err == nil || !strings.Contains(err.Error(), `dataset "ds"`) || !strings.Contains(err.Error(), "gen 1: analysis: state layout version 1,") || !strings.Contains(err.Error(), "re-ingest") {
+		t.Errorf("a record holding a version-1 state: err = %v, want a refusal naming the dataset, the version and the way out", err)
+	}
+	if after, _ := os.ReadFile(logPath); !bytes.Equal(after, before) {
+		t.Error("the log refused for its state version was modified")
+	}
 }
+
+// stateV1 is an empty Summit aggregator's state in layout version 1 of
+// analysis.AggregatorState's binary layout, which this build refuses.
+const stateV1 = "010653756d6d69748010000000000000000000000000000000000000000000000000000000000000000000000000000600000000000006000000000000000a000000000000000000000a000000000000000000000a000000000000000000000a000000000000000000000000000000000000000a000000000000000000000a0000000000000000000000000000000000000600000000000006000000000000000a000000000000000000000a000000000000000000000a000000000000000000000a000000000000000000000000000000000000000a000000000000000000000a000000000000000000000000000000"
 
 // TestLakeCompaction checks the bounded-recovery invariant: past the
 // threshold, a dataset's log is atomically replaced by the single record of
@@ -714,21 +750,11 @@ func TestLakeLogBytesAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestLakeRecordWeight pins what a lake stores, so that a change to the
-// record or state layout, or to what the fold keeps, shows up as a
-// committed number. A 32-log fixture is folded as generation 1, then 17
-// of its logs one at a time, into a lake at the default compaction
-// threshold: generations 1–16 compact into one record, and 17 and 18
-// follow it as deltas. The compact record's state bytes are pinned by
-// length and SHA-256; its sources are not, because they hold temp-dir
-// paths. The source list is front-coded, so once the list is into the
-// directory's files each generation adds a file name's tail, not a path.
-func TestLakeRecordWeight(t *testing.T) {
-	const (
-		wantStateLen = 801
-		wantStateSum = "fbb8ee813a21ffac7e60ffa7ce06d95bdc405a62a247503da89457ec8a6e17cf"
-		maxSourceB   = 16
-	)
+// weightRecords is TestLakeRecordWeight's lake: a 32-log fixture folded
+// as generation 1, then 17 of its logs one at a time, at the default
+// compaction threshold. It returns the records the dataset's log holds.
+func weightRecords(t testing.TB) []lakeRecord {
+	t.Helper()
 	sys := systems.NewSummit()
 	dir := filepath.Join(t.TempDir(), "fixture")
 	if err := WriteFixture(dir, sys, 32, 5); err != nil {
@@ -755,6 +781,27 @@ func TestLakeRecordWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return recs
+}
+
+// TestLakeRecordWeight pins what a lake stores, so that a change to the
+// record or state layout, or to what the fold keeps, shows up as a
+// committed number. A 32-log fixture is folded as generation 1, then 17
+// of its logs one at a time, into a lake at the default compaction
+// threshold: generations 1–16 compact into one record, and 17 and 18
+// follow it as deltas. The compact record's state bytes are pinned by
+// length and SHA-256, and the first delta's, one log's state, by length;
+// their sources are not, because they hold temp-dir paths. The source
+// list is front-coded, so once the list is into the directory's files each
+// generation adds a file name's tail, not a path.
+func TestLakeRecordWeight(t *testing.T) {
+	const (
+		wantStateLen = 552
+		wantStateSum = "013a4ee31802e3a86f3925f47aa13c34c5e0786ecaa807e8fe52bf2069689225"
+		wantDeltaLen = 147
+		maxSourceB   = 16
+	)
+	recs := weightRecords(t)
 	if len(recs) != 3 || recs[0].Gen != DefaultCompactEvery || len(recs[0].Sources) != DefaultCompactEvery {
 		t.Fatalf("log holds %d records, the first at gen %d with %d sources; want a compact record of gens 1–%d and two deltas",
 			len(recs), recs[0].Gen, len(recs[0].Sources), DefaultCompactEvery)
@@ -766,10 +813,50 @@ func TestLakeRecordWeight(t *testing.T) {
 	if sum := fmt.Sprintf("%x", sha256.Sum256(state)); len(state) != wantStateLen || sum != wantStateSum {
 		t.Errorf("compact record state: %d bytes, sha256 %s; pinned %d bytes, %s", len(state), sum, wantStateLen, wantStateSum)
 	}
+	if delta, err := recs[1].State.MarshalBinary(); err != nil || len(delta) != wantDeltaLen {
+		t.Errorf("one-log delta state: %d bytes (%v); pinned %d bytes", len(delta), err, wantDeltaLen)
+	}
 	for g := 3; g <= len(recs[0].Sources); g++ {
 		added := len(appendSources(nil, recs[0].Sources[:g])) - len(appendSources(nil, recs[0].Sources[:g-1]))
 		if added > maxSourceB {
 			t.Errorf("generation %d adds %d B to the compact record's source list, want at most %d", g, added, maxSourceB)
 		}
 	}
+}
+
+// FuzzLakeRecord feeds the lake record decoder arbitrary bytes. It must
+// never panic, and whatever it accepts must re-encode to bytes that decode
+// to the same record and encode again to the same bytes.
+func FuzzLakeRecord(f *testing.F) {
+	for _, rec := range weightRecords(f) {
+		b, err := rec.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var first lakeRecord
+		if first.UnmarshalBinary(data) != nil {
+			return
+		}
+		enc, err := first.MarshalBinary()
+		if err != nil {
+			t.Fatalf("a decoded record does not encode: %v", err)
+		}
+		var second lakeRecord
+		if err := second.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("the decoder refuses what the encoder wrote: %v", err)
+		}
+		if again, err := second.MarshalBinary(); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding a decoded record changed its bytes (%v)", err)
+		}
+		// reflect.DeepEqual holds NaN unequal to itself; a record whose
+		// state holds one is judged by its bytes alone.
+		var third lakeRecord
+		third.UnmarshalBinary(enc)
+		if reflect.DeepEqual(&second, &third) && !reflect.DeepEqual(&first, &second) {
+			t.Fatal("decode → encode → decode changed the record")
+		}
+	})
 }
